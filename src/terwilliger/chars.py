@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .groups import ConjugacyData, GroupTable, inversion_closed
+from .groups import ConjugacyData, GroupTable, fixed_point_counts
 from .partitions import Partition, SignedPartition, class_size, partitions_of
 
 
@@ -157,22 +157,9 @@ class PermChar:
 
 def perm_char_H1(g: GroupTable, classes: ConjugacyData) -> PermChar:
     """Permutation character of conjugation-and-inversion acting on G."""
-    if not inversion_closed(classes):
+    plus, minus = fixed_point_counts(g, classes)
+    if minus is None:
         raise ValueError("classes are not inversion-closed; no inversion action")
-    plus: list[int] = []
-    minus: list[int] = []
-    for rep in classes.representatives:
-        fix_plus = 0
-        fix_minus = 0
-        for x in range(g.order):
-            if g.mul(x, rep) == g.mul(rep, x):
-                fix_plus += 1
-            if g.conjugate(rep, g.inv(x)) == x:
-                fix_minus += 1
-        if fix_plus != g.order // classes.sizes[classes.class_of[rep]]:
-            raise AssertionError("fixed points of conjugation != centralizer order")
-        plus.append(fix_plus)
-        minus.append(fix_minus)
     return PermChar(labels=classes.labels, plus_values=plus, minus_values=minus)
 
 

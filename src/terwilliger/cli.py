@@ -13,7 +13,6 @@ from . import orbitals as orb_mod
 from . import scheme as scheme_mod
 from . import switching as sw_mod
 from . import wedderburn as wed_mod
-from .fieldla import sample_primes
 from .groups import SymmetricGroup, build_group, inversion_closed
 from .partitions import Partition
 from .tables import BlockDimTable, render_cells
@@ -38,7 +37,6 @@ class RunConfig:
     use_bounds: bool = True
     fmt: str = "md"
     blocks: str | None = None
-    threads: int = 1
 
 
 def _split_blocks(spec: str) -> list[str]:
@@ -76,12 +74,16 @@ class Pipeline:
     """Lazy pipeline over one group; every stage is computed once."""
 
     def __init__(self, cfg: RunConfig, progress=None):
+        if len(cfg.primes) not in (0, 2):
+            raise UsageError("--prime is given twice or not at all")
         self.cfg = cfg
         self.progress = progress
         self.group = build_group(cfg.group)
         self.checks: dict[str, bool] = {}
         self._scheme = None
         self._orbindex = None
+        #: orbit-counting-lemma total, computed with the orbit index
+        self.burnside: int | None = None
         self._closure = None
         self._chartable = None
         self._mults = None
@@ -107,25 +109,9 @@ class Pipeline:
         if self._orbindex is None:
             self._orbindex = orb_mod.OrbitalIndex(self.scheme, seed=self.cfg.seed)
             self._orbindex.validate_against_tensor(self.tensor)
-            burn = orb_mod.burnside_orbital_count(self.scheme)
-            self.checks["burnside_equals_orbit_total"] = burn == self._orbindex.total
+            self.burnside = orb_mod.burnside_orbital_count(self.scheme)
+            self.checks["burnside_equals_orbit_total"] = self.burnside == self._orbindex.total
         return self._orbindex
-
-    def primes(self) -> tuple[int, int]:
-        given = tuple(self.cfg.primes)
-        if len(given) > 2:
-            raise UsageError("at most two explicit primes")
-        if len(given) == 2:
-            return given
-        avoid = 2 * self.group.order
-        extra: list[int] = []
-        k = 0
-        while len(given) + len(extra) < 2:
-            cand = sample_primes(self.cfg.seed + k, 1, avoid)[0]
-            if cand not in given and cand not in extra:
-                extra.append(cand)
-            k += 1
-        return given + tuple(extra)
 
     @property
     def closure(self) -> sw_mod.ClosureResult:
@@ -134,10 +120,10 @@ class Pipeline:
             self._closure = sw_mod.run_to_stationary(
                 self.scheme,
                 self.orbindex,
-                primes=self.primes(),
+                seed=self.cfg.seed,
+                primes=self.cfg.primes or None,
                 bounds=bounds,
                 max_width=self.cfg.max_width,
-                threads=self.cfg.threads,
                 progress=self.progress,
             )
             dim_t0 = self._closure.dim_t0
@@ -309,7 +295,7 @@ def cmd_characters(pipe: Pipeline) -> str:
 
 def cmd_centralizer(pipe: Pipeline) -> str:
     table = pipe.orbindex.table()
-    burn = orb_mod.burnside_orbital_count(pipe.scheme)
+    burn = pipe.burnside
     out = []
     if pipe.cfg.fmt == "json":
         payload = {
@@ -481,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
             action="append",
             type=int,
             default=None,
-            help="explicit working prime (repeat for two)",
+            help="explicit working prime (give it twice or not at all)",
         )
         p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
         p.add_argument("--max-width", type=int, default=int(_env("MAX_WIDTH", "6")))
@@ -498,7 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
             dest="fmt",
         )
         p.add_argument("--blocks", default=_env("BLOCKS"))
-        p.add_argument("--threads", type=int, default=int(_env("THREADS", "1")))
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return parser
 
@@ -517,7 +502,6 @@ def main(argv: list[str] | None = None) -> int:
         use_bounds=args.bounds == "on",
         fmt=args.fmt,
         blocks=args.blocks,
-        threads=args.threads,
     )
 
     def progress(level, block, rank, elapsed):
@@ -529,6 +513,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         pipe = Pipeline(cfg, progress=None if args.quiet else progress)
         text = COMMANDS[args.command](pipe)
+    except (wed_mod.ReconciliationError, sw_mod.PrimeDisagreement) as exc:
+        print(f"error[{args.command}]: check {exc.check} failed: {exc}", file=sys.stderr)
+        return 1
     except (sw_mod.ClosureError, AssertionError, ValueError, OSError) as exc:
         print(f"error[{args.command}]: {exc}", file=sys.stderr)
         return 2

@@ -253,10 +253,6 @@ class RankTracker:
         return True
 
 
-def rank_insert(tracker: RankTracker, vec: SparseVec) -> bool:
-    return tracker.insert(vec)
-
-
 def restrict_block(s, i: int, j: int, k: int) -> SparseMat:
     """The (C_i x C_k) submatrix of the relation-j adjacency matrix.
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from math import factorial
 from pathlib import Path
 
-from .partitions import Partition, partitions_of
+import numpy as np
+
+from .partitions import Partition, class_size, partitions_of
 
 #: Hard cap for symmetric(n); S8 already has 40320 elements and the element
 #: table for larger n outgrows the memory budget of the table-based layer.
@@ -157,7 +158,11 @@ class CayleyGroup(GroupTable):
         self.order = len(table)
         self.name = name
         self.table = table
-        _validate_table(table)
+        # the narrowest integer type keeps the checks' copy of the table small
+        n = self.order
+        arr = np.array(table, dtype=np.min_scalar_type(n)).reshape(n, n)
+        _validate_latin(arr)
+        _validate_associative(arr, self.generators())
         self._inv = [row.index(0) for row in table]
 
     def mul(self, a: int, b: int) -> int:
@@ -175,28 +180,40 @@ class CayleyTableError(ValueError):
         self.line = line
 
 
-def _validate_table(table: list[list[int]]) -> None:
-    n = len(table)
-    idx = set(range(n))
-    for x, row in enumerate(table):
-        if len(row) != n or set(row) != idx:
-            raise ValueError(f"row {x} is not a permutation of 0..{n - 1}")
-    for y in range(n):
-        col = {table[x][y] for x in range(n)}
-        if col != idx:
-            raise ValueError(f"column {y} is not a permutation of 0..{n - 1}")
-    for x in range(n):
-        if table[0][x] != x or table[x][0] != x:
-            raise ValueError("element 0 is not a two-sided identity")
-    rng = random.Random(0)
-    triples = (
-        itertools.product(range(n), repeat=3)
-        if n <= 24
-        else ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(2000))
-    )
-    for a, b, c in triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise ValueError(f"associativity fails at ({a},{b},{c})")
+#: table cells per step of the checks below, which bounds their temporaries
+_CHECK_CELLS = 1 << 16
+
+
+def _validate_latin(arr: np.ndarray) -> None:
+    """Every row and column a permutation of 0..n-1, element 0 the identity."""
+    n = arr.shape[0]
+    idx = np.arange(n)
+    step = max(1, _CHECK_CELLS // n)
+    for what, lines in (("row", arr), ("column", arr.T)):
+        for lo in range(0, n, step):
+            bad = np.nonzero((np.sort(lines[lo : lo + step], axis=1) != idx).any(axis=1))[0]
+            if bad.size:
+                raise ValueError(f"{what} {lo + bad[0]} is not a permutation of 0..{n - 1}")
+    if (arr[0] != idx).any() or (arr[:, 0] != idx).any():
+        raise ValueError("element 0 is not a two-sided identity")
+
+
+def _validate_associative(arr: np.ndarray, gens: list[int]) -> None:
+    """Light's test: (xy)s = x(ys) for all x, y and every generator s.
+
+    Exact: the s satisfying the identity for all x, y are closed under
+    products, and every element is a left-nested product of generators.
+    """
+    n = arr.shape[0]
+    step = max(1, _CHECK_CELLS // n)
+    for s in gens:
+        col = arr[:, s]
+        for lo in range(0, n, step):
+            rows = arr[lo : lo + step]
+            bad = np.argwhere(col[rows] != rows[:, col])  # (xy)s vs x(ys)
+            if bad.size:
+                a, b = (int(v) for v in bad[0])
+                raise ValueError(f"associativity fails at ({lo + a},{b},{s})")
 
 
 def load_cayley_table(path: str | Path) -> CayleyGroup:
@@ -361,6 +378,29 @@ def _class_order(g: GroupTable, raw_classes: list[list[int]]) -> list[int]:
 def inversion_closed(c: ConjugacyData) -> bool:
     """True iff every conjugacy class is closed under inversion."""
     return all(c.inverse_class[i] == i for i in range(c.n_classes))
+
+
+def fixed_point_counts(
+    g: GroupTable, classes: ConjugacyData
+) -> tuple[list[int], list[int] | None]:
+    """Fixed points on G of conjugation, and of conjugate-then-invert, per class.
+
+    fix+(rep) = #{x : x rep = rep x} = |G|/|C|.  fix-(rep) = #{x : rep x^-1
+    rep^-1 = x}; x -> x rep maps these bijectively onto {y : y^2 = rep^2}, so
+    one tally of all squares gives every class.  fix- is None when the
+    classes are not inversion-closed (there is no inversion action).
+    """
+    if classes.labels is not None:
+        for c, lam in enumerate(classes.labels):
+            if classes.sizes[c] != class_size(lam):
+                raise AssertionError(f"class {lam} has {classes.sizes[c]} elements")
+    plus = [g.order // size for size in classes.sizes]
+    if not inversion_closed(classes):
+        return plus, None
+    squares = np.fromiter((g.mul(x, x) for x in range(g.order)), dtype=np.int64, count=g.order)
+    roots = np.bincount(squares, minlength=g.order)
+    minus = [int(roots[g.mul(rep, rep)]) for rep in classes.representatives]
+    return plus, minus
 
 
 def centralizer_elements(g: GroupTable, x: int) -> list[int]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import fixed_point_counts
 from .scheme import ClassScheme, IntersectionTensor
 from .tables import BlockDimTable
 
@@ -163,10 +164,6 @@ class OrbitalIndex:
         return BlockDimTable(labels=labels, dims=dims)
 
 
-def compute_orbitals(scheme: ClassScheme, seed: int = 0) -> OrbitalIndex:
-    return OrbitalIndex(scheme, seed=seed)
-
-
 def orbital_table(scheme_or_index: ClassScheme | OrbitalIndex) -> BlockDimTable:
     """Counts of stabilizer orbits on C_mu x C_lam, per ordered class pair."""
     index = (
@@ -184,20 +181,12 @@ def burnside_orbital_count(s: ClassScheme) -> int:
     group class, doubled by the inversion coset when classes are closed
     under inversion.
     """
-    g = s.group
     cls = s.classes
-    closed = all(cls.inverse_class[i] == i for i in range(cls.n_classes))
-    total = 0
-    for c, rep in enumerate(cls.representatives):
-        fix_plus = 0
-        fix_minus = 0
-        for x in range(g.order):
-            if g.mul(rep, x) == g.mul(x, rep):
-                fix_plus += 1
-            if closed and g.conjugate(rep, g.inv(x)) == x:
-                fix_minus += 1
-        total += cls.sizes[c] * (fix_plus * fix_plus + fix_minus * fix_minus)
-    order_h = (2 if closed else 1) * g.order
+    plus, minus = fixed_point_counts(s.group, cls)
+    total = sum(size * fp * fp for size, fp in zip(cls.sizes, plus))
+    if minus is not None:
+        total += sum(size * fm * fm for size, fm in zip(cls.sizes, minus))
+    order_h = (1 if minus is None else 2) * s.group.order
     q, rem = divmod(total, order_h)
     if rem:
         raise AssertionError("orbit-counting average is not an integer")

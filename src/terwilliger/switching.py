@@ -15,7 +15,6 @@ groups.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +35,15 @@ class ClosureError(RuntimeError):
 class PrimeDisagreement(ClosureError):
     """The two working primes produced different dimension tables."""
 
+    check = "two_prime_agreement"
 
-class _Block:
-    """Echelon state of one (i,k) block under one prime."""
+
+class Block:
+    """Fully reduced echelon state of one (i,k) block under one prime.
+
+    Each stored row has a 1 at its pivot and 0 at every other pivot, so a
+    vector's residual is one product with the rows (see `reduce`).
+    """
 
     __slots__ = ("r", "p", "pivots", "rows", "raw", "words")
 
@@ -57,13 +62,9 @@ class _Block:
     def insert_batch(
         self, cands: np.ndarray, word_of, cap: int
     ) -> list[int]:
-        """Insert candidate rows (already mod p); return indices that grew rank."""
+        """Insert candidate rows; return indices that grew rank."""
         p = self.p
-        residual = cands % p
-        if self.pivots:
-            coeffs = residual[:, self.pivots]
-            if coeffs.any():
-                residual = (residual - modmul(coeffs, np.vstack(self.rows), p)) % p
+        residual = self.reduce(cands)
         grown: list[int] = []
         n = residual.shape[0]
         for idx in range(n):
@@ -94,14 +95,14 @@ class _Block:
                     ) % p
         return grown
 
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        """Residual of one vector against the echelon rows."""
+    def reduce(self, vecs: np.ndarray) -> np.ndarray:
+        """Residual of a vector, or of each row of a matrix, against the echelon rows."""
         p = self.p
-        v = vec % p
-        for piv, row in zip(self.pivots, self.rows):
-            c = int(v[piv])
-            if c:
-                v = (v - c * row) % p
+        v = vecs % p
+        if self.pivots:
+            coeffs = v[..., self.pivots]
+            if coeffs.any():
+                v = (v - modmul(coeffs, np.vstack(self.rows), p)) % p
         return v
 
 
@@ -114,8 +115,8 @@ class SwitchingClosure:
         self.field = fieldctx
         self.level = -1
         nc = scheme.classes.n_classes
-        self.blocks: dict[tuple[int, int], _Block] = {
-            (i, k): _Block(orbindex.r[(i, k)], fieldctx.p)
+        self.blocks: dict[tuple[int, int], Block] = {
+            (i, k): Block(orbindex.r[(i, k)], fieldctx.p)
             for i in range(nc)
             for k in range(nc)
         }
@@ -177,25 +178,24 @@ class SwitchingClosure:
     def extend_level(
         self,
         bounds: BlockDimTable | None = None,
-        threads: int = 1,
         progress=None,
     ) -> dict[tuple[int, int], int]:
         """One closure step: frontier rows times length-1 generators."""
         if self.level < 0:
             raise ClosureError("generate level 0 first")
         nc = self.scheme.classes.n_classes
-        targets = sorted(self.blocks, key=self._block_order)
+        labels = self.scheme.classes.label_strings()
         start = time.monotonic()
-
-        def work(key: tuple[int, int]) -> tuple[tuple[int, int], int, list[int]]:
+        growth: dict[tuple[int, int], int] = {}
+        new_frontier: dict[tuple[int, int], list[int]] = {}
+        for key in sorted(self.blocks, key=self._block_order):
             i, m = key
             blk = self.blocks[key]
             cap = self._cap(key, bounds)
             before = blk.rank
-            new_rows: list[int] = []
-            if blk.rank >= cap:
-                return key, 0, new_rows
             for nu in range(nc):
+                if blk.rank >= cap:
+                    break
                 rows_idx = self.frontier.get((i, nu), [])
                 if not rows_idx:
                     continue
@@ -206,34 +206,17 @@ class SwitchingClosure:
                 cands = self._chain_products(key, nu, left, gmat)
                 n2 = len(js)
 
-                def word_of(idx: int, words=words, js=js, nu=nu, m=m, n2=n2) -> Word:
+                def word_of(idx: int) -> Word:
                     return words[idx // n2] + ((nu, js[idx % n2], m),)
 
-                base = blk.rank
-                grown = blk.insert_batch(cands, word_of, cap)
-                new_rows.extend(range(base, base + len(grown)))
-                if blk.rank >= cap:
-                    break
-            return key, blk.rank - before, new_rows
-
-        results = []
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(work, targets))
-        else:
-            results = [work(key) for key in targets]
-
-        growth: dict[tuple[int, int], int] = {}
-        new_frontier: dict[tuple[int, int], list[int]] = {}
-        labels = self.scheme.classes.label_strings()
-        for key, grew, new_rows in results:
-            growth[key] = grew
-            new_frontier[key] = new_rows
-            if progress is not None and grew:
+                blk.insert_batch(cands, word_of, cap)
+            growth[key] = blk.rank - before
+            new_frontier[key] = list(range(before, blk.rank))
+            if progress is not None and growth[key]:
                 progress(
                     self.level + 1,
-                    f"({labels[key[0]]},{labels[key[1]]})",
-                    self.blocks[key].rank,
+                    f"({labels[i]},{labels[m]})",
+                    blk.rank,
                     time.monotonic() - start,
                 )
         self.frontier = new_frontier
@@ -332,28 +315,17 @@ def generate_T0(
     return closure
 
 
-def extend_level(
-    closure: SwitchingClosure, bounds: BlockDimTable | None = None, threads: int = 1
-) -> dict[tuple[int, int], int]:
-    return closure.extend_level(bounds=bounds, threads=threads)
-
-
-def block_dims(closure: SwitchingClosure) -> BlockDimTable:
-    return closure.block_dims()
-
-
 def _run_once(
     scheme: ClassScheme,
     orbindex: OrbitalIndex,
     fieldctx: FieldCtx,
     bounds: BlockDimTable | None,
     max_width: int,
-    threads: int,
     progress,
 ) -> tuple[SwitchingClosure, int]:
     closure = generate_T0(scheme, orbindex, fieldctx)
     for level in range(1, max_width + 2):
-        growth = closure.extend_level(bounds=bounds, threads=threads, progress=progress)
+        growth = closure.extend_level(bounds=bounds, progress=progress)
         if not any(growth.values()):
             return closure, level - 1
     raise ClosureError(f"closure still growing after max width {max_width}; aborting")
@@ -367,7 +339,6 @@ def run_to_stationary(
     primes: tuple[int, int] | None = None,
     bounds: BlockDimTable | None = None,
     max_width: int = 6,
-    threads: int = 1,
     progress=None,
 ) -> ClosureResult:
     """Close the chain under two primes and cross-check every level."""
@@ -384,12 +355,8 @@ def run_to_stationary(
         for p in pair:
             if avoid % p == 0:
                 raise ValueError(f"prime {p} divides twice the group order")
-        c1, w1 = _run_once(
-            scheme, orbindex, FieldCtx(pair[0]), bounds, max_width, threads, progress
-        )
-        c2, w2 = _run_once(
-            scheme, orbindex, FieldCtx(pair[1]), bounds, max_width, threads, None
-        )
+        c1, w1 = _run_once(scheme, orbindex, FieldCtx(pair[0]), bounds, max_width, progress)
+        c2, w2 = _run_once(scheme, orbindex, FieldCtx(pair[1]), bounds, max_width, None)
         same = w1 == w2 and len(c1.history) == len(c2.history)
         if same:
             same = all(

@@ -44,7 +44,7 @@ class BlockDimTable:
         cells = [[corner] + self.labels]
         for a, la in enumerate(self.labels):
             cells.append([la] + [str(v) for v in self.dims[a]])
-        return _render_markdown(cells)
+        return render_cells(cells)
 
     def growth_markdown(self, newer: "BlockDimTable", corner: str = "") -> str:
         """Render newer on top of self using the a+b growth convention."""
@@ -59,15 +59,11 @@ class BlockDimTable:
                     raise ValueError(f"dimension dropped at ({la},{self.labels[b]})")
                 row.append(f"{base}+{new - base}" if new > base else str(base))
             cells.append(row)
-        return _render_markdown(cells)
+        return render_cells(cells)
 
 
 def render_cells(cells: list[list[str]]) -> str:
     """Markdown table from a rectangular grid whose first row is the header."""
-    return _render_markdown(cells)
-
-
-def _render_markdown(cells: list[list[str]]) -> str:
     widths = [max(len(row[c]) for row in cells) for c in range(len(cells[0]))]
     lines = []
     for i, row in enumerate(cells):

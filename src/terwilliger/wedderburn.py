@@ -21,7 +21,16 @@ from .chars import CentralizerReport, CharTable, char_table
 from .groups import SymmetricGroup, centralizer_elements, inversion_closed
 from .orbitals import OrbitalIndex
 from .partitions import SignedPartition
-from .switching import ClosureResult, chain_products
+from .switching import Block, ClosureResult, chain_products
+
+
+class ReconciliationError(AssertionError):
+    """Two independent routes to one reported number disagree."""
+
+    def __init__(self, check: str, message: str):
+        super().__init__(message)
+        #: name of the failing check, as keyed in the report's checks
+        self.check = check
 
 
 @dataclass
@@ -275,30 +284,6 @@ def cpi_membership(e: CPIdem, result: ClosureResult) -> bool:
     return verdicts[0]
 
 
-def _rank_mod(mat: np.ndarray, p: int) -> int:
-    """Dense Gaussian-elimination rank of a small matrix mod p."""
-    a = mat % p
-    rank = 0
-    rows, cols = a.shape
-    for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r, col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, col]), -1, p) % p
-        for r in range(rows):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
     """dim of (closed algebra) * e, blockwise, agreed under both primes."""
     dims = []
@@ -312,7 +297,9 @@ def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
             rows = np.stack(blk.raw)
             evec = e.block_vector_mod(k, p)[None, :]
             prods = chain_products(oi, (i, k), k, rows, evec, p)[:, 0, :]
-            total += _rank_mod(prods, p)
+            span = Block(blk.r, p)
+            span.insert_batch(prods, lambda idx: (), span.r)
+            total += span.rank
         dims.append(total)
     if dims[0] != dims[1]:
         raise AssertionError(f"dim(T*e) for {e.label} disagrees between primes")
@@ -417,7 +404,8 @@ def decompose_T(
         non_members=non_members,
     )
     if not report.reconciled:
-        raise AssertionError(
+        raise ReconciliationError(
+            "wedderburn_reconciled",
             f"Wedderburn reconciliation failed: sum of component dims "
             f"{report.total_dim} != dim T = {dim_t}; components: "
             f"{report.to_markdown()}"

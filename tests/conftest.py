@@ -123,6 +123,30 @@ def trivial_path(tmp_path_factory):
     return p
 
 
+def dense_rank_modp(rows, ncols, p):
+    """Schoolbook Gaussian elimination oracle: the rank of `rows` mod p."""
+    mat = [list(r) for r in rows]
+    rank, piv_row = 0, 0
+    for col in range(ncols):
+        piv = None
+        for r in range(piv_row, len(mat)):
+            if mat[r][col] % p:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[piv_row], mat[piv] = mat[piv], mat[piv_row]
+        inv = pow(mat[piv_row][col], -1, p)
+        mat[piv_row] = [v * inv % p for v in mat[piv_row]]
+        for r in range(len(mat)):
+            if r != piv_row and mat[r][col] % p:
+                c = mat[r][col]
+                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[piv_row])]
+        piv_row += 1
+        rank += 1
+    return rank
+
+
 def record_acceptance(name: str, ok: bool) -> None:
     ACCEPTANCE_RESULTS[name] = ok and ACCEPTANCE_RESULTS.get(name, True)
 

@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+import terwilliger as tw
+from terwilliger import switching as sw_mod
 from terwilliger.cli import _split_blocks, main
+from terwilliger.wedderburn import WedderburnReport
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +178,45 @@ def test_explicit_primes_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["primes"] == [p1, p2]
+
+
+def test_sampled_primes_match_library(capsys):
+    s = tw.build_scheme(tw.build_group("sym:4"))
+    for seed in (0, 1):
+        code, out, _ = run_cli(
+            capsys, "terwilliger", "--group", "sym:4", "--seed", str(seed),
+            "--format", "json", "--quiet",
+        )
+        assert code == 0
+        assert tuple(json.loads(out)["primes"]) == tw.run_to_stationary(s, seed=seed).primes
+
+
+def test_single_prime_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "terwilliger", "--group", "sym:4", "--prime", "152083499", "--quiet"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--prime" in err
+
+
+def test_failed_wedderburn_ledger_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(WedderburnReport, "total_dim", property(lambda self: self.dim_t + 1))
+    code, out, err = run_cli(capsys, "wedderburn", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "wedderburn_reconciled" in err
+
+
+def test_prime_disagreement_exits_1(capsys, monkeypatch):
+    def disagree(*args, **kwargs):
+        raise sw_mod.PrimeDisagreement("dimension tables disagree")
+
+    monkeypatch.setattr(sw_mod, "run_to_stationary", disagree)
+    code, out, err = run_cli(capsys, "terwilliger", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "two_prime_agreement" in err
 
 
 def test_env_overrides(capsys, monkeypatch):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_rank_modp
+
 from terwilliger.fieldla import (
     FieldCtx,
     RankTracker,
@@ -14,37 +16,12 @@ from terwilliger.fieldla import (
     SparseVec,
     is_prime,
     modmul,
-    rank_insert,
     restrict_block,
     sample_primes,
     spmm,
     vectorize,
 )
 from terwilliger.scheme import dim_T0
-
-
-def dense_rank_modp(rows, ncols, p):
-    """Schoolbook Gaussian elimination oracle."""
-    mat = [list(r) for r in rows]
-    rank, piv_row = 0, 0
-    for col in range(ncols):
-        piv = None
-        for r in range(piv_row, len(mat)):
-            if mat[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[piv_row], mat[piv] = mat[piv], mat[piv_row]
-        inv = pow(mat[piv_row][col], -1, p)
-        mat[piv_row] = [v * inv % p for v in mat[piv_row]]
-        for r in range(len(mat)):
-            if r != piv_row and mat[r][col] % p:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[piv_row])]
-        piv_row += 1
-        rank += 1
-    return rank
 
 
 def test_is_prime_small():
@@ -96,8 +73,8 @@ def test_rank_insert_duplicate():
     f = FieldCtx(sample_primes(2, 1)[0])
     t = RankTracker(5, f)
     v = SparseVec(5, ((1, 3), (2, 4)))
-    assert rank_insert(t, v)
-    assert not rank_insert(t, v)
+    assert t.insert(v)
+    assert not t.insert(v)
     assert t.rank == 1
 
 

@@ -10,6 +10,7 @@ from terwilliger.groups import (
     centralizer_elements,
     conjugacy_classes,
     cycle_type,
+    fixed_point_counts,
     inversion_closed,
     load_cayley_table,
 )
@@ -174,6 +175,48 @@ def test_cayley_errors(tmp_path):
     bad.write_text("order 2\n1 0\n0 1\n")
     with pytest.raises(CayleyTableError):
         load_cayley_table(bad)
+
+
+def test_cayley_rejects_non_associative_latin_square(tmp_path):
+    # Z_400 with the intercalate at rows and columns {1, 201} swapped: a Latin
+    # square with identity 0 whose few non-associative triples random
+    # sampling misses; Light's test over the generators must catch them.
+    n = 400
+    rows = [[(x + y) % n for y in range(n)] for x in range(n)]
+    rows[1][1], rows[1][201] = rows[1][201], rows[1][1]
+    rows[201][1], rows[201][201] = rows[201][201], rows[201][1]
+    path = tmp_path / "z400_swapped.txt"
+    path.write_text(f"order {n}\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+    with pytest.raises(CayleyTableError) as exc:
+        load_cayley_table(path)
+    assert "associativity" in str(exc.value)
+
+
+def _fixed_points_by_loop(g, cls):
+    """Reference counts: for each class, a loop over all of G."""
+    plus, minus = [], []
+    for rep in cls.representatives:
+        plus.append(sum(1 for x in range(g.order) if g.mul(x, rep) == g.mul(rep, x)))
+        minus.append(sum(1 for x in range(g.order) if g.conjugate(rep, g.inv(x)) == x))
+    return plus, (minus if inversion_closed(cls) else None)
+
+
+def test_fixed_point_counts_match_brute_force(q8_path, c3_path):
+    groups = [SymmetricGroup(n) for n in (3, 4, 5)]
+    groups += [load_cayley_table(q8_path), load_cayley_table(c3_path)]
+    for g in groups:
+        cls = conjugacy_classes(g)
+        assert fixed_point_counts(g, cls) == _fixed_points_by_loop(g, cls)
+    # C3's classes are not inversion-closed: there is no fix- to count
+    assert fixed_point_counts(groups[-1], conjugacy_classes(groups[-1]))[1] is None
+
+
+def test_fixed_point_counts_checks_class_sizes():
+    g = SymmetricGroup(4)
+    cls = conjugacy_classes(g)
+    cls.sizes = [1, 6, 3, 6, 8]  # the sizes of [3,1] and [4] exchanged
+    with pytest.raises(AssertionError):
+        fixed_point_counts(g, cls)
 
 
 def test_trivial_group(trivial_path):
