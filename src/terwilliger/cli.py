@@ -504,9 +504,10 @@ def main(argv: list[str] | None = None) -> int:
         blocks=args.blocks,
     )
 
-    def progress(level, block, rank, elapsed):
+    def progress(prime, level, block, rank, elapsed):
         print(
-            f"level={level} block={block} rank={rank} elapsed={elapsed:.1f}s",
+            f"prime={prime} level={level} block={block} rank={rank} "
+            f"elapsed={elapsed:.1f}s",
             file=sys.stderr,
         )
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-#: Primes are sampled below 2^28 so that a 128-term dot product of reduced
-#: residues fits in int64: 128 * (2^28 - 1)^2 < 2^63.
+#: Working primes, sampled or explicit, lie below 2^28 so that a 128-term dot
+#: product of reduced residues fits in int64: 128 * (2^28 - 1)^2 < 2^63.
 PRIME_LO = 1 << 27
 PRIME_HI = 1 << 28
 _MODMUL_CHUNK = 128
@@ -285,15 +285,12 @@ def vectorize(m: SparseMat) -> SparseVec:
 
 
 def modmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for int64 arrays of residues mod p."""
+    """Exact (a @ b) mod p for int64 arrays of residues mod p < PRIME_HI."""
     inner = a.shape[-1]
-    if p < PRIME_HI:
-        if inner <= _MODMUL_CHUNK:
-            return (a @ b) % p
-        acc = None
-        for lo in range(0, inner, _MODMUL_CHUNK):
-            part = (a[..., lo : lo + _MODMUL_CHUNK] @ b[lo : lo + _MODMUL_CHUNK]) % p
-            acc = part if acc is None else (acc + part) % p
-        return acc
-    # exotic field: exact big-int fallback
-    return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+    if inner <= _MODMUL_CHUNK:
+        return (a @ b) % p
+    acc = None
+    for lo in range(0, inner, _MODMUL_CHUNK):
+        part = (a[..., lo : lo + _MODMUL_CHUNK] @ b[lo : lo + _MODMUL_CHUNK]) % p
+        acc = part if acc is None else (acc + part) % p
+    return acc

@@ -4,8 +4,9 @@ The fast engine works blockwise in orbit coordinates: every switching
 product commutes with the identity-stabilizer action, hence is constant on
 its pair orbits, so the block of the algebra lives inside a space whose
 dimension is the block's orbit count.  Products are evaluated at one
-representative pair per orbit through precomputed bilinear contraction
-tables, and ranks are tracked mod two independent primes.
+representative pair per orbit, one weighted bincount and one matmul per
+(target block, middle class), and ranks are tracked mod two independent
+primes below `fieldla.PRIME_HI`.
 
 A literal matrix engine over the ambient |C_i| x |C_k| coordinates (built on
 the sparse field primitives) is kept as an independent oracle for small
@@ -48,6 +49,8 @@ class Block:
     __slots__ = ("r", "p", "pivots", "rows", "raw", "words")
 
     def __init__(self, r: int, p: int):
+        if p >= fieldla.PRIME_HI:
+            raise ValueError(f"prime {p} is not below {fieldla.PRIME_HI}: int64 rows overflow")
         self.r = r
         self.p = p
         self.pivots: list[int] = []
@@ -203,8 +206,10 @@ class SwitchingClosure:
                 left = np.stack([left_blk.raw[t] for t in rows_idx])
                 words = [left_blk.words[t] for t in rows_idx]
                 js, gmat = self.gens[(nu, m)]
-                cands = self._chain_products(key, nu, left, gmat)
                 n2 = len(js)
+                cands = chain_products(
+                    self.orbindex, key, nu, left, gmat, self.field.p
+                ).reshape(left.shape[0] * n2, blk.r)
 
                 def word_of(idx: int) -> Word:
                     return words[idx // n2] + ((nu, js[idx % n2], m),)
@@ -214,6 +219,7 @@ class SwitchingClosure:
             new_frontier[key] = list(range(before, blk.rank))
             if progress is not None and growth[key]:
                 progress(
+                    self.field.p,
                     self.level + 1,
                     f"({labels[i]},{labels[m]})",
                     blk.rank,
@@ -223,17 +229,6 @@ class SwitchingClosure:
         self.level += 1
         self.history.append(self.block_dims())
         return growth
-
-    def _chain_products(
-        self,
-        target: tuple[int, int],
-        nu: int,
-        left: np.ndarray,
-        gmat: np.ndarray,
-    ) -> np.ndarray:
-        out = chain_products(self.orbindex, target, nu, left, gmat, self.field.p)
-        n1, n2 = left.shape[0], gmat.shape[0]
-        return out.reshape(n1 * n2, self.orbindex.r[target])
 
 
 def chain_products(
@@ -246,27 +241,31 @@ def chain_products(
 ) -> np.ndarray:
     """Products of orbit-constant blocks: (left in (i,nu)) x (right in (nu,m)).
 
-    Evaluated per target orbit t at its representative pair (x_t, y_t):
-    sum over z in C_nu of L(x_t, z) * R(z, y_t), realized as the bilinear
-    form with the contraction table C_t[a, b] = #{z : orbit(x_t,z)=a,
-    orbit(z,y_t)=b}.  Returns an (n_left, n_right, r_target) array mod p.
+    The product at target orbit t is the sum over z in C_nu of
+    L(x_t, z) * R(z, y_t), at the orbit's representative pair (x_t, y_t).
+    One weighted bincount per right row c over all (t, z) pairs folds the
+    right factor in, contracted[a, c, t] = sum of R_c(z, y_t) over the z
+    with orbit(x_t, z) = a, and one matmul with `left` finishes every
+    product.  Returns an (n_left, n_right, r_target) array mod p.
     """
+    nz = orbindex.scheme.classes.sizes[nu]
+    # float64 bincount sums are exact: nz * (p - 1) < 2^25 * 2^28 = 2^53
+    if p >= fieldla.PRIME_HI or nz >= 1 << 25:
+        raise ValueError(f"prime {p} or class size {nz} too large for exact products")
     i, m = target
     px, py = orbindex.block_reps[target]
-    rows_a = orbindex.block_labels[(i, nu)][px, :]
-    cols_b = orbindex.block_labels[(nu, m)][:, py]
     ra = orbindex.r[(i, nu)]
-    rb = orbindex.r[(nu, m)]
-    n1, n2 = left.shape[0], right.shape[0]
     rt = orbindex.r[target]
-    out = np.empty((n1, n2, rt), dtype=np.int64)
-    left = left % p
-    rt_mat = right.T % p
-    for t in range(rt):
-        combined = rows_a[t].astype(np.int64) * rb + cols_b[:, t]
-        ct = np.bincount(combined, minlength=ra * rb).reshape(ra, rb)
-        out[:, :, t] = modmul(modmul(left, ct, p), rt_mat, p)
-    return out
+    n1, n2 = left.shape[0], right.shape[0]
+    # bin of pair (t, z): t * ra + orbit(x_t, z)
+    bins = (orbindex.block_labels[(i, nu)][px, :] + (ra * np.arange(rt))[:, None]).ravel()
+    cols = orbindex.block_labels[(nu, m)][:, py].T
+    right = right % p
+    contracted = np.empty((ra, n2, rt), dtype=np.int64)
+    for c in range(n2):
+        sums = np.bincount(bins, weights=right[c][cols].ravel(), minlength=rt * ra)
+        contracted[:, c, :] = sums.reshape(rt, ra).T.astype(np.int64) % p
+    return modmul(left % p, contracted.reshape(ra, n2 * rt), p).reshape(n1, n2, rt)
 
 
 @dataclass
@@ -355,8 +354,13 @@ def run_to_stationary(
         for p in pair:
             if avoid % p == 0:
                 raise ValueError(f"prime {p} divides twice the group order")
+            if p >= fieldla.PRIME_HI:
+                raise ValueError(
+                    f"prime {p} is not below {fieldla.PRIME_HI}: int64 arithmetic "
+                    "mod p would overflow"
+                )
         c1, w1 = _run_once(scheme, orbindex, FieldCtx(pair[0]), bounds, max_width, progress)
-        c2, w2 = _run_once(scheme, orbindex, FieldCtx(pair[1]), bounds, max_width, None)
+        c2, w2 = _run_once(scheme, orbindex, FieldCtx(pair[1]), bounds, max_width, progress)
         same = w1 == w2 and len(c1.history) == len(c2.history)
         if same:
             same = all(

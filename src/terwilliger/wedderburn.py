@@ -99,42 +99,58 @@ class CpiBuilder:
         self.centralizers = [
             centralizer_elements(g, rep) for rep in cls.representatives
         ]
+        self._hists: list[np.ndarray] | None = None
 
-    def _char_by_class(self, sp: SignedPartition) -> list[int]:
-        row = [self.table.value(sp.base, mu) for mu in self.table.col_labels]
-        return row
+    def _char_by_class(self, sp: SignedPartition) -> np.ndarray:
+        return np.array(
+            [self.table.value(sp.base, mu) for mu in self.table.col_labels],
+            dtype=np.int64,
+        )
 
-    def _coset_sum(self, chi: list[int], x: int, y: int) -> int:
-        """Sum of chi over {g : g x g^-1 = y} for x, y in the same class."""
-        g = self.group
-        cls = self.classes
-        c = cls.class_of[x]
-        ty = cls.transversal[y]
-        tx_inv = g.inv(cls.transversal[x])
-        total = 0
-        for w in self.centralizers[c]:
-            total += chi[cls.class_of[g.mul(g.mul(ty, w), tx_inv)]]
-        return total
+    def _coset_histograms(self) -> list[np.ndarray]:
+        """Per class c, the class histograms of its diagonal orbits' cosets.
+
+        Entry [0, t] of the array for class c counts, class by class, the
+        elements of {g : g x g^-1 = y}, and entry [1, t] those of
+        {g : g x^-1 g^-1 = y}, where (x, y) represents orbit t of C_c x C_c.
+        Each coset is ty * C(x) * tx^-1, so one scan of the centralizer
+        serves every character.
+        """
+        if self._hists is None:
+            g = self.group
+            cls = self.classes
+            self._hists = []
+            for c in range(cls.n_classes):
+                px, py = self.orbindex.block_reps[(c, c)]
+                elems = cls.elements[c]
+                ids = []
+                for inverted in (False, True):
+                    for a, b in zip(px, py):
+                        x = g.inv(elems[int(a)]) if inverted else elems[int(a)]
+                        ty = cls.transversal[elems[int(b)]]
+                        tx_inv = g.inv(cls.transversal[x])
+                        ids.extend(
+                            cls.class_of[g.mul(g.mul(ty, w), tx_inv)]
+                            for w in self.centralizers[c]
+                        )
+                bins = np.repeat(np.arange(2 * len(px)), len(self.centralizers[c]))
+                flat = np.bincount(
+                    bins * cls.n_classes + np.array(ids, dtype=np.int64),
+                    minlength=2 * len(px) * cls.n_classes,
+                )
+                self._hists.append(flat.reshape(2, len(px), cls.n_classes))
+        return self._hists
 
     def build(self, sp: SignedPartition) -> CPIdem:
         """Idempotent for one signed character; raises if it is zero."""
-        g = self.group
-        cls = self.classes
         oi = self.orbindex
         chi = self._char_by_class(sp)
-        f = chi[0]
-        order2 = 2 * g.order
+        f = int(chi[0])
+        order2 = 2 * self.group.order
         values: dict[int, list[Fraction]] = {}
-        for c in range(cls.n_classes):
-            px, py = oi.block_reps[(c, c)]
-            elems = cls.elements[c]
-            vec: list[Fraction] = []
-            for a, b in zip(px, py):
-                x, y = elems[int(a)], elems[int(b)]
-                s_plus = self._coset_sum(chi, x, y)
-                s_minus = self._coset_sum(chi, g.inv(x), y)
-                vec.append(Fraction(f * (s_plus + sp.sign * s_minus), order2))
-            values[c] = vec
+        for c, hists in enumerate(self._coset_histograms()):
+            plus, minus = hists @ chi
+            values[c] = [Fraction(f * int(s), order2) for s in plus + sp.sign * minus]
         e = CPIdem(label=sp, degree=f, multiplicity=0, block_values=values)
         trace = sum((e.block_trace(oi, c) for c in values), start=Fraction(0))
         if trace.denominator != 1 or int(trace) % f:
@@ -151,8 +167,9 @@ class CpiBuilder:
         for sp, m in mults.nonzero():
             e = self.build(sp)
             if e.multiplicity != m:
-                raise AssertionError(
-                    f"trace multiplicity {e.multiplicity} != <pi,chi> = {m} for {sp}"
+                raise ReconciliationError(
+                    "cpi_trace_multiplicity",
+                    f"trace multiplicity {e.multiplicity} != <pi,chi> = {m} for {sp}",
                 )
             out[sp] = e
         return out
@@ -278,8 +295,9 @@ def cpi_membership(e: CPIdem, result: ClosureResult) -> bool:
                 break
         verdicts.append(member)
     if verdicts[0] != verdicts[1]:
-        raise AssertionError(
-            f"membership of {e.label} disagrees between the working primes"
+        raise ReconciliationError(
+            "two_prime_agreement",
+            f"membership of {e.label} disagrees between the working primes",
         )
     return verdicts[0]
 
@@ -302,7 +320,9 @@ def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
             total += span.rank
         dims.append(total)
     if dims[0] != dims[1]:
-        raise AssertionError(f"dim(T*e) for {e.label} disagrees between primes")
+        raise ReconciliationError(
+            "two_prime_agreement", f"dim(T*e) for {e.label} disagrees between primes"
+        )
     return dims[0]
 
 

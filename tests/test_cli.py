@@ -2,11 +2,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import terwilliger as tw
 from terwilliger import switching as sw_mod
+from terwilliger import wedderburn as wed_mod
 from terwilliger.cli import _split_blocks, main
+from terwilliger.fieldla import sample_primes
 from terwilliger.wedderburn import WedderburnReport
 
 
@@ -219,6 +222,72 @@ def test_prime_disagreement_exits_1(capsys, monkeypatch):
     assert "two_prime_agreement" in err
 
 
+def test_prime_above_limit_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "terwilliger", "--group", "sym:4",
+        "--prime", str(2**31 - 1), "--prime", str(2**61 - 1), "--quiet",
+    )
+    assert code == 2
+    assert out == ""
+    assert "not below" in err
+
+
+def test_membership_prime_disagreement_exits_1(capsys, monkeypatch):
+    p1, p2 = sample_primes(5, 2, avoid=48)
+    reduce = sw_mod.Block.reduce
+
+    def reduce_disagreeing(self, vecs):
+        # membership reduces single vectors; under p2 none of them lies in T
+        if vecs.ndim == 1 and self.p == p2:
+            return np.ones_like(vecs)
+        return reduce(self, vecs)
+
+    monkeypatch.setattr(sw_mod.Block, "reduce", reduce_disagreeing)
+    code, out, err = run_cli(
+        capsys, "wedderburn", "--group", "sym:4",
+        "--prime", str(p1), "--prime", str(p2), "--quiet",
+    )
+    assert code == 1
+    assert out == ""
+    assert "two_prime_agreement" in err
+    assert "membership" in err
+
+
+def test_t_times_e_prime_disagreement_exits_1(capsys, monkeypatch):
+    p1, p2 = sample_primes(5, 2, avoid=1440)
+
+    class RankOffBlock(sw_mod.Block):
+        @property
+        def rank(self):
+            return len(self.pivots) + (self.p == p2)
+
+    # dim(T*e) ranks through fresh Blocks made in the wedderburn module
+    monkeypatch.setattr(wed_mod, "Block", RankOffBlock)
+    code, out, err = run_cli(
+        capsys, "wedderburn", "--group", "sym:6",
+        "--prime", str(p1), "--prime", str(p2), "--quiet",
+    )
+    assert code == 1
+    assert out == ""
+    assert "two_prime_agreement" in err
+    assert "dim(T*e)" in err
+
+
+def test_cpi_trace_ledger_exits_1(capsys, monkeypatch):
+    build = wed_mod.CpiBuilder.build
+
+    def build_off_by_one(self, sp):
+        e = build(self, sp)
+        e.multiplicity += 1
+        return e
+
+    monkeypatch.setattr(wed_mod.CpiBuilder, "build", build_off_by_one)
+    code, out, err = run_cli(capsys, "thinness", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "cpi_trace_multiplicity" in err
+
+
 def test_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("TERWILLIGER_GROUP", "sym:3")
     monkeypatch.setenv("TERWILLIGER_FORMAT", "json")
@@ -245,7 +314,14 @@ def test_console_script_runs():
 
 
 def test_progress_lines_on_stderr(capsys):
-    code, out, err = run_cli(capsys, "terwilliger", "--group", "sym:4")
+    argv = ("terwilliger", "--group", "sym:4", "--format", "json")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 0
     assert "level=" in err
     assert "level=" not in out
+    for p in json.loads(out)["primes"]:
+        assert f"prime={p} level=" in err
+    quiet_code, quiet_out, quiet_err = run_cli(capsys, *argv, "--quiet")
+    assert quiet_code == 0
+    assert quiet_out == out
+    assert quiet_err == ""

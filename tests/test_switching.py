@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ import golden
 from conftest import dense_rank_modp
 
 import terwilliger as tw
-from terwilliger.fieldla import FieldCtx, RationalField, sample_primes
+from terwilliger.fieldla import PRIME_HI, FieldCtx, RationalField, is_prime, modmul, sample_primes
 from terwilliger.groups import load_cayley_table
 from terwilliger.orbitals import OrbitalIndex
 from terwilliger.switching import (
     ClosureError,
     PrimeDisagreement,
+    SwitchingClosure,
+    chain_products,
     generate_T0,
     run_matrix_closure,
     run_to_stationary,
@@ -201,6 +205,12 @@ def test_explicit_primes_and_determinism(stages):
         run_to_stationary(s, oi, primes=(primes[0], primes[0]))
     with pytest.raises(ValueError):
         run_to_stationary(s, oi, primes=(3, 5))  # divides twice the order
+    # int64 residue arithmetic is exact only below PRIME_HI
+    for pair in ((2**31 - 1, 2**61 - 1), (primes[0], 2**31 - 1)):
+        with pytest.raises(ValueError, match="not below"):
+            run_to_stationary(s, oi, primes=pair)
+    with pytest.raises(ValueError, match="not below"):
+        generate_T0(s, oi, FieldCtx(2**31 - 1))
 
 
 def test_max_width_exceeded(stages):
@@ -256,3 +266,71 @@ def test_basis_rows_reproduce_ranks(stages):
             continue
         mat = np.stack(blk.raw) % p
         assert dense_rank_modp(mat.tolist(), mat.shape[1], p) == blk.rank == len(blk.rows)
+
+
+def _per_orbit_products(orbindex, target, nu, left, right, p):
+    """Reference: one contraction table C_t[a, b] per target orbit t."""
+    i, m = target
+    px, py = orbindex.block_reps[target]
+    rows_a = orbindex.block_labels[(i, nu)][px, :]
+    cols_b = orbindex.block_labels[(nu, m)][:, py]
+    ra, rb, rt = orbindex.r[(i, nu)], orbindex.r[(nu, m)], orbindex.r[target]
+    out = np.empty((left.shape[0], right.shape[0], rt), dtype=np.int64)
+    for t in range(rt):
+        combined = rows_a[t].astype(np.int64) * rb + cols_b[:, t]
+        ct = np.bincount(combined, minlength=ra * rb).reshape(ra, rb)
+        out[:, :, t] = modmul(modmul(left % p, ct, p), right.T % p, p)
+    return out
+
+
+def _dihedral_table(path, n):
+    """Cayley table of the dihedral group of order 2n: r^a s^e -> a + n*e."""
+    rows = []
+    for x in range(2 * n):
+        a, e = x % n, x // n
+        row = []
+        for y in range(2 * n):
+            b, f = y % n, y // n
+            row.append((a + (-b if e else b)) % n + n * ((e + f) % 2))
+        rows.append(" ".join(map(str, row)))
+    path.write_text(f"order {2 * n}\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def _largest_prime_below(hi):
+    q = hi - 1
+    while not is_prime(q):
+        q -= 2
+    return q
+
+
+def test_chain_products_match_per_orbit_loop(stages, q8_path, c3_path, tmp_path):
+    schemes = [
+        (stages.scheme(4), stages.orbindex(4), stages.cpis(4)),
+        (stages.scheme(5), stages.orbindex(5), stages.cpis(5)),
+    ]
+    for path in (q8_path, c3_path, _dihedral_table(tmp_path / "d5.txt", 5)):
+        s = tw.build_scheme(load_cayley_table(path))
+        schemes.append((s, OrbitalIndex(s), {}))
+    rng = np.random.default_rng(7)
+    primes = (sample_primes(31, 1)[0], _largest_prime_below(PRIME_HI))
+    assert primes[1] < PRIME_HI
+    for s, oi, cpis in schemes:
+        nc = oi.n_classes
+        closure = SwitchingClosure(s, oi, FieldCtx(primes[0]))
+        for p in primes:
+            for i, nu, m in itertools.product(range(nc), repeat=3):
+                ra, rb = oi.r[(i, nu)], oi.r[(nu, m)]
+                pairs = [
+                    (rng.integers(0, p, (3, ra)), rng.integers(0, p, (4, rb))),
+                    (closure.gens[(i, nu)][1], closure.gens[(nu, m)][1]),
+                ]
+                if i == nu == m:
+                    for e in cpis.values():
+                        v = e.block_vector_mod(i, p)[None, :]
+                        pairs.append((v, v))
+                for left, right in pairs:
+                    got = chain_products(oi, (i, m), nu, left, right, p)
+                    want = _per_orbit_products(oi, (i, m), nu, left, right, p)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want), (s.group.name, i, nu, m, p)

@@ -10,7 +10,12 @@ from conftest import dense_rank_modp
 import terwilliger as tw
 from terwilliger.groups import load_cayley_table
 from terwilliger.orbitals import OrbitalIndex
-from terwilliger.partitions import SignedPartition, parse_partition, parse_signed_partition
+from terwilliger.partitions import (
+    SignedPartition,
+    parse_partition,
+    parse_signed_partition,
+    partitions_of,
+)
 from terwilliger.wedderburn import (
     CpiBuilder,
     add_idempotents,
@@ -33,6 +38,46 @@ def test_zero_idempotent_rejected(stages):
     builder = CpiBuilder(stages.orbindex(4), stages.chartable(4))
     with pytest.raises(ValueError):
         builder.build(parse_signed_partition("[4]-"))
+
+
+def _coset_sum_values(builder, sp):
+    """Reference: every coset sum rescanned per character, one mul at a time."""
+    g, cls, oi = builder.group, builder.classes, builder.orbindex
+    chi = [builder.table.value(sp.base, mu) for mu in builder.table.col_labels]
+
+    def coset_sum(x, y):
+        c = cls.class_of[x]
+        ty = cls.transversal[y]
+        tx_inv = g.inv(cls.transversal[x])
+        return sum(
+            chi[cls.class_of[g.mul(g.mul(ty, w), tx_inv)]] for w in builder.centralizers[c]
+        )
+
+    values = {}
+    for c in range(cls.n_classes):
+        px, py = oi.block_reps[(c, c)]
+        elems = cls.elements[c]
+        values[c] = []
+        for a, b in zip(px, py):
+            x, y = elems[int(a)], elems[int(b)]
+            s = coset_sum(x, y) + sp.sign * coset_sum(g.inv(x), y)
+            values[c].append(Fraction(chi[0] * s, 2 * g.order))
+    return values
+
+
+def test_cpi_values_match_coset_sum_loop(stages):
+    for n in (4, 5, 6):
+        builder = CpiBuilder(stages.orbindex(n), stages.chartable(n))
+        for base in partitions_of(n):
+            for sign in (1, -1):
+                sp = SignedPartition(base, sign)
+                want = _coset_sum_values(builder, sp)
+                if stages.mults(n).get(sp):
+                    assert builder.build(sp).block_values == want
+                else:
+                    with pytest.raises(ValueError):
+                        builder.build(sp)
+                    assert not any(any(v) for v in want.values())
 
 
 def test_trace_multiplicities_match_inner_products(stages):
