@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .groups import ConjugacyData, GroupTable, fixed_point_counts
+from .groups import ConjugacyData, GroupTable, ReconciliationError, fixed_point_counts
 from .partitions import Partition, SignedPartition, class_size, partitions_of
 
 
@@ -205,6 +205,10 @@ def multiplicities(pi: PermChar, n: int) -> MultiplicityVector:
     return mv
 
 
+#: check name of the multiplicity ledger below
+_LEDGER = "multiplicity_ledger"
+
+
 def _validate_multiplicities(mv: MultiplicityVector, table: CharTable) -> None:
     sums = row_sums(table)
     total_dim = 0
@@ -212,15 +216,15 @@ def _validate_multiplicities(mv: MultiplicityVector, table: CharTable) -> None:
         plus = mv.get(SignedPartition(lam, 1))
         minus = mv.get(SignedPartition(lam, -1))
         if plus + minus != sums[lam]:
-            raise AssertionError(f"m+ + m- != row sum for {lam}")
+            raise ReconciliationError(_LEDGER, f"m+ + m- != row sum for {lam}")
         total_dim += (plus + minus) * table.degree(lam)
     if total_dim != factorial(mv.n):
-        raise AssertionError("multiplicities do not fill the standard module")
+        raise ReconciliationError(_LEDGER, "multiplicities do not fill the standard module")
     top = Partition((mv.n,))
     if mv.get(SignedPartition(top, -1)) != 0:
-        raise AssertionError("signed top character has nonzero multiplicity")
+        raise ReconciliationError(_LEDGER, "signed top character has nonzero multiplicity")
     if mv.get(SignedPartition(top, 1)) != len(partitions_of(mv.n)):
-        raise AssertionError("primary multiplicity != number of partitions")
+        raise ReconciliationError(_LEDGER, "primary multiplicity != number of partitions")
 
 
 @dataclass

@@ -16,6 +16,15 @@ from .partitions import Partition, class_size, partitions_of
 MAX_SYMMETRIC_N = 8
 
 
+class ReconciliationError(AssertionError):
+    """Two independent routes to one reported number disagree."""
+
+    def __init__(self, check: str, message: str):
+        super().__init__(message)
+        #: name of the failing check, as keyed in the report's checks
+        self.check = check
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {0,...,n-1} given by its image list."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import fixed_point_counts
+from .groups import ReconciliationError, fixed_point_counts
 from .scheme import ClassScheme, IntersectionTensor
 from .tables import BlockDimTable
 
@@ -153,8 +153,9 @@ class OrbitalIndex:
                 per_rel[int(j)] = per_rel.get(int(j), 0) + int(counts[tt])
             for j in range(self.n_classes):
                 if per_rel.get(j, 0) != cls.sizes[k] * t.get(i, j, k):
-                    raise AssertionError(
-                        f"orbit sizes at block ({i},{k}) rel {j} disagree with p_ij^k"
+                    raise ReconciliationError(
+                        "orbit_sizes_match_tensor",
+                        f"orbit sizes at block ({i},{k}) rel {j} disagree with p_ij^k",
                     )
 
     def table(self) -> BlockDimTable:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 
 from .groups import ConjugacyData, GroupTable, conjugacy_classes
@@ -52,19 +51,6 @@ class IntersectionTensor:
         return json.dumps(rows)
 
 
-def _raw_intersection_entries(s: ClassScheme) -> dict[tuple[int, int, int], int]:
-    g = s.group
-    cls = s.classes
-    entries: dict[tuple[int, int, int], int] = {}
-    for k, y in enumerate(cls.representatives):
-        for i, members in enumerate(cls.elements):
-            for z in members:
-                j = cls.class_of[g.mul(g.inv(z), y)]
-                key = (i, j, k)
-                entries[key] = entries.get(key, 0) + 1
-    return entries
-
-
 def intersection_numbers(s: ClassScheme) -> IntersectionTensor:
     """Compute all p_ij^k from one representative pair (1, g_k) per k.
 
@@ -73,10 +59,16 @@ def intersection_numbers(s: ClassScheme) -> IntersectionTensor:
     """
     if s._tensor is not None:
         return s._tensor
-    tensor = IntersectionTensor(
-        entries=_raw_intersection_entries(s), n_classes=s.classes.n_classes
-    )
-    _validate_tensor(tensor, s.classes)
+    g = s.group
+    cls = s.classes
+    entries: dict[tuple[int, int, int], int] = {}
+    for k, y in enumerate(cls.representatives):
+        for i, members in enumerate(cls.elements):
+            for z in members:
+                key = (i, cls.class_of[g.mul(g.inv(z), y)], k)
+                entries[key] = entries.get(key, 0) + 1
+    tensor = IntersectionTensor(entries=entries, n_classes=cls.n_classes)
+    _validate_tensor(tensor, cls)
     s._tensor = tensor
     return tensor
 
@@ -107,9 +99,9 @@ def conj_centralizer_dim(s: ClassScheme) -> int:
 
 @dataclass
 class AxiomReport:
-    """Diagnostics from verify_axioms; never raises, collects violations."""
+    """Diagnostics from verify_axioms: violations are collected, not raised."""
 
-    mode: str
+    #: ordered pairs the checks cover: all |G|^2 of them
     checked_pairs: int
     violations: list[str] = field(default_factory=list)
 
@@ -118,71 +110,62 @@ class AxiomReport:
         return not self.violations
 
 
-def verify_axioms(
-    s: ClassScheme,
-    mode: str = "full",
-    samples: int = 10_000,
-    seed: int = 0,
-) -> AxiomReport:
-    """Check the scheme axioms on all pairs (full) or a random sample.
+def verify_axioms(s: ClassScheme) -> AxiomReport:
+    """Check the scheme axioms exactly, through per-element group facts.
 
-    Checks: the diagonal is relation 0, converses land in the inverse
-    class, and p_ij^k does not depend on the representative pair of S_k.
+    The group axioms already hold: by construction for S_n, and for Cayley
+    tables through the Latin-square check and Light's test at load time.
+    Then (x, y) lies in relation class_of[w] with w = x^-1 y, and its counts
+    #{z : x^-1 z in C_i, z^-1 y in C_j} = #{u in C_i : u^-1 w in C_j}
+    depend only on w.  Conjugation u -> h u h^-1 maps the set for w onto
+    the set for h w h^-1 as long as it permutes every class, so when each
+    class is exactly one conjugacy class the counts depend only on the class
+    of w: that is p_ij^k for all |G|^2 ordered pairs (Bannai-Ito, Algebraic
+    Combinatorics I, 1984).  The checks, O(|G| * |gens|), are therefore:
+
+    - the class lists agree with class_of, each representative lies in its
+      class and class 0 is {e}, so the relations partition G x G and
+      relation 0 is the diagonal (with x^-1 x = e);
+    - class_of[x^-1] = inverse_class[class_of[x]], the converse axiom;
+    - class_of[s x s^-1] = class_of[x] for every generator s, so each class
+      is a union of conjugacy classes;
+    - transversal[x] rep transversal[x]^-1 = x, so each class is a single
+      conjugacy class (and the transversals are right).
     """
-    if mode not in ("full", "sampled"):
-        raise ValueError(f"mode must be 'full' or 'sampled', got {mode!r}")
     g = s.group
     cls = s.classes
-    entries = _raw_intersection_entries(s)
-    t = IntersectionTensor(entries=entries, n_classes=cls.n_classes)
-    report = AxiomReport(mode=mode, checked_pairs=0)
-    for j in range(cls.n_classes):
-        for k in range(cls.n_classes):
-            if t.get(0, j, k) != (1 if j == k else 0):
-                report.violations.append(f"p_0{j}^{k} != delta")
+    report = AxiomReport(checked_pairs=g.order**2)
+    bad = report.violations
+    members: list[list[int]] = [[] for _ in range(cls.n_classes)]
+    for x, c in enumerate(cls.class_of):
+        members[c].append(x)
+    for i, rep in enumerate(cls.representatives):
+        if sorted(cls.elements[i]) != members[i]:
+            bad.append(f"elements[{i}] differs from the elements class_of puts in class {i}")
+        if cls.sizes[i] != len(members[i]):
+            bad.append(f"sizes[{i}] = {cls.sizes[i]}, class has {len(members[i])} elements")
+        if cls.class_of[rep] != i:
+            bad.append(f"representative {rep} of class {i} lies in class {cls.class_of[rep]}")
+    if members[0] != [0]:
+        bad.append(f"class 0 is {members[0]}, not the identity alone")
 
+    gens = g.generators()
     for x in range(g.order):
-        if s.relation_of(x, x) != 0:
-            report.violations.append(f"diagonal pair ({x},{x}) not in relation 0")
-
-    if mode == "full":
-        pairs = ((x, y) for x in range(g.order) for y in range(g.order))
-    else:
-        rng = random.Random(seed)
-        pairs = (
-            (rng.randrange(g.order), rng.randrange(g.order)) for _ in range(samples)
-        )
-
-    inv_counts_cache: dict[int, dict[int, int]] = {}
-    for x, y in pairs:
-        report.checked_pairs += 1
-        k = s.relation_of(x, y)
-        back = s.relation_of(y, x)
-        if back != cls.inverse_class[k]:
-            report.violations.append(
-                f"converse of ({x},{y}) lands in {back}, expected {cls.inverse_class[k]}"
-            )
-            continue
-        counts: dict[int, int] = {}
-        for i, members in enumerate(cls.elements):
-            for c in members:
-                z = g.mul(x, c)
-                j = s.relation_of(z, y)
-                counts[i * cls.n_classes + j] = counts.get(i * cls.n_classes + j, 0) + 1
-        expected = inv_counts_cache.get(k)
-        if expected is None:
-            expected = {
-                i * cls.n_classes + j: t.get(i, j, k)
-                for i in range(cls.n_classes)
-                for j in range(cls.n_classes)
-                if t.get(i, j, k)
-            }
-            inv_counts_cache[k] = expected
-        if counts != expected:
-            report.violations.append(
-                f"intersection numbers at pair ({x},{y}) differ from class-{k} values"
-            )
-        if len(report.violations) >= 20:
-            report.violations.append("... further violations suppressed")
+        if len(bad) >= 20:
+            bad.append("... further violations suppressed")
             break
+        c = cls.class_of[x]
+        x_inv = g.inv(x)
+        if g.mul(x_inv, x) != 0:
+            bad.append(f"diagonal pair ({x},{x}) not in relation 0")
+        if cls.class_of[x_inv] != cls.inverse_class[c]:
+            bad.append(
+                f"converse: {x}^-1 lies in class {cls.class_of[x_inv]}, "
+                f"expected {cls.inverse_class[c]}"
+            )
+        for h in gens:
+            if cls.class_of[g.conjugate(h, x)] != c:
+                bad.append(f"conjugating {x} by generator {h} leaves class {c}")
+        if g.conjugate(cls.transversal[x], cls.representatives[c]) != x:
+            bad.append(f"transversal[{x}] does not conjugate the class-{c} representative to {x}")
     return report

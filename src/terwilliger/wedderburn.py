@@ -18,19 +18,10 @@ from math import isqrt
 import numpy as np
 
 from .chars import CentralizerReport, CharTable, char_table
-from .groups import SymmetricGroup, centralizer_elements, inversion_closed
+from .groups import ReconciliationError, SymmetricGroup, centralizer_elements, inversion_closed
 from .orbitals import OrbitalIndex
 from .partitions import SignedPartition
 from .switching import Block, ClosureResult, chain_products
-
-
-class ReconciliationError(AssertionError):
-    """Two independent routes to one reported number disagree."""
-
-    def __init__(self, check: str, message: str):
-        super().__init__(message)
-        #: name of the failing check, as keyed in the report's checks
-        self.check = check
 
 
 @dataclass

@@ -372,14 +372,10 @@ def test_criterion_7_property_suite(q8_path, c3_path, trivial_path):
     ok = True
 
     # scheme axioms for every built group
-    for n in (3, 4):
-        ok = ok and verify_axioms(tw.build_scheme(tw.build_group(f"sym:{n }")), "full").ok
-    for n in (5, 6):
-        s = tw.build_scheme(tw.build_group(f"sym:{n}"))
-        ok = ok and verify_axioms(s, "sampled", samples=500, seed=0).ok
+    for n in (3, 4, 5, 6):
+        ok = ok and verify_axioms(tw.build_scheme(tw.build_group(f"sym:{n}"))).ok
     for path in (q8_path, c3_path, trivial_path):
-        s = tw.build_scheme(load_cayley_table(path))
-        ok = ok and verify_axioms(s, "full").ok
+        ok = ok and verify_axioms(tw.build_scheme(load_cayley_table(path))).ok
 
     # orbit counting agreement, sandwich chain, two-prime agreement
     for n in (3, 4, 5, 6):

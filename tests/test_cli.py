@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 import terwilliger as tw
+from terwilliger import chars as chars_mod
+from terwilliger import orbitals as orb_mod
 from terwilliger import switching as sw_mod
 from terwilliger import wedderburn as wed_mod
 from terwilliger.cli import _split_blocks, main
 from terwilliger.fieldla import sample_primes
+from terwilliger.scheme import IntersectionTensor
 from terwilliger.wedderburn import WedderburnReport
 
 
@@ -30,6 +33,10 @@ def test_scheme_command(capsys):
     assert code == 0
     assert "dim_t0: 42" in out
     assert "conj_centralizer_dim: 43" in out
+    assert "axioms: ok" in out.splitlines()
+    code, out, _ = run_cli(capsys, "scheme", "--group", "sym:4", "--format", "json", "--quiet")
+    assert code == 0
+    assert json.loads(out)["axioms"] == {"ok": True, "violations": []}
 
 
 def test_scheme_command_json(capsys):
@@ -209,6 +216,36 @@ def test_failed_wedderburn_ledger_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "wedderburn_reconciled" in err
+
+
+def test_orbit_sizes_ledger_exits_1(capsys, monkeypatch):
+    validate = orb_mod.OrbitalIndex.validate_against_tensor
+
+    def validate_off_by_one(self, t):
+        entries = dict(t.entries)
+        entries[(0, 0, 0)] += 1
+        return validate(self, IntersectionTensor(entries=entries, n_classes=t.n_classes))
+
+    monkeypatch.setattr(orb_mod.OrbitalIndex, "validate_against_tensor", validate_off_by_one)
+    code, out, err = run_cli(capsys, "centralizer", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "orbit_sizes_match_tensor" in err
+
+
+def test_multiplicity_ledger_exits_1(capsys, monkeypatch):
+    row_sums = chars_mod.row_sums
+
+    def row_sums_off_by_one(table):
+        sums = dict(row_sums(table))
+        sums[table.row_labels[0]] += 1
+        return sums
+
+    monkeypatch.setattr(chars_mod, "row_sums", row_sums_off_by_one)
+    code, out, err = run_cli(capsys, "centralizer", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "multiplicity_ledger" in err
 
 
 def test_prime_disagreement_exits_1(capsys, monkeypatch):

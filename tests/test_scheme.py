@@ -1,7 +1,6 @@
+import copy
 import json
 import random
-
-import pytest
 
 import terwilliger as tw
 from terwilliger.groups import load_cayley_table
@@ -76,30 +75,131 @@ def test_converse_symmetry_sampled(stages):
         assert s.relation_of(y, x) == cls.inverse_class[s.relation_of(x, y)]
 
 
-def test_verify_axioms_full_s4(stages):
-    rep = verify_axioms(stages.scheme(4), mode="full")
-    assert rep.ok
-    assert rep.checked_pairs == 24 * 24
+def all_pairs_axioms_ok(s) -> bool:
+    """The O(|G|^3) all-pairs scan verify_axioms replaced, kept as its reference.
+
+    Recomputes p_ij^k from (e, rep_k), then checks the diagonal, the
+    converse of every ordered pair, and that every pair of relation k has
+    the class-k intersection counts.
+    """
+    g, cls = s.group, s.classes
+    nc = cls.n_classes
+    p = {}
+    for k, y in enumerate(cls.representatives):
+        for i, members in enumerate(cls.elements):
+            for z in members:
+                key = (i, s.relation_of(z, y), k)
+                p[key] = p.get(key, 0) + 1
+    if any(p.get((0, j, k), 0) != (j == k) for j in range(nc) for k in range(nc)):
+        return False
+    if any(s.relation_of(x, x) != 0 for x in range(g.order)):
+        return False
+    for x in range(g.order):
+        for y in range(g.order):
+            k = s.relation_of(x, y)
+            if s.relation_of(y, x) != cls.inverse_class[k]:
+                return False
+            counts = {}
+            for i, members in enumerate(cls.elements):
+                for c in members:
+                    key = (i, s.relation_of(g.mul(x, c), y))
+                    counts[key] = counts.get(key, 0) + 1
+            if counts != {(i, j): v for (i, j, kk), v in p.items() if kk == k}:
+                return False
+    return True
 
 
-def test_verify_axioms_sampled_s6(stages):
-    rep = verify_axioms(stages.scheme(6), mode="sampled", samples=300, seed=1)
-    assert rep.ok
+def merged_classes(s, a, b):
+    """A copy of s with class b merged into class a, consistently everywhere."""
+    s = copy.deepcopy(s)
+    cls = s.classes
+
+    def relabel(c):
+        return a if c == b else c - (c > b)
+
+    cls.class_of = [relabel(c) for c in cls.class_of]
+    cls.elements[a] = sorted(cls.elements[a] + cls.elements.pop(b))
+    cls.sizes[a] += cls.sizes.pop(b)
+    del cls.representatives[b], cls.inverse_class[b]
+    cls.inverse_class = [relabel(c) for c in cls.inverse_class]
+    cls.labels = None
+    return s
+
+
+def split_class(s, a, part):
+    """A copy of s where the elements `part` of class a (rep excluded, all
+    involutions) form a class of their own, with matching transversals."""
+    s = copy.deepcopy(s)
+    g, cls = s.group, s.classes
+    new, rep = cls.n_classes, min(part)
+    cls.elements[a] = [x for x in cls.elements[a] if x not in part]
+    cls.elements.append(sorted(part))
+    cls.sizes[a] -= len(part)
+    cls.sizes.append(len(part))
+    cls.representatives.append(rep)
+    cls.inverse_class.append(new)
+    for x in part:
+        cls.class_of[x] = new
+        cls.transversal[x] = next(t for t in range(g.order) if g.conjugate(t, rep) == x)
+    cls.labels = None
+    return s
+
+
+def test_verify_axioms_matches_all_pairs_scan(stages, q8_path, c3_path, trivial_path):
+    schemes = [stages.scheme(3), stages.scheme(4)] + [
+        build_scheme(load_cayley_table(path)) for path in (q8_path, c3_path, trivial_path)
+    ]
+    for s in schemes:
+        rep = verify_axioms(s)
+        assert rep.ok, rep.violations
+        assert rep.checked_pairs == s.group.order**2
+        assert all_pairs_axioms_ok(s)
+
+
+def test_verify_axioms_s6_s7(stages):
+    for n, order in ((6, 720), (7, 5040)):
+        rep = verify_axioms(stages.scheme(n))
+        assert rep.ok, rep.violations
+        assert rep.checked_pairs == order**2
 
 
 def test_verify_axioms_negative_control(stages):
-    import copy
+    moved = copy.deepcopy(stages.scheme(3))
+    moved.classes.class_of[1] = 2  # one element moved to another class
+    wrong_inverse = copy.deepcopy(stages.scheme(4))
+    wrong_inverse.classes.inverse_class[1] = 2
+    # transpositions with double transpositions, and the latter with 3-cycles
+    corrupted = [moved, merged_classes(stages.scheme(4), 1, 2)]
+    corrupted += [merged_classes(stages.scheme(4), 2, 3), wrong_inverse]
+    # two transpositions split off: only conjugation by the generators sees it
+    transpositions = stages.scheme(4).classes.elements[1]
+    corrupted.append(split_class(stages.scheme(4), 1, transpositions[1:3]))
+    for s in corrupted:
+        assert not verify_axioms(s).ok
+        assert not all_pairs_axioms_ok(s)
 
-    s = copy.deepcopy(stages.scheme(3))
-    s.classes.class_of[1] = 2  # corrupt the pair classifier
-    s._tensor = None
-    rep = verify_axioms(s, mode="sampled", samples=200, seed=0)
+
+def test_verify_axioms_rejects_bad_transversal(stages):
+    # the all-pairs scan never reads transversals, so only the exact check
+    # (whose transversal test also covers CpiBuilder's cosets) sees this
+    s = copy.deepcopy(stages.scheme(4))
+    x = s.classes.elements[1][1]  # a transposition other than the representative
+    s.classes.transversal[x] = 0
+    rep = verify_axioms(s)
     assert not rep.ok
+    assert any("transversal" in v for v in rep.violations)
+    assert all_pairs_axioms_ok(s)
 
 
-def test_verify_axioms_bad_mode(stages):
-    with pytest.raises(ValueError):
-        verify_axioms(stages.scheme(3), mode="everything")
+def test_verify_axioms_rejects_fused_classes(stages):
+    # transpositions + 4-cycles (all odd permutations) is a Schur-ring fusion:
+    # a genuine association scheme, so the all-pairs scan accepts it, but not
+    # the conjugacy-class scheme whose numbers the program reports
+    s = merged_classes(stages.scheme(4), 1, 4)
+    assert all_pairs_axioms_ok(s)
+    rep = verify_axioms(s)
+    assert not rep.ok
+    assert any("transversal" in v for v in rep.violations)
 
 
 def test_representative_independence(stages):
