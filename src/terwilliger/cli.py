@@ -34,7 +34,6 @@ class RunConfig:
     primes: tuple[int, ...] = ()
     seed: int = 0
     max_width: int = 6
-    use_bounds: bool = True
     fmt: str = "md"
     blocks: str | None = None
 
@@ -116,13 +115,12 @@ class Pipeline:
     @property
     def closure(self) -> sw_mod.ClosureResult:
         if self._closure is None:
-            bounds = self.orbindex.table() if self.cfg.use_bounds else None
             self._closure = sw_mod.run_to_stationary(
                 self.scheme,
                 self.orbindex,
                 seed=self.cfg.seed,
                 primes=self.cfg.primes or None,
-                bounds=bounds,
+                bounds=self.orbindex.table(),
                 max_width=self.cfg.max_width,
                 progress=self.progress,
             )
@@ -471,12 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
         p.add_argument("--max-width", type=int, default=int(_env("MAX_WIDTH", "6")))
         p.add_argument(
-            "--bounds",
-            choices=["on", "off"],
-            default=_env("BOUNDS", "on"),
-            help="prune blocks at their orbit-count bound",
-        )
-        p.add_argument(
             "--format",
             choices=["md", "csv", "json"],
             default=_env("FORMAT", "md"),
@@ -498,7 +490,6 @@ def main(argv: list[str] | None = None) -> int:
         primes=primes,
         seed=args.seed,
         max_width=args.max_width,
-        use_bounds=args.bounds == "on",
         fmt=args.fmt,
         blocks=args.blocks,
     )

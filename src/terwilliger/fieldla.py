@@ -259,19 +259,11 @@ def restrict_block(s, i: int, j: int, k: int) -> SparseMat:
     Rows follow the sorted element order of C_i, columns of C_k; the entry
     at (x, y) is 1 iff x^-1 y lies in class j.  May be the zero matrix.
     """
-    g = s.group
     cls = s.classes
-    nrows, ncols = cls.sizes[i], cls.sizes[k]
-    rows: list[dict[int, int]] = []
-    cj = cls.elements[j]
-    for x in cls.elements[i]:
-        row: dict[int, int] = {}
-        for c in cj:
-            y = g.mul(x, c)
-            if cls.class_of[y] == k:
-                row[cls.pos_in_class[y]] = 1
-        rows.append(row)
-    return SparseMat(nrows, ncols, rows)
+    # row x has a 1 at each y = x c, c in C_j, that lies in C_k
+    products = s.group.mul(np.array(cls.elements[i])[:, None], np.array(cls.elements[j]))
+    rows = [dict.fromkeys(cls.pos_in_class[y[cls.class_of[y] == k]].tolist(), 1) for y in products]
+    return SparseMat(cls.sizes[i], cls.sizes[k], rows)
 
 
 def vectorize(m: SparseMat) -> SparseVec:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from pathlib import Path
 
@@ -11,8 +11,9 @@ import numpy as np
 
 from .partitions import Partition, class_size, partitions_of
 
-#: Hard cap for symmetric(n); S8 already has 40320 elements and the element
-#: table for larger n outgrows the memory budget of the table-based layer.
+#: Hard cap for symmetric(n).  The group's rank table has n^(n-1) entries,
+#: 235 KB of uint16 at S7 and 4.2 MB at S8; beyond S8 it is the per-pair
+#: orbit data, |G|^2 labels, that outgrows memory.
 MAX_SYMMETRIC_N = 8
 
 
@@ -52,7 +53,7 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-def cycle_type(p: Permutation | tuple[int, ...]) -> Partition:
+def cycle_type(p: Permutation | tuple[int, ...] | np.ndarray) -> Partition:
     """Cycle type of a permutation, fixed points included as parts 1."""
     images = p.images if isinstance(p, Permutation) else p
     seen = [False] * len(images)
@@ -70,47 +71,45 @@ def cycle_type(p: Permutation | tuple[int, ...]) -> Partition:
 
 
 class GroupTable:
-    """A finite group on element indices 0..order-1 with identity at 0."""
+    """A finite group on element indices 0..order-1 with identity at 0.
+
+    `mul` and `inv` take ints or integer arrays, broadcast like numpy
+    operators and return np.intp values of the broadcast shape.
+    """
 
     order: int
     name: str
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b) -> np.ndarray:
         raise NotImplementedError
 
-    def inv(self, a: int) -> int:
+    def inv(self, a) -> np.ndarray:
         raise NotImplementedError
 
-    def conjugate(self, g: int, x: int) -> int:
+    def conjugate(self, g, x) -> np.ndarray:
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
 
     def generators(self) -> list[int]:
         """A small generating set, found greedily in index order."""
         gens: list[int] = []
-        closure = {0}
-        for x in range(1, self.order):
-            if x in closure:
-                continue
-            gens.append(x)
-            closure = self._close(gens)
-            if len(closure) == self.order:
-                break
+        reached = self._close(gens)
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))  # the first element not yet reached
+            reached = self._close(gens)
         return gens
 
-    def _close(self, gens: list[int]) -> set[int]:
-        closure = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in closure:
-                        closure.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return closure
+    def _close(self, gens: list[int]) -> np.ndarray:
+        """Mask of the subgroup generated by gens: breadth-first on frontiers."""
+        reached = np.zeros(self.order, dtype=bool)
+        reached[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        right = np.asarray(gens, dtype=np.intp)
+        while frontier.size:
+            found = np.unique(self.mul(frontier[:, None], right[None, :]))
+            frontier = found[~reached[found]]
+            reached[frontier] = True
+        return reached
 
 
 class SymmetricGroup(GroupTable):
@@ -124,61 +123,52 @@ class SymmetricGroup(GroupTable):
         self.n = n
         self.order = factorial(n)
         self.name = f"S{n}"
-        # itertools.permutations yields in lexicographic order, identity first.
-        self.elements: list[tuple[int, ...]] = list(itertools.permutations(range(n)))
-        self._index: dict[tuple[int, ...], int] = {
-            t: i for i, t in enumerate(self.elements)
-        }
-        self._inv: list[int] = []
-        for t in self.elements:
-            inv = [0] * n
-            for i, j in enumerate(t):
-                inv[j] = i
-            self._inv.append(self._index[tuple(inv)])
+        # itertools.permutations yields in lexicographic order, identity first;
+        # row a holds the images of element a
+        self.elements = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+        # rank of an image tuple, looked up by the base-n key of its first
+        # n-1 images (the last one is fixed by them)
+        self._weights = np.zeros(n, dtype=np.int32)
+        self._weights[:-1] = n ** np.arange(n - 2, -1, -1)
+        self._rank = np.zeros(n ** (n - 1), dtype=np.min_scalar_type(self.order - 1))
+        self._rank[self.elements @ self._weights] = np.arange(self.order)
 
-    def mul(self, a: int, b: int) -> int:
-        ta, tb = self.elements[a], self.elements[b]
-        return self._index[tuple(ta[j] for j in tb)]
+    def _rank_of(self, images: np.ndarray) -> np.ndarray:
+        return self._rank[images @ self._weights].astype(np.intp)
 
-    def inv(self, a: int) -> int:
-        return self._inv[a]
+    def mul(self, a, b) -> np.ndarray:
+        # (a*b)(i) = a(b(i)): take a's images along b's
+        return self._rank_of(self.elements[np.asarray(a)[..., None], self.elements[b]])
 
-    def index_of(self, p: Permutation | tuple[int, ...]) -> int:
-        images = p.images if isinstance(p, Permutation) else tuple(p)
-        return self._index[images]
-
-    def permutation(self, a: int) -> Permutation:
-        return Permutation(self.elements[a])
+    def inv(self, a) -> np.ndarray:
+        return self._rank_of(self.elements[a].argsort(axis=-1))
 
     def generators(self) -> list[int]:
+        """A transposition and an n-cycle; they coincide in S2."""
         if self.n == 1:
             return []
-        swap = tuple([1, 0] + list(range(2, self.n)))
-        if self.n == 2:
-            return [self._index[swap]]
-        cycle = tuple(list(range(1, self.n)) + [0])
-        return [self._index[swap], self._index[cycle]]
+        swap, cycle = [1, 0, *range(2, self.n)], [*range(1, self.n), 0]
+        return list(dict.fromkeys(self._rank_of(np.array([swap, cycle])).tolist()))
 
 
 class CayleyGroup(GroupTable):
     """A group given by an explicit multiplication table."""
 
-    def __init__(self, table: list[list[int]], name: str = "cayley"):
-        self.order = len(table)
+    def __init__(self, table, name: str = "cayley"):
+        n = len(table)
+        self.order = n
         self.name = name
-        self.table = table
-        # the narrowest integer type keeps the checks' copy of the table small
-        n = self.order
-        arr = np.array(table, dtype=np.min_scalar_type(n)).reshape(n, n)
-        _validate_latin(arr)
-        _validate_associative(arr, self.generators())
-        self._inv = [row.index(0) for row in table]
+        # the narrowest integer type keeps the table small
+        self.table = np.asarray(table).astype(np.min_scalar_type(n)).reshape(n, n)
+        _validate_latin(self.table)
+        _validate_associative(self.table, self.generators())
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+    def mul(self, a, b) -> np.ndarray:
+        return self.table[a, b].astype(np.intp)
 
-    def inv(self, a: int) -> int:
-        return self._inv[a]
+    def inv(self, a) -> np.ndarray:
+        # x^-1 is the column of the identity in row x
+        return np.argmin(self.table[a], axis=-1)
 
 
 class CayleyTableError(ValueError):
@@ -239,29 +229,47 @@ def load_cayley_table(path: str | Path) -> CayleyGroup:
         raise CayleyTableError(1, f"bad order {head[1]!r}") from None
     if n < 1:
         raise CayleyTableError(1, f"order must be positive, got {n}")
-    rows: list[list[int]] = []
-    lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
-        if not raw.strip():
-            continue
+    # the first n non-blank lines, numbered with blank lines counted
+    rows = [(no, raw) for no, raw in enumerate(lines[1:], start=2) if raw.strip()][:n]
+    table = _parse_rows(rows, n)  # a malformed row is named before the count
+    if len(rows) != n:
+        raise CayleyTableError(len(lines), f"expected {n} rows, got {len(rows)}")
+    try:
+        return CayleyGroup(table, name=Path(path).stem)
+    except ValueError as exc:
+        raise CayleyTableError(1, str(exc)) from None
+
+
+def _parse_rows(rows: list[tuple[int, str]], n: int) -> np.ndarray:
+    """The (line number, text) rows as one int array of entries in 0..n-1.
+
+    One loadtxt pass reads every row; only when it fails, or its result has
+    the wrong width or range, are the rows reread one by one to name the
+    first bad line.
+    """
+    if not rows:
+        return np.zeros((0, n), dtype=np.int64)
+    try:
+        table = _read_ints([raw for _, raw in rows])
+    except ValueError:
+        table = None
+    if table is not None and table.shape[1] == n and ((table >= 0) & (table < n)).all():
+        return table
+    for lineno, raw in rows:
         try:
-            row = [int(tok) for tok in raw.split()]
+            row = _read_ints([raw])[0]
         except ValueError:
             raise CayleyTableError(lineno, "non-integer entry") from None
         if len(row) != n:
             raise CayleyTableError(lineno, f"expected {n} entries, got {len(row)}")
-        if any(v < 0 or v >= n for v in row):
+        if ((row < 0) | (row >= n)).any():
             raise CayleyTableError(lineno, "entry out of range")
-        rows.append(row)
-        if len(rows) == n:
-            break
-    if len(rows) != n:
-        raise CayleyTableError(lineno, f"expected {n} rows, got {len(rows)}")
-    try:
-        return CayleyGroup(rows, name=Path(path).stem)
-    except ValueError as exc:
-        raise CayleyTableError(1, str(exc)) from None
+    raise AssertionError("no malformed row found")
+
+
+def _read_ints(lines: list[str]) -> np.ndarray:
+    """Whitespace-separated decimal integers, one row per line."""
+    return np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
 
 
 def build_group(spec: str) -> GroupTable:
@@ -278,16 +286,18 @@ def build_group(spec: str) -> GroupTable:
 class ConjugacyData:
     """Conjugacy classes of a group, class 0 = {identity}."""
 
-    class_of: list[int]
+    #: per element, its class
+    class_of: np.ndarray
     representatives: list[int]
     sizes: list[int]
     inverse_class: list[int]
     labels: list[Partition] | None
     #: per element, a t with t * rep(class_of[x]) * t^-1 = x
-    transversal: list[int]
-    elements: list[list[int]] = field(default_factory=list)
-    #: position of each element inside its class list
-    pos_in_class: list[int] = field(default_factory=list)
+    transversal: np.ndarray
+    #: per class, its elements in increasing order
+    elements: list[list[int]]
+    #: per element, its position inside its class list
+    pos_in_class: np.ndarray
 
     @property
     def n_classes(self) -> int:
@@ -302,86 +312,67 @@ class ConjugacyData:
 def conjugacy_classes(g: GroupTable, gens: list[int] | None = None) -> ConjugacyData:
     """Orbit partition of G under conjugation.
 
-    Orbits are expanded from a generating set (O(|G|*|gens|)); pass gens
-    explicitly to override the group's own choice.
+    Orbits are expanded breadth-first from a generating set (O(|G|*|gens|));
+    pass gens explicitly to override the group's own choice.
     """
     if gens is None:
         gens = g.generators()
     n = g.order
-    class_of_raw = [-1] * n
-    transversal = [-1] * n
-    raw_classes: list[list[int]] = []
-    for start in range(n):
-        if class_of_raw[start] != -1:
-            continue
-        c = len(raw_classes)
-        class_of_raw[start] = c
-        transversal[start] = 0
-        orbit = [start]
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gen in gens:
-                    y = g.conjugate(gen, x)
-                    if class_of_raw[y] == -1:
-                        class_of_raw[y] = c
-                        transversal[y] = g.mul(gen, transversal[x])
-                        orbit.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        raw_classes.append(orbit)
+    gens = np.asarray(gens, dtype=np.intp)
+    conj = g.conjugate(gens[:, None], np.arange(n))  # conj[j, x] = s_j x s_j^-1
+    raw = np.full(n, -1, dtype=np.intp)
+    # t with t * start * t^-1 = x, where start is the root of x's search
+    transversal = np.zeros(n, dtype=np.intp)
+    starts: list[int] = []  # each root is the least element of its class
+    while (unseen := np.flatnonzero(raw < 0)).size:
+        c, start = len(starts), int(unseen[0])
+        starts.append(start)
+        raw[start] = c
+        frontier = unseen[:1]
+        while frontier.size:
+            # scan (x, s) pairs x-major; the first pair to reach y names it
+            found = conj[:, frontier].T.ravel()
+            new, first = np.unique(found, return_index=True)
+            first = np.sort(first[raw[new] < 0])
+            x, s = np.divmod(first, len(gens))
+            y = found[first]
+            raw[y] = c
+            transversal[y] = g.mul(gens[s], transversal[frontier[x]])
+            frontier = y
 
-    order = _class_order(g, raw_classes)
-    relabel = [0] * len(raw_classes)
-    for new, old in enumerate(order):
-        relabel[old] = new
-    classes = [sorted(raw_classes[old]) for old in order]
-    class_of = [relabel[c] for c in class_of_raw]
-    representatives = [cls[0] for cls in classes]
-    sizes = [len(cls) for cls in classes]
-
-    # Re-anchor transversals on the sorted representative of each class.
-    transversal2 = [-1] * n
-    for cls in classes:
-        rep = cls[0]
-        t_rep = transversal[rep]
-        t_rep_inv = g.inv(t_rep)
-        for x in cls:
-            transversal2[x] = g.mul(transversal[x], t_rep_inv)
-
-    inverse_class = [class_of[g.inv(r)] for r in representatives]
+    order = _class_order(g, starts, np.bincount(raw).tolist())
+    relabel = np.empty(len(order), dtype=np.intp)
+    relabel[order] = np.arange(len(order))
+    class_of = relabel[raw]
+    sizes = np.bincount(class_of)
+    by_class = np.argsort(class_of, kind="stable")  # class by class, increasing
+    pos_in_class = np.empty(n, dtype=np.intp)
+    pos_in_class[by_class] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # the roots are the least elements, so they are the representatives
+    representatives = [starts[old] for old in order]
     labels = None
     if isinstance(g, SymmetricGroup):
         labels = [cycle_type(g.elements[r]) for r in representatives]
-        expected = partitions_of(g.n)
-        if labels != expected:
+        if labels != partitions_of(g.n):
             raise AssertionError("class labels out of order for symmetric group")
-    pos_in_class = [-1] * n
-    for cls in classes:
-        for i, x in enumerate(cls):
-            pos_in_class[x] = i
     return ConjugacyData(
         class_of=class_of,
         representatives=representatives,
-        sizes=sizes,
-        inverse_class=inverse_class,
+        sizes=sizes.tolist(),
+        inverse_class=class_of[g.inv(representatives)].tolist(),
         labels=labels,
-        transversal=transversal2,
-        elements=classes,
+        transversal=transversal,
+        elements=[part.tolist() for part in np.split(by_class, np.cumsum(sizes)[:-1])],
         pos_in_class=pos_in_class,
     )
 
 
-def _class_order(g: GroupTable, raw_classes: list[list[int]]) -> list[int]:
+def _class_order(g: GroupTable, starts: list[int], sizes: list[int]) -> list[int]:
     """Identity class first; cycle-type order for S_n, else (size, min element)."""
-    ids = range(len(raw_classes))
+    ids = range(len(starts))
     if isinstance(g, SymmetricGroup):
-        return sorted(ids, key=lambda c: cycle_type(g.elements[min(raw_classes[c])]))
-    return sorted(
-        ids,
-        key=lambda c: (0 if min(raw_classes[c]) == 0 else 1, len(raw_classes[c]), min(raw_classes[c])),
-    )
+        return sorted(ids, key=lambda c: cycle_type(g.elements[starts[c]]))
+    return sorted(ids, key=lambda c: (0 if starts[c] == 0 else 1, sizes[c], starts[c]))
 
 
 def inversion_closed(c: ConjugacyData) -> bool:
@@ -406,12 +397,13 @@ def fixed_point_counts(
     plus = [g.order // size for size in classes.sizes]
     if not inversion_closed(classes):
         return plus, None
-    squares = np.fromiter((g.mul(x, x) for x in range(g.order)), dtype=np.int64, count=g.order)
-    roots = np.bincount(squares, minlength=g.order)
-    minus = [int(roots[g.mul(rep, rep)]) for rep in classes.representatives]
-    return plus, minus
+    every = np.arange(g.order)
+    roots = np.bincount(g.mul(every, every), minlength=g.order)
+    reps = np.asarray(classes.representatives)
+    return plus, roots[g.mul(reps, reps)].tolist()
 
 
-def centralizer_elements(g: GroupTable, x: int) -> list[int]:
-    """All w in G with wx = xw."""
-    return [w for w in range(g.order) if g.mul(w, x) == g.mul(x, w)]
+def centralizer_elements(g: GroupTable, x: int) -> np.ndarray:
+    """All w in G with wx = xw, in increasing order."""
+    every = np.arange(g.order)
+    return np.flatnonzero(g.mul(every, x) == g.mul(x, every))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import ReconciliationError, fixed_point_counts
+from .groups import ReconciliationError, fixed_point_counts, inversion_closed
 from .scheme import ClassScheme, IntersectionTensor
 from .tables import BlockDimTable
 
@@ -35,18 +35,9 @@ class H1Action:
 
 def build_h1_action(s: ClassScheme) -> H1Action:
     g = s.group
-    cls = s.classes
-    conj = []
-    for gen in g.generators():
-        arr = np.fromiter(
-            (g.conjugate(gen, x) for x in range(g.order)), dtype=np.int64, count=g.order
-        )
-        conj.append(arr)
-    inv = None
-    if all(cls.inverse_class[i] == i for i in range(cls.n_classes)):
-        inv = np.fromiter(
-            (g.inv(x) for x in range(g.order)), dtype=np.int64, count=g.order
-        )
+    every = np.arange(g.order)
+    conj = [g.conjugate(gen, every) for gen in g.generators()]
+    inv = g.inv(every) if inversion_closed(s.classes) else None
     for arr in conj + ([inv] if inv is not None else []):
         if arr[0] != 0:
             raise AssertionError("stabilizer generator does not fix the identity")
@@ -84,7 +75,6 @@ class OrbitalIndex:
         self.scheme = scheme
         self.action = action
         cls = scheme.classes
-        g = scheme.group
         nc = cls.n_classes
         self.n_classes = nc
         self.class_elems = [np.array(e, dtype=np.int64) for e in cls.elements]
@@ -92,9 +82,7 @@ class OrbitalIndex:
         gens = action.all_gens()
         gens = gens + [_invert_perm(p) for p in gens]
         # generator action restricted to each class, in position coordinates
-        pos = np.empty(g.order, dtype=np.int64)
-        for elems in self.class_elems:
-            pos[elems] = np.arange(len(elems))
+        pos = cls.pos_in_class
         cpos = [[pos[p[elems]] for elems in self.class_elems] for p in gens]
 
         self.block_labels: dict[tuple[int, int], np.ndarray] = {}
@@ -121,10 +109,8 @@ class OrbitalIndex:
                 self.block_counts[(i, k)] = counts.astype(np.int64)
                 self.block_reps[(i, k)] = (px, py)
                 self.r[(i, k)] = len(uniq)
-                rel = np.empty(len(uniq), dtype=np.int32)
                 ei, ek = self.class_elems[i], self.class_elems[k]
-                for t in range(len(uniq)):
-                    rel[t] = scheme.relation_of(int(ei[px[t]]), int(ek[py[t]]))
+                rel = scheme.relation_of(ei[px], ek[py]).astype(np.int32)
                 self.block_rel[(i, k)] = rel
                 # orbits must refine relations: spot-check random members
                 for _ in range(min(3 * len(uniq), 60)):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .groups import ConjugacyData, GroupTable, conjugacy_classes
 
 
@@ -16,7 +18,8 @@ class ClassScheme:
     classes: ConjugacyData
     _tensor: "IntersectionTensor | None" = field(default=None, repr=False)
 
-    def relation_of(self, x: int, y: int) -> int:
+    def relation_of(self, x, y):
+        """Relation of (x, y): ints or broadcasting integer arrays."""
         g = self.group
         return self.classes.class_of[g.mul(g.inv(x), y)]
 
@@ -55,18 +58,21 @@ def intersection_numbers(s: ClassScheme) -> IntersectionTensor:
     """Compute all p_ij^k from one representative pair (1, g_k) per k.
 
     For (1, y) with y in C_k:  p_ij^k = #{z in C_i : z^-1 y in C_j},
-    so one scan of C_i buckets every j at once.  Cached on the scheme.
+    so one bincount over all z buckets every (i, j) at once.  Cached on the
+    scheme.
     """
     if s._tensor is not None:
         return s._tensor
     g = s.group
     cls = s.classes
+    nc = cls.n_classes
+    inverses = g.inv(np.arange(g.order))
     entries: dict[tuple[int, int, int], int] = {}
     for k, y in enumerate(cls.representatives):
-        for i, members in enumerate(cls.elements):
-            for z in members:
-                key = (i, cls.class_of[g.mul(g.inv(z), y)], k)
-                entries[key] = entries.get(key, 0) + 1
+        pairs = cls.class_of * nc + cls.class_of[g.mul(inverses, y)]
+        counts = np.bincount(pairs, minlength=nc * nc)
+        for ij in np.flatnonzero(counts):
+            entries[(int(ij) // nc, int(ij) % nc, k)] = int(counts[ij])
     tensor = IntersectionTensor(entries=entries, n_classes=cls.n_classes)
     _validate_tensor(tensor, cls)
     s._tensor = tensor
@@ -136,36 +142,43 @@ def verify_axioms(s: ClassScheme) -> AxiomReport:
     cls = s.classes
     report = AxiomReport(checked_pairs=g.order**2)
     bad = report.violations
-    members: list[list[int]] = [[] for _ in range(cls.n_classes)]
-    for x, c in enumerate(cls.class_of):
-        members[c].append(x)
+    c = cls.class_of
+    members = [np.flatnonzero(c == i).tolist() for i in range(cls.n_classes)]
     for i, rep in enumerate(cls.representatives):
         if sorted(cls.elements[i]) != members[i]:
             bad.append(f"elements[{i}] differs from the elements class_of puts in class {i}")
         if cls.sizes[i] != len(members[i]):
             bad.append(f"sizes[{i}] = {cls.sizes[i]}, class has {len(members[i])} elements")
-        if cls.class_of[rep] != i:
-            bad.append(f"representative {rep} of class {i} lies in class {cls.class_of[rep]}")
+        if c[rep] != i:
+            bad.append(f"representative {rep} of class {i} lies in class {c[rep]}")
     if members[0] != [0]:
         bad.append(f"class 0 is {members[0]}, not the identity alone")
 
-    gens = g.generators()
-    for x in range(g.order):
+    every = np.arange(g.order)
+    inverses = g.inv(every)
+    gens = np.array(g.generators(), dtype=np.intp)
+    diagonal = g.mul(inverses, every) != 0
+    converse = c[inverses] != np.asarray(cls.inverse_class)[c]
+    # conjugated[h, x]: conjugating x by the h-th generator leaves its class
+    conjugated = c[g.conjugate(gens[:, None], every)] != c
+    transversal = g.conjugate(cls.transversal, np.asarray(cls.representatives)[c]) != every
+    failing = diagonal | converse | conjugated.any(axis=0) | transversal
+    for x in np.flatnonzero(failing).tolist():
         if len(bad) >= 20:
             bad.append("... further violations suppressed")
             break
-        c = cls.class_of[x]
-        x_inv = g.inv(x)
-        if g.mul(x_inv, x) != 0:
+        if diagonal[x]:
             bad.append(f"diagonal pair ({x},{x}) not in relation 0")
-        if cls.class_of[x_inv] != cls.inverse_class[c]:
+        if converse[x]:
             bad.append(
-                f"converse: {x}^-1 lies in class {cls.class_of[x_inv]}, "
-                f"expected {cls.inverse_class[c]}"
+                f"converse: {x}^-1 lies in class {c[inverses[x]]}, "
+                f"expected {cls.inverse_class[c[x]]}"
             )
-        for h in gens:
-            if cls.class_of[g.conjugate(h, x)] != c:
-                bad.append(f"conjugating {x} by generator {h} leaves class {c}")
-        if g.conjugate(cls.transversal[x], cls.representatives[c]) != x:
-            bad.append(f"transversal[{x}] does not conjugate the class-{c} representative to {x}")
+        for h, moved in zip(gens, conjugated[:, x]):
+            if moved:
+                bad.append(f"conjugating {x} by generator {h} leaves class {c[x]}")
+        if transversal[x]:
+            bad.append(
+                f"transversal[{x}] does not conjugate the class-{c[x]} representative to {x}"
+            )
     return report

@@ -8,6 +8,12 @@ representative pair per orbit, one weighted bincount and one matmul per
 (target block, middle class), and ranks are tracked mod two independent
 primes below `fieldla.PRIME_HI`.
 
+Rank mod p is at most rank over Q, so the words a prime accepts are
+independent over Q and every dimension found is an exact lower bound.  The
+upper bound is not proved: it rests on the two primes agreeing, since the
+Q-span of the accepted words could in principle fail to be closed while
+their span mod p is closed.
+
 A literal matrix engine over the ambient |C_i| x |C_k| coordinates (built on
 the sparse field primitives) is kept as an independent oracle for small
 groups.

@@ -110,26 +110,20 @@ class CpiBuilder:
         if self._hists is None:
             g = self.group
             cls = self.classes
+            nc = cls.n_classes
             self._hists = []
-            for c in range(cls.n_classes):
+            for c, z in enumerate(self.centralizers):
                 px, py = self.orbindex.block_reps[(c, c)]
-                elems = cls.elements[c]
+                elems = self.orbindex.class_elems[c]
+                ty = cls.transversal[elems[py]][:, None]
                 ids = []
-                for inverted in (False, True):
-                    for a, b in zip(px, py):
-                        x = g.inv(elems[int(a)]) if inverted else elems[int(a)]
-                        ty = cls.transversal[elems[int(b)]]
-                        tx_inv = g.inv(cls.transversal[x])
-                        ids.extend(
-                            cls.class_of[g.mul(g.mul(ty, w), tx_inv)]
-                            for w in self.centralizers[c]
-                        )
-                bins = np.repeat(np.arange(2 * len(px)), len(self.centralizers[c]))
-                flat = np.bincount(
-                    bins * cls.n_classes + np.array(ids, dtype=np.int64),
-                    minlength=2 * len(px) * cls.n_classes,
-                )
-                self._hists.append(flat.reshape(2, len(px), cls.n_classes))
+                for x in (elems[px], g.inv(elems[px])):
+                    tx_inv = g.inv(cls.transversal[x])[:, None]
+                    ids.append(cls.class_of[g.mul(g.mul(ty, z), tx_inv)])
+                # bin (inverted, t) * nc + class, over all (inverted, t, w)
+                bins = np.arange(2 * len(px)).reshape(2, -1, 1) * nc + np.stack(ids)
+                flat = np.bincount(bins.ravel(), minlength=2 * len(px) * nc)
+                self._hists.append(flat.reshape(2, len(px), nc))
         return self._hists
 
     def build(self, sp: SignedPartition) -> CPIdem:

@@ -333,6 +333,13 @@ def test_env_overrides(capsys, monkeypatch):
     assert json.loads(out)["order"] == 6
 
 
+def test_bounds_flag_removed():
+    # blocks are always capped at their orbit counts, so there is no switch
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--group", "sym:3", "--bounds", "on"])
+    assert exc.value.code == 2
+
+
 def test_bad_group_errors(capsys):
     code, _, err = run_cli(capsys, "scheme", "--group", "sym:zebra", "--quiet")
     assert code == 2

@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from terwilliger.groups import (
@@ -40,7 +42,7 @@ def test_permutation_validation_and_ops():
 def test_symmetric_group_basics():
     g = build_group("sym:3")
     assert g.order == 6
-    assert g.elements[0] == (0, 1, 2)
+    assert g.elements[0].tolist() == [0, 1, 2]
     for a in range(6):
         assert g.mul(a, g.inv(a)) == 0
         assert g.mul(0, a) == a == g.mul(a, 0)
@@ -60,11 +62,46 @@ def test_bad_group_spec():
         build_group("frob:12")
 
 
-def test_mul_matches_composition():
-    g = SymmetricGroup(4)
-    for a, b in itertools.islice(itertools.product(range(24), repeat=2), 200):
-        ta, tb = g.elements[a], g.elements[b]
-        assert g.elements[g.mul(a, b)] == tuple(ta[j] for j in tb)
+def _assert_ops_match(g, mul, inv, rng):
+    """g's mul, inv and conjugate on ints, 1-D and (k,1)x(1,m) index arrays
+    against the scalar references mul and inv."""
+
+    def conj(h, x):
+        return mul(mul(h, x), inv(h))
+
+    a = np.array([rng.randrange(g.order) for _ in range(12)])
+    b = np.array([rng.randrange(g.order) for _ in range(12)])
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert g.mul(int(a[0]), int(b[0])) == mul(*pairs[0])
+    assert g.inv(int(a[0])) == inv(pairs[0][0])
+    assert g.mul(a, b).tolist() == [mul(x, y) for x, y in pairs]
+    assert g.inv(a).tolist() == [inv(x) for x in a.tolist()]
+    assert g.conjugate(a, b).tolist() == [conj(h, x) for h, x in pairs]
+    rows, cols = a[:5, None], b[None, :7]
+    left, right = a[:5].tolist(), b[:7].tolist()
+    assert g.mul(rows, cols).tolist() == [[mul(x, y) for y in right] for x in left]
+    assert g.inv(rows).tolist() == [[inv(x)] for x in left]
+    assert g.conjugate(rows, cols).tolist() == [[conj(h, x) for x in right] for h in left]
+
+
+def test_mul_matches_composition(q8_path, c3_path, trivial_path):
+    rng = random.Random(0)
+    for n in range(1, 7):
+        perms = list(itertools.permutations(range(n)))  # lexicographic order
+        rank = {t: i for i, t in enumerate(perms)}
+
+        def mul(x, y, perms=perms, rank=rank):
+            return rank[tuple(perms[x][j] for j in perms[y])]
+
+        def inv(x, perms=perms, rank=rank):
+            return rank[tuple(sorted(range(len(perms[x])), key=perms[x].__getitem__))]
+
+        _assert_ops_match(SymmetricGroup(n), mul, inv, rng)
+    for path in (q8_path, c3_path, trivial_path):
+        rows = [[int(v) for v in line.split()] for line in path.read_text().splitlines()[1:]]
+        _assert_ops_match(
+            load_cayley_table(path), lambda x, y: rows[x][y], lambda x: rows[x].index(0), rng
+        )
 
 
 def test_conjugacy_classes_s4():
@@ -176,6 +213,28 @@ def test_cayley_errors(tmp_path):
     with pytest.raises(CayleyTableError):
         load_cayley_table(bad)
 
+    # every line-numbered message, blank lines counted in the numbering
+    cases = [
+        ("order 2\n0 1\n1 x\n", "line 3: non-integer entry"),
+        ("order 2\n0 1\n1 0.0\n", "line 3: non-integer entry"),
+        ("order 2\n0 1\n-1 0\n", "line 3: entry out of range"),
+        ("order 2\n0 2\n1 0\n", "line 2: entry out of range"),
+        ("order 2\n0 1\n\n1 0 0\n", "line 4: expected 2 entries, got 3"),
+        ("order 2\n0 1 x\n1 9\n", "line 2: non-integer entry"),
+        ("order 2\n0 9\n1\n", "line 2: entry out of range"),
+        ("order 3\n0 1 2\n1 2 0\n", "line 3: expected 3 rows, got 2"),
+        ("order 3\n\n0 1 2\n1 2 0\n\n", "line 5: expected 3 rows, got 2"),
+        ("order 3\n0 1 2\n1 2\n", "line 3: expected 3 entries, got 2"),
+        ("order x\n0\n", "line 1: bad order 'x'"),
+        ("order 0\n", "line 1: order must be positive, got 0"),
+        ("", "line 1: empty file"),
+    ]
+    for text, message in cases:
+        bad.write_text(text)
+        with pytest.raises(CayleyTableError) as exc:
+            load_cayley_table(bad)
+        assert str(exc.value) == message, text
+
 
 def test_cayley_rejects_non_associative_latin_square(tmp_path):
     # Z_400 with the intercalate at rows and columns {1, 201} swapped: a Latin
@@ -230,7 +289,8 @@ def test_generators_generate():
     for n in (2, 3, 4, 5):
         g = SymmetricGroup(n)
         gens = g.generators()
-        assert len(g._close(gens)) == g.order
+        assert g._close(gens).all()
+        assert not g._close(gens[:-1]).all()
 
 
 def test_partition_label_type():

@@ -2,8 +2,11 @@ import copy
 import json
 import random
 
+import numpy as np
+
 import terwilliger as tw
-from terwilliger.groups import load_cayley_table
+from terwilliger.groups import fixed_point_counts, load_cayley_table
+from terwilliger.orbitals import burnside_orbital_count
 from terwilliger.scheme import (
     build_scheme,
     conj_centralizer_dim,
@@ -115,13 +118,13 @@ def merged_classes(s, a, b):
     cls = s.classes
 
     def relabel(c):
-        return a if c == b else c - (c > b)
+        return np.where(c == b, a, c - (c > b))
 
-    cls.class_of = [relabel(c) for c in cls.class_of]
+    cls.class_of = relabel(cls.class_of)
     cls.elements[a] = sorted(cls.elements[a] + cls.elements.pop(b))
     cls.sizes[a] += cls.sizes.pop(b)
     del cls.representatives[b], cls.inverse_class[b]
-    cls.inverse_class = [relabel(c) for c in cls.inverse_class]
+    cls.inverse_class = relabel(np.array(cls.inverse_class)).tolist()
     cls.labels = None
     return s
 
@@ -243,3 +246,19 @@ def test_abelian_scheme_all_singletons(c3_path):
     s = build_scheme(load_cayley_table(c3_path))
     assert dim_T0(intersection_numbers(s)) == 9
     assert conj_centralizer_dim(s) == 9
+
+
+def test_s8_front_end():
+    # classes, tensor, fixed points and the orbit-counting lemma at S8; the
+    # expected class data comes from partitions, not from this program
+    s = build_scheme(tw.build_group("sym:8"))
+    t = intersection_numbers(s)
+    sizes = [tw.class_size(lam) for lam in tw.partitions_of(8)]
+    assert s.classes.sizes == sizes
+    assert len(sizes) == 22 and max(sizes) == 5760
+    assert conj_centralizer_dim(s) == sum(40320 // size for size in sizes) == 43206
+    plus, minus = fixed_point_counts(s.group, s.classes)
+    assert plus == [40320 // size for size in sizes]
+    assert minus is not None and all(m > 0 for m in minus)
+    # dim T0 <= orbit count on pairs <= conjugation centralizer dimension
+    assert dim_T0(t) <= burnside_orbital_count(s) <= conj_centralizer_dim(s)
