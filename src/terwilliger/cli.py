@@ -106,7 +106,7 @@ class Pipeline:
     @property
     def orbindex(self):
         if self._orbindex is None:
-            self._orbindex = orb_mod.OrbitalIndex(self.scheme, seed=self.cfg.seed)
+            self._orbindex = orb_mod.OrbitalIndex(self.scheme)
             self._orbindex.validate_against_tensor(self.tensor)
             self.burnside = orb_mod.burnside_orbital_count(self.scheme)
             self.checks["burnside_equals_orbit_total"] = self.burnside == self._orbindex.total

@@ -11,9 +11,11 @@ import numpy as np
 
 from .partitions import Partition, class_size, partitions_of
 
-#: Hard cap for symmetric(n).  The group's rank table has n^(n-1) entries,
-#: 235 KB of uint16 at S7 and 4.2 MB at S8; beyond S8 it is the per-pair
-#: orbit data, |G|^2 labels, that outgrows memory.
+#: Hard cap for symmetric(n).  The group's rank table has n^(n-1) entries:
+#: 235 KB of uint16 at S7, 4.2 MB at S8, 172 MB of uint32 at S9.  The orbit
+#: index keeps n_classes * |G| labels (3.5 MB at S8); what outgrows memory
+#: first is the closure's memoized column labels, one per (target orbit,
+#: middle-class element) pair, about 1.1e9 of them at S8 already.
 MAX_SYMMETRIC_N = 8
 
 
@@ -92,12 +94,7 @@ class GroupTable:
 
     def generators(self) -> list[int]:
         """A small generating set, found greedily in index order."""
-        gens: list[int] = []
-        reached = self._close(gens)
-        while not reached.all():
-            gens.append(int(np.argmin(reached)))  # the first element not yet reached
-            reached = self._close(gens)
-        return gens
+        return subgroup_generators(self, np.arange(self.order))
 
     def _close(self, gens: list[int]) -> np.ndarray:
         """Mask of the subgroup generated by gens: breadth-first on frontiers."""
@@ -110,6 +107,20 @@ class GroupTable:
             frontier = found[~reached[found]]
             reached[frontier] = True
         return reached
+
+
+def subgroup_generators(g: GroupTable, members: np.ndarray) -> list[int]:
+    """Generators of a subgroup given by its increasing element ids.
+
+    Picked greedily in index order: each is the least member that the
+    earlier ones do not generate.
+    """
+    gens: list[int] = []
+    reached = g._close(gens)[members]
+    while not reached.all():
+        gens.append(int(members[np.argmin(reached)]))
+        reached = g._close(gens)[members]
+    return gens
 
 
 class SymmetricGroup(GroupTable):

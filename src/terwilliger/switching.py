@@ -248,24 +248,26 @@ def chain_products(
     """Products of orbit-constant blocks: (left in (i,nu)) x (right in (nu,m)).
 
     The product at target orbit t is the sum over z in C_nu of
-    L(x_t, z) * R(z, y_t), at the orbit's representative pair (x_t, y_t).
-    One weighted bincount per right row c over all (t, z) pairs folds the
-    right factor in, contracted[a, c, t] = sum of R_c(z, y_t) over the z
-    with orbit(x_t, z) = a, and one matmul with `left` finishes every
-    product.  Returns an (n_left, n_right, r_target) array mod p.
+    L(x_i, z) * R(z, y_t), at the orbit's representative pair (x_i, y_t).
+    The orbit of (x_i, z) is read from the anchored row of block (i,nu), the
+    same for every t; that of (z, y_t) from `OrbitalIndex.column_labels`,
+    which conjugates z to x_nu and is memoized on the index.  One weighted
+    bincount per right row c over all (t, z) pairs folds the right factor
+    in, contracted[a, c, t] = sum of R_c(z, y_t) over the z with
+    orbit(x_i, z) = a, and one matmul with `left` finishes every product.
+    Returns an (n_left, n_right, r_target) array mod p.
     """
     nz = orbindex.scheme.classes.sizes[nu]
     # float64 bincount sums are exact: nz * (p - 1) < 2^25 * 2^28 = 2^53
     if p >= fieldla.PRIME_HI or nz >= 1 << 25:
         raise ValueError(f"prime {p} or class size {nz} too large for exact products")
-    i, m = target
-    px, py = orbindex.block_reps[target]
+    i = target[0]
     ra = orbindex.r[(i, nu)]
     rt = orbindex.r[target]
     n1, n2 = left.shape[0], right.shape[0]
-    # bin of pair (t, z): t * ra + orbit(x_t, z)
-    bins = (orbindex.block_labels[(i, nu)][px, :] + (ra * np.arange(rt))[:, None]).ravel()
-    cols = orbindex.block_labels[(nu, m)][:, py].T
+    # bin of pair (t, z): t * ra + orbit(x_i, z)
+    bins = (orbindex.block_labels[(i, nu)] + (ra * np.arange(rt))[:, None]).ravel()
+    cols = orbindex.column_labels(target, nu)
     right = right % p
     contracted = np.empty((ra, n2, rt), dtype=np.int64)
     for c in range(n2):

@@ -43,11 +43,6 @@ class CPIdem:
             out[t] = v.numerator * pow(v.denominator, -1, p) % p
         return out
 
-    def block_matrix_mod(self, orbindex: OrbitalIndex, c: int, p: int) -> np.ndarray:
-        """Materialize the |C_c| x |C_c| block as residues mod p."""
-        vec = self.block_vector_mod(c, p)
-        return vec[orbindex.block_labels[(c, c)]]
-
     def block_trace(self, orbindex: OrbitalIndex, c: int) -> Fraction:
         counts = orbindex.diag_pair_counts[c]
         return sum(

@@ -15,6 +15,8 @@ from terwilliger.orbitals import OrbitalIndex
 from terwilliger.switching import run_to_stationary
 from terwilliger.wedderburn import CpiBuilder, decompose_T, thinness
 
+from orbit_oracle import BlockOracle
+
 _CACHE: dict = {}
 
 ACCEPTANCE_RESULTS: dict[str, bool] = {}
@@ -40,6 +42,9 @@ class Stages:
 
     def orbindex(self, n):
         return _memo(("orbindex", n), lambda: OrbitalIndex(self.scheme(n)))
+
+    def oracle(self, n):
+        return _memo(("oracle", n), lambda: BlockOracle(self.scheme(n)))
 
     def closure(self, n):
         return _memo(
@@ -121,6 +126,20 @@ def trivial_path(tmp_path_factory):
     p = tmp_path_factory.mktemp("tables") / "triv.txt"
     p.write_text(TRIVIAL_TABLE)
     return p
+
+
+def dihedral_table(path, n):
+    """Cayley table of the dihedral group of order 2n: r^a s^e -> a + n*e."""
+    rows = []
+    for x in range(2 * n):
+        a, e = x % n, x // n
+        row = []
+        for y in range(2 * n):
+            b, f = y % n, y // n
+            row.append((a + (-b if e else b)) % n + n * ((e + f) % 2))
+        rows.append(" ".join(map(str, row)))
+    path.write_text(f"order {2 * n}\n" + "\n".join(rows) + "\n")
+    return path
 
 
 def dense_rank_modp(rows, ncols, p):

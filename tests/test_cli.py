@@ -233,6 +233,22 @@ def test_orbit_sizes_ledger_exits_1(capsys, monkeypatch):
     assert "orbit_sizes_match_tensor" in err
 
 
+def test_orbit_refinement_check_exits_1(capsys, monkeypatch):
+    perms = orb_mod._stabilizer_perms
+
+    def all_conjugations(scheme, x):
+        # conjugation by the whole group moves x: orbits then cross relations
+        g = scheme.group
+        every = np.arange(g.order)
+        return perms(scheme, x) + [g.conjugate(s, every) for s in g.generators()]
+
+    monkeypatch.setattr(orb_mod, "_stabilizer_perms", all_conjugations)
+    code, out, err = run_cli(capsys, "centralizer", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "orbits_refine_relations" in err
+
+
 def test_multiplicity_ledger_exits_1(capsys, monkeypatch):
     row_sums = chars_mod.row_sums
 

@@ -1,15 +1,27 @@
+import importlib.util
+import random
+from pathlib import Path
+
 import numpy as np
 
 import golden
 import terwilliger as tw
-from terwilliger.groups import load_cayley_table
-from terwilliger.orbitals import (
-    OrbitalIndex,
-    build_h1_action,
-    burnside_orbital_count,
-    element_orbit_count,
-    orbital_table,
-)
+from conftest import dihedral_table
+from orbit_oracle import BlockOracle, build_h1_action, element_orbit_count
+from terwilliger.groups import CayleyGroup, load_cayley_table
+from terwilliger.orbitals import OrbitalIndex, burnside_orbital_count, orbital_table
+
+BENCH_CAYLEY = Path(__file__).resolve().parents[1] / "bench" / "cayley.py"
+
+
+def _bench_table_group(name: str, seed: int) -> CayleyGroup:
+    """One of the benchmark's Cayley-table groups, relabelled as it does for `seed`."""
+    spec = importlib.util.spec_from_file_location("bench_cayley", BENCH_CAYLEY)
+    cayley = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cayley)
+    table = cayley.cayley_table(cayley.TABLE_GROUPS[name])
+    table = cayley.relabel(table, random.Random(f"cayley:{name}:{seed}"))
+    return CayleyGroup(table, name=name)
 
 
 def test_orbital_table_s4_golden(stages):
@@ -85,10 +97,12 @@ def test_action_generators_fix_identity(stages):
 
 def test_block_label_shapes(stages):
     oi = stages.orbindex(4)
+    oracle = stages.oracle(4)
     cls = stages.scheme(4).classes
     for i in range(cls.n_classes):
         for k in range(cls.n_classes):
-            lab = oi.block_labels[(i, k)]
+            assert oi.block_labels[(i, k)].shape == (cls.sizes[k],)
+            lab = oracle.labels(i, k)
             assert lab.shape == (cls.sizes[i], cls.sizes[k])
             r = oi.r[(i, k)]
             assert lab.min() == 0 and lab.max() == r - 1
@@ -97,31 +111,71 @@ def test_block_label_shapes(stages):
 
 def test_block_reps_consistent(stages):
     oi = stages.orbindex(5)
+    oracle = stages.oracle(5)
     for (i, k), (px, py) in oi.block_reps.items():
-        lab = oi.block_labels[(i, k)]
+        lab = oracle.labels(i, k)
         for t in range(oi.r[(i, k)]):
             assert lab[px[t], py[t]] == t
 
 
 def test_orbit_invariance_under_action(stages):
-    # applying any generator to both coordinates preserves the orbit label
+    # applying any generator to both coordinates preserves the orbit label,
+    # in the reference blocks and as read from the index's anchored rows
     s = stages.scheme(4)
     oi = stages.orbindex(4)
+    oracle = stages.oracle(4)
     action = build_h1_action(s)
-    cls = s.classes
+    g, cls = s.group, s.classes
+    pos = cls.pos_in_class
+
+    def index_label(x, y):
+        t = cls.transversal[x]  # t^-1 x t is the representative
+        row = oi.block_labels[(cls.class_of[x], cls.class_of[y])]
+        return row[pos[g.mul(g.mul(g.inv(t), y), t)]]
+
     rng = np.random.default_rng(0)
-    pos = np.empty(s.group.order, dtype=np.int64)
-    for elems in oi.class_elems:
-        pos[elems] = np.arange(len(elems))
     for _ in range(200):
         x = int(rng.integers(s.group.order))
         y = int(rng.integers(s.group.order))
         i, k = cls.class_of[x], cls.class_of[y]
-        t = oi.block_labels[(i, k)][pos[x], pos[y]]
+        t = oracle.labels(i, k)[pos[x], pos[y]]
+        assert index_label(x, y) == t
         for p in action.all_gens():
             x2, y2 = int(p[x]), int(p[y])
             assert cls.class_of[x2] == i and cls.class_of[y2] == k
-            assert oi.block_labels[(i, k)][pos[x2], pos[y2]] == t
+            assert oracle.labels(i, k)[pos[x2], pos[y2]] == t
+            assert index_label(x2, y2) == t
+
+
+def test_anchored_index_matches_block_oracle(stages, q8_path, c3_path, tmp_path):
+    schemes = [stages.scheme(n) for n in (3, 4, 5, 6)]
+    for path in (q8_path, c3_path, dihedral_table(tmp_path / "d5.txt", 5)):
+        schemes.append(tw.build_scheme(load_cayley_table(path)))
+    schemes.append(tw.build_scheme(_bench_table_group("psl2_11", 0)))
+    for s in schemes:
+        oi = OrbitalIndex(s)
+        oracle = BlockOracle(s)
+        ei = oi.class_elems
+        for (i, k), row in oi.block_labels.items():
+            want = oracle.block(i, k)
+            where = (s.group.name, i, k)
+            assert oi.r[(i, k)] == len(want.counts), where
+            assert np.array_equal(oi.block_reps[(i, k)][0], want.reps[0]), where
+            assert np.array_equal(oi.block_reps[(i, k)][1], want.reps[1]), where
+            assert np.array_equal(oi.block_counts[(i, k)], want.counts), where
+            assert np.array_equal(row, want.labels[0]), where
+            rel = s.relation_of(ei[i][want.reps[0]], ei[k][want.reps[1]])
+            assert np.array_equal(oi.block_rel[(i, k)], rel), where
+        for c in range(oi.n_classes):
+            diag = np.bincount(np.diagonal(oracle.labels(c, c)), minlength=oi.r[(c, c)])
+            assert np.array_equal(oi.diag_pair_counts[c], diag), (s.group.name, c)
+
+
+def test_s8_orbit_index():
+    s = tw.build_scheme(tw.build_group("sym:8"))
+    oi = OrbitalIndex(s)
+    assert oi.total == burnside_orbital_count(s) == 27190
+    oi.validate_against_tensor(tw.intersection_numbers(s))
 
 
 def test_diag_pair_counts(stages):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import dense_rank_modp
+from conftest import dense_rank_modp, dihedral_table
+from orbit_oracle import BlockOracle
 
 import terwilliger as tw
 from terwilliger.fieldla import PRIME_HI, FieldCtx, RationalField, is_prime, modmul, sample_primes
@@ -268,12 +269,16 @@ def test_basis_rows_reproduce_ranks(stages):
         assert dense_rank_modp(mat.tolist(), mat.shape[1], p) == blk.rank == len(blk.rows)
 
 
-def _per_orbit_products(orbindex, target, nu, left, right, p):
-    """Reference: one contraction table C_t[a, b] per target orbit t."""
+def _per_orbit_products(orbindex, oracle, target, nu, left, right, p):
+    """Reference: one contraction table C_t[a, b] per target orbit t.
+
+    The orbits of (x_t, z) and (z, y_t) are read from the reference blocks,
+    not from the index's anchored rows.
+    """
     i, m = target
     px, py = orbindex.block_reps[target]
-    rows_a = orbindex.block_labels[(i, nu)][px, :]
-    cols_b = orbindex.block_labels[(nu, m)][:, py]
+    rows_a = oracle.labels(i, nu)[px, :]
+    cols_b = oracle.labels(nu, m)[:, py]
     ra, rb, rt = orbindex.r[(i, nu)], orbindex.r[(nu, m)], orbindex.r[target]
     out = np.empty((left.shape[0], right.shape[0], rt), dtype=np.int64)
     for t in range(rt):
@@ -281,20 +286,6 @@ def _per_orbit_products(orbindex, target, nu, left, right, p):
         ct = np.bincount(combined, minlength=ra * rb).reshape(ra, rb)
         out[:, :, t] = modmul(modmul(left % p, ct, p), right.T % p, p)
     return out
-
-
-def _dihedral_table(path, n):
-    """Cayley table of the dihedral group of order 2n: r^a s^e -> a + n*e."""
-    rows = []
-    for x in range(2 * n):
-        a, e = x % n, x // n
-        row = []
-        for y in range(2 * n):
-            b, f = y % n, y // n
-            row.append((a + (-b if e else b)) % n + n * ((e + f) % 2))
-        rows.append(" ".join(map(str, row)))
-    path.write_text(f"order {2 * n}\n" + "\n".join(rows) + "\n")
-    return path
 
 
 def _largest_prime_below(hi):
@@ -306,16 +297,16 @@ def _largest_prime_below(hi):
 
 def test_chain_products_match_per_orbit_loop(stages, q8_path, c3_path, tmp_path):
     schemes = [
-        (stages.scheme(4), stages.orbindex(4), stages.cpis(4)),
-        (stages.scheme(5), stages.orbindex(5), stages.cpis(5)),
+        (stages.scheme(4), stages.orbindex(4), stages.oracle(4), stages.cpis(4)),
+        (stages.scheme(5), stages.orbindex(5), stages.oracle(5), stages.cpis(5)),
     ]
-    for path in (q8_path, c3_path, _dihedral_table(tmp_path / "d5.txt", 5)):
+    for path in (q8_path, c3_path, dihedral_table(tmp_path / "d5.txt", 5)):
         s = tw.build_scheme(load_cayley_table(path))
-        schemes.append((s, OrbitalIndex(s), {}))
+        schemes.append((s, OrbitalIndex(s), BlockOracle(s), {}))
     rng = np.random.default_rng(7)
     primes = (sample_primes(31, 1)[0], _largest_prime_below(PRIME_HI))
     assert primes[1] < PRIME_HI
-    for s, oi, cpis in schemes:
+    for s, oi, oracle, cpis in schemes:
         nc = oi.n_classes
         closure = SwitchingClosure(s, oi, FieldCtx(primes[0]))
         for p in primes:
@@ -331,6 +322,6 @@ def test_chain_products_match_per_orbit_loop(stages, q8_path, c3_path, tmp_path)
                         pairs.append((v, v))
                 for left, right in pairs:
                     got = chain_products(oi, (i, m), nu, left, right, p)
-                    want = _per_orbit_products(oi, (i, m), nu, left, right, p)
+                    want = _per_orbit_products(oi, oracle, (i, m), nu, left, right, p)
                     assert got.shape == want.shape
                     assert np.array_equal(got, want), (s.group.name, i, nu, m, p)

@@ -123,15 +123,21 @@ def test_completeness(stages):
             assert completeness_defect(stages.cpis(n), oi, p) == 0
 
 
+def block_matrix_mod(e, oracle, c, p):
+    """Materialize the |C_c| x |C_c| block of an idempotent as residues mod p."""
+    return e.block_vector_mod(c, p)[oracle.labels(c, c)]
+
+
 def test_rank_equals_trace_times_degree(stages):
     # ambient block rank check against the exact trace formula
     for n in (4, 5):
         oi = stages.orbindex(n)
+        oracle = stages.oracle(n)
         p = stages.closure(n).primes[0]
         for e in stages.cpis(n).values():
             dims = module_block_dims(e, oi)
             for c, d in enumerate(dims):
-                block = e.block_matrix_mod(oi, c, p)
+                block = block_matrix_mod(e, oracle, c, p)
                 assert dense_rank_modp(block.tolist(), block.shape[1], p) == d * e.degree
 
 
@@ -141,7 +147,7 @@ def test_s4_idempotent_rank_example(stages):
     total = sum(Fraction(e.block_trace(oi, c)) for c in range(5))
     assert total == 6  # multiplicity 3 times degree 2
     p = stages.closure(4).primes[0]
-    blocks = [e.block_matrix_mod(oi, c, p) for c in range(5)]
+    blocks = [block_matrix_mod(e, stages.oracle(4), c, p) for c in range(5)]
     ranks = sum(dense_rank_modp(b.tolist(), b.shape[1], p) for b in blocks)
     assert ranks == 6
 
