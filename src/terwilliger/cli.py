@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import chars as chars_mod
 from . import orbitals as orb_mod
@@ -79,111 +80,82 @@ class Pipeline:
         self.progress = progress
         self.group = build_group(cfg.group)
         self.checks: dict[str, bool] = {}
-        self._scheme = None
-        self._orbindex = None
         #: orbit-counting-lemma total, computed with the orbit index
         self.burnside: int | None = None
-        self._closure = None
-        self._chartable = None
-        self._mults = None
-        self._centralizer = None
-        self._cpis = None
-        self._wedderburn = None
-        self._thinness = None
 
     # -- stages ------------------------------------------------------------
 
-    @property
+    @cached_property
     def scheme(self):
-        if self._scheme is None:
-            self._scheme = scheme_mod.build_scheme(self.group)
-        return self._scheme
+        return scheme_mod.build_scheme(self.group)
 
     @property
     def tensor(self):
         return scheme_mod.intersection_numbers(self.scheme)
 
-    @property
+    @cached_property
     def orbindex(self):
-        if self._orbindex is None:
-            self._orbindex = orb_mod.OrbitalIndex(self.scheme)
-            self._orbindex.validate_against_tensor(self.tensor)
-            self.burnside = orb_mod.burnside_orbital_count(self.scheme)
-            self.checks["burnside_equals_orbit_total"] = self.burnside == self._orbindex.total
-        return self._orbindex
+        oi = orb_mod.OrbitalIndex(self.scheme)
+        oi.validate_against_tensor(self.tensor)
+        self.burnside = orb_mod.burnside_orbital_count(self.scheme)
+        self.checks["burnside_equals_orbit_total"] = self.burnside == oi.total
+        return oi
 
-    @property
+    @cached_property
     def closure(self) -> sw_mod.ClosureResult:
-        if self._closure is None:
-            self._closure = sw_mod.run_to_stationary(
-                self.scheme,
-                self.orbindex,
-                seed=self.cfg.seed,
-                primes=self.cfg.primes or None,
-                bounds=self.orbindex.table(),
-                max_width=self.cfg.max_width,
-                progress=self.progress,
-            )
-            dim_t0 = self._closure.dim_t0
-            dim_t = self._closure.dim_t
-            tilde = self.orbindex.total
-            centr = scheme_mod.conj_centralizer_dim(self.scheme)
-            self.checks["sandwich_dims"] = dim_t0 <= dim_t <= tilde <= centr
-            final = self._closure.final_table
-            orbt = self.orbindex.table()
-            self.checks["blocks_within_orbit_bounds"] = all(
-                final.dims[a][b] <= orbt.dims[a][b]
-                for a in range(len(final.labels))
-                for b in range(len(final.labels))
-            )
-        return self._closure
+        res = sw_mod.run_to_stationary(
+            self.scheme,
+            self.orbindex,
+            seed=self.cfg.seed,
+            primes=self.cfg.primes or None,
+            max_width=self.cfg.max_width,
+            progress=self.progress,
+        )
+        tilde = self.orbindex.total
+        centr = scheme_mod.conj_centralizer_dim(self.scheme)
+        self.checks["sandwich_dims"] = res.dim_t0 <= res.dim_t <= tilde <= centr
+        final = res.final_table
+        orbt = self.orbindex.table()
+        self.checks["blocks_within_orbit_bounds"] = all(
+            final.dims[a][b] <= orbt.dims[a][b]
+            for a in range(len(final.labels))
+            for b in range(len(final.labels))
+        )
+        return res
 
     @property
     def is_symmetric_group(self) -> bool:
         return isinstance(self.group, SymmetricGroup) and self.group.n >= 3
 
-    @property
+    @cached_property
     def chartable(self):
-        if self._chartable is None:
-            self._chartable = chars_mod.char_table(self.group.n)
-        return self._chartable
+        return chars_mod.char_table(self.group.n)
 
-    @property
+    @cached_property
     def mults(self):
-        if self._mults is None:
-            pi = chars_mod.perm_char_H1(self.group, self.scheme.classes)
-            self._mults = chars_mod.multiplicities(pi, self.group.n)
-            total = sum(m * m for _, m in self._mults.nonzero())
-            self.checks["multiplicities_match_orbit_total"] = total == self.orbindex.total
-        return self._mults
+        pi = chars_mod.perm_char_H1(self.group, self.scheme.classes)
+        mults = chars_mod.multiplicities(pi, self.group.n)
+        total = sum(m * m for _, m in mults.nonzero())
+        self.checks["multiplicities_match_orbit_total"] = total == self.orbindex.total
+        return mults
 
-    @property
+    @cached_property
     def centralizer(self) -> chars_mod.CentralizerReport:
-        if self._centralizer is None:
-            self._centralizer = chars_mod.centralizer_wedderburn(self.mults)
-        return self._centralizer
+        return chars_mod.centralizer_wedderburn(self.mults)
 
-    @property
+    @cached_property
     def cpis(self):
-        if self._cpis is None:
-            builder = wed_mod.CpiBuilder(self.orbindex, self.chartable)
-            self._cpis = builder.build_all(self.mults)
-        return self._cpis
+        return wed_mod.CpiBuilder(self.orbindex, self.chartable).build_all(self.mults)
 
-    @property
+    @cached_property
     def wedderburn(self) -> wed_mod.WedderburnReport:
-        if self._wedderburn is None:
-            self._wedderburn = wed_mod.decompose_T(
-                self.closure, self.centralizer, self.cpis
-            )
-            self.checks["wedderburn_reconciled"] = self._wedderburn.reconciled
-        return self._wedderburn
+        wed = wed_mod.decompose_T(self.closure, self.centralizer, self.cpis)
+        self.checks["wedderburn_reconciled"] = wed.reconciled
+        return wed
 
-    @property
+    @cached_property
     def thinness(self) -> wed_mod.ThinReport:
-        if self._thinness is None:
-            self._thinness = wed_mod.thinness(self.cpis, self.orbindex)
-        return self._thinness
+        return wed_mod.thinness(self.cpis, self.orbindex)
 
     def conjecture(self) -> dict:
         if not self.is_symmetric_group:

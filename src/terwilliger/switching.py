@@ -21,6 +21,7 @@ groups.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -48,36 +49,35 @@ class PrimeDisagreement(ClosureError):
 class Block:
     """Fully reduced echelon state of one (i,k) block under one prime.
 
-    Each stored row has a 1 at its pivot and 0 at every other pivot, so a
-    vector's residual is one product with the rows (see `reduce`).
+    The block has `r` orbits, so at most `r` independent rows.  `pivots` is an
+    (r,) array and `rows`, `raw` are (r, r) arrays mod p, filled up to `rank`:
+    rows[s, pivots[t]] is 1 if s == t and 0 otherwise, and raw[:s+1] (the
+    candidates that grew the rank, reduced mod p only) spans the same space
+    as rows[:s+1].  A vector's residual is then one product with the rows (see
+    `reduce`).  `words` is the provenance of `raw`, kept by the caller.
     """
 
-    __slots__ = ("r", "p", "pivots", "rows", "raw", "words")
+    __slots__ = ("r", "p", "rank", "pivots", "rows", "raw", "words")
 
     def __init__(self, r: int, p: int):
         if p >= fieldla.PRIME_HI:
             raise ValueError(f"prime {p} is not below {fieldla.PRIME_HI}: int64 rows overflow")
         self.r = r
         self.p = p
-        self.pivots: list[int] = []
-        self.rows: list[np.ndarray] = []
-        self.raw: list[np.ndarray] = []
+        self.rank = 0
+        self.pivots = np.zeros(r, dtype=np.intp)
+        self.rows = np.zeros((r, r), dtype=np.int64)
+        self.raw = np.zeros((r, r), dtype=np.int64)
         self.words: list[Word] = []
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def insert_batch(
-        self, cands: np.ndarray, word_of, cap: int
-    ) -> list[int]:
-        """Insert candidate rows; return indices that grew rank."""
+    def insert_batch(self, cands: np.ndarray) -> list[int]:
+        """Insert candidate rows in order, up to `r`; return the indices that grew rank."""
         p = self.p
         residual = self.reduce(cands)
         grown: list[int] = []
         n = residual.shape[0]
         for idx in range(n):
-            if self.rank >= cap:
+            if self.rank == self.r:
                 break
             v = residual[idx]
             nz = np.nonzero(v)[0]
@@ -85,15 +85,14 @@ class Block:
                 continue
             piv = int(nz[0])
             v = v * pow(int(v[piv]), -1, p) % p
-            for other in self.rows:
-                c = int(other[piv])
-                if c:
-                    other -= c * v
-                    other %= p
-            self.pivots.append(piv)
-            self.rows.append(v)
-            self.raw.append(cands[idx] % p)
-            self.words.append(word_of(idx))
+            k = self.rank
+            col = self.rows[:k, piv]
+            if col.any():
+                self.rows[:k] = (self.rows[:k] - np.outer(col, v)) % p
+            self.rows[k] = v
+            self.pivots[k] = piv
+            self.raw[k] = cands[idx] % p
+            self.rank = k + 1
             grown.append(idx)
             if idx + 1 < n:
                 col = residual[idx + 1 :, piv]
@@ -108,10 +107,10 @@ class Block:
         """Residual of a vector, or of each row of a matrix, against the echelon rows."""
         p = self.p
         v = vecs % p
-        if self.pivots:
-            coeffs = v[..., self.pivots]
+        if self.rank:
+            coeffs = v[..., self.pivots[: self.rank]]
             if coeffs.any():
-                v = (v - modmul(coeffs, np.vstack(self.rows), p)) % p
+                v = (v - modmul(coeffs, self.rows[: self.rank], p)) % p
         return v
 
 
@@ -135,7 +134,7 @@ class SwitchingClosure:
             js = sorted(set(int(j) for j in rel))
             mat = np.stack([(rel == j).astype(np.int64) for j in js])
             self.gens[(i, k)] = (js, mat)
-        self.frontier: dict[tuple[int, int], list[int]] = {}
+        self.frontier: dict[tuple[int, int], range] = {}
         self.history: list[BlockDimTable] = []
 
     @property
@@ -147,36 +146,20 @@ class SwitchingClosure:
         dims = [[self.blocks[(i, k)].rank for k in range(nc)] for i in range(nc)]
         return BlockDimTable(labels=self.scheme.classes.label_strings(), dims=dims)
 
-    def _cap(self, key: tuple[int, int], bounds: BlockDimTable | None) -> int:
-        blk = self.blocks[key]
-        cap = blk.r
-        if bounds is not None:
-            i, k = key
-            labels = self.scheme.classes.label_strings()
-            declared = bounds.get(labels[i], labels[k])
-            if declared < blk.rank:
-                raise ClosureError(
-                    f"bound {declared} below observed rank {blk.rank} in block "
-                    f"({labels[i]},{labels[k]}): prime collision or bad bound"
-                )
-            cap = min(cap, declared)
-        return cap
-
-    def generate_t0(self, bounds: BlockDimTable | None = None) -> None:
+    def generate_t0(self) -> None:
         if self.level >= 0:
             raise ClosureError("level 0 already generated")
         for key in sorted(self.blocks, key=self._block_order):
             js, mat = self.gens[key]
             i, k = key
-            cap = self._cap(key, bounds)
-            grown = self.blocks[key].insert_batch(
-                mat, lambda idx: ((i, js[idx], k),), cap
-            )
+            blk = self.blocks[key]
+            grown = blk.insert_batch(mat)
             if len(grown) != len(js):
                 raise ClosureError(
                     f"length-1 generators of block {key} are not independent"
                 )
-            self.frontier[key] = list(range(len(grown)))
+            blk.words.extend(((i, js[idx], k),) for idx in grown)
+            self.frontier[key] = range(blk.rank)
         self.level = 0
         self.history.append(self.block_dims())
 
@@ -184,11 +167,7 @@ class SwitchingClosure:
         sizes = self.scheme.classes.sizes
         return (sizes[key[0]] * sizes[key[1]], key)
 
-    def extend_level(
-        self,
-        bounds: BlockDimTable | None = None,
-        progress=None,
-    ) -> dict[tuple[int, int], int]:
+    def extend_level(self, progress=None) -> dict[tuple[int, int], int]:
         """One closure step: frontier rows times length-1 generators."""
         if self.level < 0:
             raise ClosureError("generate level 0 first")
@@ -196,33 +175,30 @@ class SwitchingClosure:
         labels = self.scheme.classes.label_strings()
         start = time.monotonic()
         growth: dict[tuple[int, int], int] = {}
-        new_frontier: dict[tuple[int, int], list[int]] = {}
+        new_frontier: dict[tuple[int, int], range] = {}
         for key in sorted(self.blocks, key=self._block_order):
             i, m = key
             blk = self.blocks[key]
-            cap = self._cap(key, bounds)
             before = blk.rank
             for nu in range(nc):
-                if blk.rank >= cap:
+                if blk.rank == blk.r:
                     break
-                rows_idx = self.frontier.get((i, nu), [])
-                if not rows_idx:
+                # the previous level's rows only, even if (i,nu) grew this level
+                rows = self.frontier[(i, nu)]
+                if not rows:
                     continue
                 left_blk = self.blocks[(i, nu)]
-                left = np.stack([left_blk.raw[t] for t in rows_idx])
-                words = [left_blk.words[t] for t in rows_idx]
+                left = left_blk.raw[rows.start : rows.stop]
+                words = left_blk.words[rows.start : rows.stop]
                 js, gmat = self.gens[(nu, m)]
                 n2 = len(js)
                 cands = chain_products(
                     self.orbindex, key, nu, left, gmat, self.field.p
                 ).reshape(left.shape[0] * n2, blk.r)
-
-                def word_of(idx: int) -> Word:
-                    return words[idx // n2] + ((nu, js[idx % n2], m),)
-
-                blk.insert_batch(cands, word_of, cap)
+                for idx in blk.insert_batch(cands):
+                    blk.words.append(words[idx // n2] + ((nu, js[idx % n2], m),))
             growth[key] = blk.rank - before
-            new_frontier[key] = list(range(before, blk.rank))
+            new_frontier[key] = range(before, blk.rank)
             if progress is not None and growth[key]:
                 progress(
                     self.field.p,
@@ -326,13 +302,12 @@ def _run_once(
     scheme: ClassScheme,
     orbindex: OrbitalIndex,
     fieldctx: FieldCtx,
-    bounds: BlockDimTable | None,
     max_width: int,
     progress,
 ) -> tuple[SwitchingClosure, int]:
     closure = generate_T0(scheme, orbindex, fieldctx)
     for level in range(1, max_width + 2):
-        growth = closure.extend_level(bounds=bounds, progress=progress)
+        growth = closure.extend_level(progress=progress)
         if not any(growth.values()):
             return closure, level - 1
     raise ClosureError(f"closure still growing after max width {max_width}; aborting")
@@ -348,7 +323,12 @@ def run_to_stationary(
     max_width: int = 6,
     progress=None,
 ) -> ClosureResult:
-    """Close the chain under two primes and cross-check every level."""
+    """Close the chain under two primes and cross-check every level.
+
+    Each block grows up to its own orbit count.  `bounds`, if given, is only
+    checked, after the primes agree: a final block dimension above its bound
+    raises `ClosureError` naming the block.
+    """
     if max_width < 1:
         raise ValueError("max_width must be >= 1")
     if orbindex is None:
@@ -367,14 +347,21 @@ def run_to_stationary(
                     f"prime {p} is not below {fieldla.PRIME_HI}: int64 arithmetic "
                     "mod p would overflow"
                 )
-        c1, w1 = _run_once(scheme, orbindex, FieldCtx(pair[0]), bounds, max_width, progress)
-        c2, w2 = _run_once(scheme, orbindex, FieldCtx(pair[1]), bounds, max_width, progress)
+        c1, w1 = _run_once(scheme, orbindex, FieldCtx(pair[0]), max_width, progress)
+        c2, w2 = _run_once(scheme, orbindex, FieldCtx(pair[1]), max_width, progress)
         same = w1 == w2 and len(c1.history) == len(c2.history)
         if same:
             same = all(
                 t1.dims == t2.dims for t1, t2 in zip(c1.history, c2.history)
             )
         if same:
+            final = c1.history[-1]
+            for (a, la), (b, lb) in itertools.product(enumerate(final.labels), repeat=2):
+                if bounds is not None and final.dims[a][b] > bounds.get(la, lb):
+                    raise ClosureError(
+                        f"block ({la},{lb}) has dimension {final.dims[a][b]} "
+                        f"above its bound {bounds.get(la, lb)}"
+                    )
             return ClosureResult(
                 scheme=scheme,
                 orbindex=orbindex,

@@ -155,34 +155,6 @@ class CpiBuilder:
         return out
 
 
-def idempotent_defect(
-    e: CPIdem, other: CPIdem | None, orbindex: OrbitalIndex, p: int
-) -> int:
-    """Nonzero count of e*other - (e if same) mod p; 0 means the identity holds."""
-    bad = 0
-    for c in e.block_values:
-        u = e.block_vector_mod(c, p)[None, :]
-        v = (other if other is not None else e).block_vector_mod(c, p)[None, :]
-        prod = chain_products(orbindex, (c, c), c, u, v, p)[0, 0]
-        expected = u[0] if other is None else np.zeros_like(prod)
-        bad += int(np.count_nonzero((prod - expected) % p))
-    return bad
-
-
-def completeness_defect(
-    cpis: dict[SignedPartition, CPIdem], orbindex: OrbitalIndex, p: int
-) -> int:
-    """Nonzero count of (sum of idempotents) - identity mod p."""
-    bad = 0
-    for c in range(orbindex.n_classes):
-        total = np.zeros(orbindex.r[(c, c)], dtype=np.int64)
-        for e in cpis.values():
-            total = (total + e.block_vector_mod(c, p)) % p
-        ident = (orbindex.diag_pair_counts[c] > 0).astype(np.int64)
-        bad += int(np.count_nonzero((total - ident) % p))
-    return bad
-
-
 def module_block_dims(e: CPIdem, orbindex: OrbitalIndex) -> list[int]:
     """dim of each class slice of the irreducible module for e.
 
@@ -290,13 +262,12 @@ def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
         oi = closure.orbindex
         total = 0
         for (i, k), blk in closure.blocks.items():
-            if not blk.raw:
+            if not blk.rank:
                 continue
-            rows = np.stack(blk.raw)
             evec = e.block_vector_mod(k, p)[None, :]
-            prods = chain_products(oi, (i, k), k, rows, evec, p)[:, 0, :]
+            prods = chain_products(oi, (i, k), k, blk.raw[: blk.rank], evec, p)[:, 0, :]
             span = Block(blk.r, p)
-            span.insert_batch(prods, lambda idx: (), span.r)
+            span.insert_batch(prods)
             total += span.rank
         dims.append(total)
     if dims[0] != dims[1]:

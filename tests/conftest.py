@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import terwilliger as tw
@@ -12,8 +13,9 @@ from terwilliger.chars import (
     perm_char_H1,
 )
 from terwilliger.orbitals import OrbitalIndex
-from terwilliger.switching import run_to_stationary
-from terwilliger.wedderburn import CpiBuilder, decompose_T, thinness
+from terwilliger.partitions import SignedPartition
+from terwilliger.switching import chain_products, run_to_stationary
+from terwilliger.wedderburn import CPIdem, CpiBuilder, decompose_T, thinness
 
 from orbit_oracle import BlockOracle
 
@@ -164,6 +166,34 @@ def dense_rank_modp(rows, ncols, p):
         piv_row += 1
         rank += 1
     return rank
+
+
+def idempotent_defect(
+    e: CPIdem, other: CPIdem | None, orbindex: OrbitalIndex, p: int
+) -> int:
+    """Nonzero count of e*other - (e if same) mod p; 0 means the identity holds."""
+    bad = 0
+    for c in e.block_values:
+        u = e.block_vector_mod(c, p)[None, :]
+        v = (other if other is not None else e).block_vector_mod(c, p)[None, :]
+        prod = chain_products(orbindex, (c, c), c, u, v, p)[0, 0]
+        expected = u[0] if other is None else np.zeros_like(prod)
+        bad += int(np.count_nonzero((prod - expected) % p))
+    return bad
+
+
+def completeness_defect(
+    cpis: dict[SignedPartition, CPIdem], orbindex: OrbitalIndex, p: int
+) -> int:
+    """Nonzero count of (sum of idempotents) - identity mod p."""
+    bad = 0
+    for c in range(orbindex.n_classes):
+        total = np.zeros(orbindex.r[(c, c)], dtype=np.int64)
+        for e in cpis.values():
+            total = (total + e.block_vector_mod(c, p)) % p
+        ident = (orbindex.diag_pair_counts[c] > 0).astype(np.int64)
+        bad += int(np.count_nonzero((total - ident) % p))
+    return bad
 
 
 def record_acceptance(name: str, ok: bool) -> None:

@@ -20,7 +20,7 @@ from math import factorial
 
 import golden
 import terwilliger as tw
-from conftest import record_acceptance
+from conftest import completeness_defect, idempotent_defect, record_acceptance
 from terwilliger.chars import (
     centralizer_wedderburn,
     char_table,
@@ -36,9 +36,7 @@ from terwilliger.scheme import conj_centralizer_dim, dim_T0, verify_axioms
 from terwilliger.switching import run_to_stationary, triple_regularity
 from terwilliger.wedderburn import (
     CpiBuilder,
-    completeness_defect,
     decompose_T,
-    idempotent_defect,
     thinness,
 )
 

@@ -310,9 +310,10 @@ def test_t_times_e_prime_disagreement_exits_1(capsys, monkeypatch):
     p1, p2 = sample_primes(5, 2, avoid=1440)
 
     class RankOffBlock(sw_mod.Block):
-        @property
-        def rank(self):
-            return len(self.pivots) + (self.p == p2)
+        def __init__(self, r, p):
+            super().__init__(r, p)
+            # one phantom zero row under the second prime: every rank reads one higher
+            self.rank = int(p == p2)
 
     # dim(T*e) ranks through fresh Blocks made in the wedderburn module
     monkeypatch.setattr(wed_mod, "Block", RankOffBlock)

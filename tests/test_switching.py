@@ -12,6 +12,7 @@ from terwilliger.fieldla import PRIME_HI, FieldCtx, RationalField, is_prime, mod
 from terwilliger.groups import load_cayley_table
 from terwilliger.orbitals import OrbitalIndex
 from terwilliger.switching import (
+    Block,
     ClosureError,
     PrimeDisagreement,
     SwitchingClosure,
@@ -192,6 +193,13 @@ def test_bad_bounds_rejected(stages):
     bad.dims[3][3] = 1  # below the true block dimension
     with pytest.raises(ClosureError):
         run_to_stationary(s, oi, seed=0, bounds=bad)
+    # a bound equal to the block's T0 dimension, below its final dimension 4:
+    # the closure must not stop the block there and return a smaller dim T
+    bad = oi.table()
+    a = bad.labels.index("[3,1]")
+    bad.dims[a][a] = 3
+    with pytest.raises(ClosureError, match=r"\(\[3,1\],\[3,1\]\)"):
+        run_to_stationary(s, oi, seed=0, bounds=bad)
 
 
 def test_explicit_primes_and_determinism(stages):
@@ -263,10 +271,43 @@ def test_basis_rows_reproduce_ranks(stages):
     closure = stages.closure(4).closures[0]
     p = closure.field.p
     for key, blk in closure.blocks.items():
-        if not blk.raw:
-            continue
-        mat = np.stack(blk.raw) % p
-        assert dense_rank_modp(mat.tolist(), mat.shape[1], p) == blk.rank == len(blk.rows)
+        mat = blk.raw[: blk.rank]
+        assert dense_rank_modp(mat.tolist(), blk.r, p) == blk.rank == len(blk.words)
+
+
+def test_block_echelon_invariants():
+    # dependent rows, zero rows and more candidates than the block's r orbits
+    r = 7
+    p = sample_primes(29, 1)[0]
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, p, size=(4, r))
+    combos = rng.integers(0, p, size=(6, 4)) @ base % p
+    batches = [
+        np.vstack([base[:2], combos[:3], np.zeros((1, r), dtype=np.int64), base[2:]]),
+        np.vstack([combos[3:], rng.integers(0, p, size=(9, r))]),
+        rng.integers(0, p, size=(3, r)),
+    ]
+    blk = Block(r, p)
+    seen: list[list[int]] = []
+    for cands in batches:
+        want = []
+        for idx, row in enumerate(cands.tolist()):
+            before = dense_rank_modp(seen, r, p)
+            seen.append(row)
+            if dense_rank_modp(seen, r, p) > before:
+                want.append(idx)
+        start = blk.rank
+        grown = blk.insert_batch(cands)
+        assert grown == want
+        assert blk.rank == start + len(grown) == dense_rank_modp(seen, r, p)
+        for k, idx in enumerate(grown, start):
+            assert (blk.raw[k] == cands[idx] % p).all()
+        rows, piv = blk.rows[: blk.rank], blk.pivots[: blk.rank]
+        assert (rows[:, piv] == np.eye(blk.rank, dtype=np.int64)).all()
+        assert not blk.reduce(blk.raw[: blk.rank]).any()
+        assert (rows >= 0).all() and (rows < p).all()
+    # the last batch met a full block: it stops at r and grows nothing
+    assert blk.rank == r and grown == []
 
 
 def _per_orbit_products(orbindex, oracle, target, nu, left, right, p):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import dense_rank_modp
+from conftest import completeness_defect, dense_rank_modp, idempotent_defect
 
 import terwilliger as tw
 from terwilliger.groups import load_cayley_table
@@ -20,9 +20,7 @@ from terwilliger.wedderburn import (
     CpiBuilder,
     add_idempotents,
     algebra_times_idempotent_dim,
-    completeness_defect,
     cpi_membership,
-    idempotent_defect,
     module_block_dims,
     thinness,
 )
