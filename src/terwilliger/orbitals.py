@@ -97,6 +97,7 @@ class OrbitalIndex:
         self.block_rel: dict[tuple[int, int], np.ndarray] = {}
         self.r: dict[tuple[int, int], int] = {}
         self._columns: dict[tuple[tuple[int, int], int], np.ndarray] = {}
+        self._generator_tables: dict[tuple[tuple[int, int], int], np.ndarray] = {}
 
         every = np.arange(g.order)
         for i, x in enumerate(cls.representatives):
@@ -123,6 +124,11 @@ class OrbitalIndex:
                 self.r[(i, k)] = len(uniq)
 
         self.total = sum(self.r.values())
+        #: (i, k) -> the relations met in block (i, k), increasing: the order of
+        #: its length-1 generators and of the relation axis of generator tables
+        self.block_relations: dict[tuple[int, int], np.ndarray] = {
+            key: np.unique(rel) for key, rel in self.block_rel.items()
+        }
         self.diag_pair_counts: dict[int, np.ndarray] = {}
         for i in range(nc):
             # the diagonal of C_i x C_i is one orbit, that of (x_i, x_i)
@@ -136,8 +142,9 @@ class OrbitalIndex:
         Row t holds the labels over C_nu by position, with y_t the target's
         representative in C_m.  Conjugating by T^-1, T = transversal[z], moves
         z to x_nu, so the label is that of (x_nu, T^-1 y_t T) in the anchored
-        row.  Memoized in the narrowest dtype: every prime, closure level and
-        idempotent product asks for the same columns.
+        row.  Only the idempotent products read these (the closure reads
+        `generator_table`); memoized in the narrowest dtype, since both primes
+        ask for the same columns.
         """
         key = (target, nu)
         cols = self._columns.get(key)
@@ -153,6 +160,35 @@ class OrbitalIndex:
             cols = row[cls.pos_in_class[moved]].astype(narrow)
             self._columns[key] = cols
         return cols
+
+    def generator_table(self, target: tuple[int, int], nu: int) -> np.ndarray:
+        """Block (i, nu) contracted with the length-1 generators of block (nu, m).
+
+        K[a, c, t] = #{z in C_nu : orbit(x_i, z) = a, rel(z, y_t) = js[c]},
+        js = block_relations[(nu, m)] and y_t the representative of target
+        orbit t: structure constants of the coherent configuration (Higman,
+        1975).  They depend on neither the prime nor the closure level, so the
+        table is memoized, in the narrowest unsigned dtype holding its maximum.
+        """
+        key = (target, nu)
+        table = self._generator_tables.get(key)
+        if table is None:
+            table = self._count_generator_table(target, nu)
+            self._generator_tables[key] = table
+        return table
+
+    def _count_generator_table(self, target: tuple[int, int], nu: int) -> np.ndarray:
+        i, m = target
+        js = self.block_relations[(nu, m)]
+        ra, n_rel, rt = self.r[(i, nu)], len(js), self.r[target]
+        y = self.class_elems[m][self.block_reps[target][1]]
+        # every relation of a pair in block (nu, m) is in js
+        rel_index = np.zeros(self.n_classes, dtype=np.int64)
+        rel_index[js] = np.arange(n_rel)
+        c = rel_index[self.scheme.relation_of(self.class_elems[nu], y[:, None])]
+        bins = (self.block_labels[(i, nu)] * n_rel + c) * rt + np.arange(rt)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=ra * n_rel * rt)
+        return counts.astype(np.min_scalar_type(counts.max())).reshape(ra, n_rel, rt)
 
     def validate_against_tensor(self, t: IntersectionTensor) -> None:
         """Orbit sizes bucketed by relation must reproduce |C_k| * p_ij^k."""

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -169,6 +170,35 @@ def test_anchored_index_matches_block_oracle(stages, q8_path, c3_path, tmp_path)
         for c in range(oi.n_classes):
             diag = np.bincount(np.diagonal(oracle.labels(c, c)), minlength=oi.r[(c, c)])
             assert np.array_equal(oi.diag_pair_counts[c], diag), (s.group.name, c)
+
+
+def _counted_generator_table(s, oracle, i, nu, m):
+    """K[a, c, t] from oracle orbits and the relations of (z, y_t), z over C_nu."""
+    ei = [np.array(e, dtype=np.int64) for e in s.classes.elements]
+    js = sorted({int(j) for j in s.relation_of(ei[nu][0], ei[m])})
+    py = oracle.block(i, m).reps[1]
+    a = oracle.labels(i, nu)[0]
+    out = np.zeros((a.max() + 1, len(js), len(py)), dtype=np.int64)
+    for t, y in enumerate(ei[m][py]):
+        c = [js.index(j) for j in s.relation_of(ei[nu], y).tolist()]
+        np.add.at(out, (a, c, t), 1)
+    return out
+
+
+def test_generator_tables_match_counted_pairs(stages, q8_path, c3_path, tmp_path):
+    schemes = [(stages.scheme(n), stages.oracle(n)) for n in (3, 4, 5, 6)]
+    tables = [load_cayley_table(q8_path), load_cayley_table(c3_path)]
+    tables.append(load_cayley_table(dihedral_table(tmp_path / "d5.txt", 5)))
+    tables.append(_bench_table_group("psl2_11", 0))
+    schemes += [(s, BlockOracle(s)) for s in map(tw.build_scheme, tables)]
+    for s, oracle in schemes:
+        oi = OrbitalIndex(s)
+        nc = oi.n_classes
+        for i, nu, m in itertools.product(range(nc), repeat=3):
+            want = _counted_generator_table(s, oracle, i, nu, m)
+            got = oi.generator_table((i, m), nu)
+            assert np.array_equal(got, want), (s.group.name, i, nu, m)
+            assert got.dtype == np.min_scalar_type(want.max())
 
 
 def test_s8_orbit_index():

@@ -366,3 +366,55 @@ def test_chain_products_match_per_orbit_loop(stages, q8_path, c3_path, tmp_path)
                     want = _per_orbit_products(oi, oracle, (i, m), nu, left, right, p)
                     assert got.shape == want.shape
                     assert np.array_equal(got, want), (s.group.name, i, nu, m, p)
+                # the closure's products read the generator table of (nu, m)
+                for left, _ in pairs[:2]:
+                    got = chain_products(oi, (i, m), nu, left, None, p)
+                    want = chain_products(oi, (i, m), nu, left, closure.gens[(nu, m)][1], p)
+                    assert np.array_equal(got, want), (s.group.name, i, nu, m, p)
+
+
+def test_generator_products_reduce_counts_below_small_prime(stages):
+    # S5 generator tables hold counts up to 12, above the prime 7
+    oi = stages.orbindex(5)
+    closure = SwitchingClosure(stages.scheme(5), oi, FieldCtx(7))
+    assert max(int(oi.generator_table((i, m), nu).max()) for i, nu, m in
+               itertools.product(range(oi.n_classes), repeat=3)) > 7
+    for i, nu, m in itertools.product(range(oi.n_classes), repeat=3):
+        left = closure.gens[(i, nu)][1]
+        got = chain_products(oi, (i, m), nu, left, None, 7)
+        want = chain_products(oi, (i, m), nu, left, closure.gens[(nu, m)][1], 7)
+        assert np.array_equal(got, want), (i, nu, m)
+
+
+def test_closure_builds_each_generator_table_once(monkeypatch, stages):
+    s = stages.scheme(5)
+    oi = OrbitalIndex(s)
+    events = []
+    count = OrbitalIndex._count_generator_table
+    generate_t0 = SwitchingClosure.generate_t0
+
+    def counting(self, target, nu):
+        events.append(("build", (target, nu)))
+        return count(self, target, nu)
+
+    def announce(self):
+        events.append(("t0", self.field.p))
+        return generate_t0(self)
+
+    def no_columns(self, target, nu):
+        raise AssertionError("the closure read column labels")
+
+    monkeypatch.setattr(OrbitalIndex, "_count_generator_table", counting)
+    monkeypatch.setattr(SwitchingClosure, "generate_t0", announce)
+    monkeypatch.setattr(OrbitalIndex, "column_labels", no_columns)
+    res = run_to_stationary(s, oi, seed=0)
+    assert [e[0] for e in events].count("t0") == 2
+    second = events.index(("t0", res.primes[1]))
+    builds = [key for kind, key in events if kind == "build"]
+    assert builds and len(builds) == len(set(builds))
+    # no key is built twice over the levels, and the second prime builds none
+    assert all(kind == "t0" for kind, _ in events[second:])
+    assert res.final_table.dims == stages.closure(5).final_table.dims
+    assert (res.dim_t0, res.dim_t, res.width) == (
+        golden.DIMS[5]["t0"], golden.DIMS[5]["t"], golden.DIMS[5]["width"]
+    )
