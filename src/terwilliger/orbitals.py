@@ -77,7 +77,8 @@ class OrbitalIndex:
     Orbits of block (i, k) are numbered by their least position in the
     anchored row, so orbit t is represented by the pair of positions
     (block_reps[0][t], block_reps[1][t]) = (0, least position); the class
-    representatives are the least elements of their classes.
+    representatives are the least elements of their classes.  Orbit 0 of a
+    diagonal block (c, c) is therefore that of (x_c, x_c): the diagonal.
     """
 
     # `seed` is unused; bench/workloads.py still passes it, so it goes with
@@ -96,7 +97,6 @@ class OrbitalIndex:
         self.block_reps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.block_rel: dict[tuple[int, int], np.ndarray] = {}
         self.r: dict[tuple[int, int], int] = {}
-        self._columns: dict[tuple[tuple[int, int], int], np.ndarray] = {}
         self._generator_tables: dict[tuple[tuple[int, int], int], np.ndarray] = {}
 
         every = np.arange(g.order)
@@ -129,37 +129,6 @@ class OrbitalIndex:
         self.block_relations: dict[tuple[int, int], np.ndarray] = {
             key: np.unique(rel) for key, rel in self.block_rel.items()
         }
-        self.diag_pair_counts: dict[int, np.ndarray] = {}
-        for i in range(nc):
-            # the diagonal of C_i x C_i is one orbit, that of (x_i, x_i)
-            diag = np.zeros(self.r[(i, i)], dtype=np.int64)
-            diag[self.block_labels[(i, i)][0]] = cls.sizes[i]
-            self.diag_pair_counts[i] = diag
-
-    def column_labels(self, target: tuple[int, int], nu: int) -> np.ndarray:
-        """Orbit in block (nu, m) of (z, y_t), for every target orbit t and z in C_nu.
-
-        Row t holds the labels over C_nu by position, with y_t the target's
-        representative in C_m.  Conjugating by T^-1, T = transversal[z], moves
-        z to x_nu, so the label is that of (x_nu, T^-1 y_t T) in the anchored
-        row.  Only the idempotent products read these (the closure reads
-        `generator_table`); memoized in the narrowest dtype, since both primes
-        ask for the same columns.
-        """
-        key = (target, nu)
-        cols = self._columns.get(key)
-        if cols is None:
-            g = self.scheme.group
-            cls = self.scheme.classes
-            m = target[1]
-            y = self.class_elems[m][self.block_reps[target][1]]
-            t = cls.transversal[self.class_elems[nu]]
-            moved = g.mul(g.mul(g.inv(t), y[:, None]), t)
-            row = self.block_labels[(nu, m)]
-            narrow = np.min_scalar_type(self.r[(nu, m)] - 1)
-            cols = row[cls.pos_in_class[moved]].astype(narrow)
-            self._columns[key] = cols
-        return cols
 
     def generator_table(self, target: tuple[int, int], nu: int) -> np.ndarray:
         """Block (i, nu) contracted with the length-1 generators of block (nu, m).

@@ -6,11 +6,11 @@ its pair orbits, so the block of the algebra lives inside a space whose
 dimension is the block's orbit count.  Products are evaluated at one
 representative pair per orbit, one matmul per (target block, middle class),
 and ranks are tracked mod two independent primes below `fieldla.PRIME_HI`.
-The closure's right factors are always the length-1 generators, so their
+Every product has a length-1 generator as its right factor, so its
 contraction with the middle class is an integer table on the orbital index,
-counted once per (target block, middle class) and shared by both primes and
-every level; the idempotent products contract their right factor with one
-weighted bincount per row instead.
+counted once per (target block, middle class) and shared by both primes,
+every level and the idempotent products (which replay the accepted words,
+see `wedderburn.algebra_times_idempotent_dim`).
 
 Rank mod p is at most rank over Q, so the words a prime accepts are
 independent over Q and every dimension found is an exact lower bound.  The
@@ -195,9 +195,9 @@ class SwitchingClosure:
                 words = left_blk.words[rows.start : rows.stop]
                 js = self.gens[(nu, m)][0]
                 n2 = len(js)
-                cands = chain_products(
-                    self.orbindex, key, nu, left, None, self.field.p
-                ).reshape(left.shape[0] * n2, blk.r)
+                cands = chain_products(self.orbindex, key, nu, left, self.field.p).reshape(
+                    left.shape[0] * n2, blk.r
+                )
                 for idx in blk.insert_batch(cands):
                     blk.words.append(words[idx // n2] + ((nu, js[idx % n2], m),))
             growth[key] = blk.rank - before
@@ -221,51 +221,26 @@ def chain_products(
     target: tuple[int, int],
     nu: int,
     left: np.ndarray,
-    right: np.ndarray | None,
     p: int,
 ) -> np.ndarray:
-    """Products of orbit-constant blocks: (left in (i,nu)) x (right in (nu,m)).
+    """Products of orbit-constant blocks: (left in (i,nu)) x (generators of (nu,m)).
 
-    The product at target orbit t is the sum over z in C_nu of
-    L(x_i, z) * R(z, y_t), at the orbit's representative pair (x_i, y_t).
-    It is contracted[a, c, t] = sum of R_c(z, y_t) over the z with
-    orbit(x_i, z) = a, times `left`, in one matmul for every product.
-
-    `right=None` stands for the length-1 generators of block (nu, m), in the
-    order of `orbindex.block_relations[(nu, m)]`: the closure's products.
-    Their contraction is `OrbitalIndex.generator_table`, exact integer
-    counts memoized across primes and levels, reduced mod p here because an
-    explicit prime may be no larger than a count.  Explicit `right` rows (the
-    idempotent products) are folded in by one weighted bincount per row over
-    all (t, z) pairs, the orbit of (x_i, z) read from the anchored row of
-    block (i,nu) and that of (z, y_t) from `OrbitalIndex.column_labels`;
-    only this path needs its float sums to be exact, hence the class-size
-    guard.  Returns an (n_left, n_right, r_target) array mod p.
+    The right factors are the length-1 generators of block (nu, m), in the
+    order of `orbindex.block_relations[(nu, m)]`.  The product at target
+    orbit t is the sum over z in C_nu of L(x_i, z) * A_j(z, y_t), at the
+    orbit's representative pair (x_i, y_t): `left` times the counts
+    K[a, j, t] of `OrbitalIndex.generator_table`, in one matmul.  The counts
+    are exact integers memoized across primes, levels and callers, reduced
+    mod p here because an explicit prime may be no larger than a count.
+    Returns an (n_left, n_generators, r_target) array mod p.
     """
     if p >= fieldla.PRIME_HI:
         raise ValueError(f"prime {p} is not below {fieldla.PRIME_HI}: int64 products overflow")
-    i = target[0]
-    ra = orbindex.r[(i, nu)]
-    rt = orbindex.r[target]
-    n1 = left.shape[0]
-    if right is None:
-        contracted = orbindex.generator_table(target, nu).astype(np.int64) % p
-        n2 = contracted.shape[1]
-    else:
-        nz = orbindex.scheme.classes.sizes[nu]
-        # float64 bincount sums are exact: nz * (p - 1) < 2^25 * 2^28 = 2^53
-        if nz >= 1 << 25:
-            raise ValueError(f"class size {nz} too large for exact weighted products")
-        n2 = right.shape[0]
-        # bin of pair (t, z): t * ra + orbit(x_i, z)
-        bins = (orbindex.block_labels[(i, nu)] + (ra * np.arange(rt))[:, None]).ravel()
-        cols = orbindex.column_labels(target, nu)
-        right = right % p
-        contracted = np.empty((ra, n2, rt), dtype=np.int64)
-        for c in range(n2):
-            sums = np.bincount(bins, weights=right[c][cols].ravel(), minlength=rt * ra)
-            contracted[:, c, :] = sums.reshape(rt, ra).T.astype(np.int64) % p
-    return modmul(left % p, contracted.reshape(ra, n2 * rt), p).reshape(n1, n2, rt)
+    contracted = orbindex.generator_table(target, nu).astype(np.int64) % p
+    ra, n2, rt = contracted.shape
+    return modmul(left % p, contracted.reshape(ra, n2 * rt), p).reshape(
+        left.shape[0], n2, rt
+    )
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .chars import CentralizerReport, CharTable, char_table
 from .groups import ReconciliationError, SymmetricGroup, centralizer_elements, inversion_closed
 from .orbitals import OrbitalIndex
 from .partitions import SignedPartition
-from .switching import Block, ClosureResult, chain_products
+from .switching import Block, ClosureResult, Word, chain_products
 
 
 @dataclass
@@ -44,11 +44,8 @@ class CPIdem:
         return out
 
     def block_trace(self, orbindex: OrbitalIndex, c: int) -> Fraction:
-        counts = orbindex.diag_pair_counts[c]
-        return sum(
-            (v * int(n) for v, n in zip(self.block_values[c], counts)),
-            start=Fraction(0),
-        )
+        # the diagonal of C_c x C_c is orbit 0, that of (x_c, x_c)
+        return self.block_values[c][0] * orbindex.scheme.classes.sizes[c]
 
 
 def add_idempotents(label_a: CPIdem, label_b: CPIdem) -> CPIdem:
@@ -255,20 +252,43 @@ def cpi_membership(e: CPIdem, result: ClosureResult) -> bool:
 
 
 def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
-    """dim of (closed algebra) * e, blockwise, agreed under both primes."""
+    """dim of (closed algebra) * e, blockwise, agreed under both primes.
+
+    e is a sum of centrally primitive idempotents of the centralizer algebra,
+    which contains the closed algebra T, so T * e = e * T.  Block (i, m) of
+    e * T is spanned by e_i * w over the accepted words w of block (i, m),
+    e_i the (i, i) block of e.  Every accepted word is an accepted word of
+    some block (i, nu), or the empty word, times one length-1 generator of
+    (nu, m), so e_i * w = (e_i * prefix) * generator: the closure's own
+    generator products, replayed by word length from e_i, which stands in
+    for the empty word.
+    """
     dims = []
     for closure in result.closures:
         p = closure.field.p
         oi = closure.orbindex
         total = 0
-        for (i, k), blk in closure.blocks.items():
-            if not blk.rank:
+        for i in e.block_values:
+            times_e: dict[Word, np.ndarray] = {(): e.block_vector_mod(i, p)}
+            if not times_e[()].any():
                 continue
-            evec = e.block_vector_mod(k, p)[None, :]
-            prods = chain_products(oi, (i, k), k, blk.raw[: blk.rank], evec, p)[:, 0, :]
-            span = Block(blk.r, p)
-            span.insert_batch(prods)
-            total += span.rank
+            row = [closure.blocks[(i, m)] for m in range(oi.n_classes)]
+            # (length, m, nu) -> the accepted words of block (i, m) ending in
+            # a generator of (nu, m); shorter words first, so prefixes are ready
+            groups: dict[tuple[int, int, int], list[Word]] = {}
+            for m, blk in enumerate(row):
+                for w in blk.words:
+                    groups.setdefault((len(w), m, w[-1][0]), []).append(w)
+            for (_, m, nu), words in sorted(groups.items()):
+                left = np.stack([times_e[w[:-1]] for w in words])
+                js = [w[-1][1] for w in words]
+                cols = np.searchsorted(oi.block_relations[(nu, m)], js)
+                prods = chain_products(oi, (i, m), nu, left, p)
+                times_e.update(zip(words, prods[np.arange(len(words)), cols]))
+            for blk in row:
+                span = Block(blk.r, p)
+                span.insert_batch(np.stack([times_e[w] for w in blk.words]))
+                total += span.rank
         dims.append(total)
     if dims[0] != dims[1]:
         raise ReconciliationError(
@@ -328,7 +348,10 @@ def decompose_T(
     High-multiplicity characters transfer unchanged (the dimension-gap
     corollary); remaining member idempotents are sized by dim(T*e); the
     non-members are partitioned into minimal sums lying in T, each giving
-    one component.  The squared sizes must add up to dim T.
+    one component.  Every e here is a centrally primitive idempotent of the
+    centralizer algebra, or a sum of them, hence central in an algebra that
+    contains T, so T*e = e*T, which is how `algebra_times_idempotent_dim`
+    computes it.  The squared sizes must add up to dim T.
     """
     dim_t = result.dim_t
     dim_tilde = centralizer.dim

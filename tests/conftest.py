@@ -12,9 +12,10 @@ from terwilliger.chars import (
     multiplicities,
     perm_char_H1,
 )
+from terwilliger.fieldla import modmul
 from terwilliger.orbitals import OrbitalIndex
 from terwilliger.partitions import SignedPartition
-from terwilliger.switching import chain_products, run_to_stationary
+from terwilliger.switching import run_to_stationary
 from terwilliger.wedderburn import CPIdem, CpiBuilder, decompose_T, thinness
 
 from orbit_oracle import BlockOracle
@@ -168,15 +169,35 @@ def dense_rank_modp(rows, ncols, p):
     return rank
 
 
+def per_orbit_products(orbindex, oracle, target, nu, left, right, p):
+    """Reference: one contraction table C_t[a, b] per target orbit t.
+
+    `left` rows live in block (i, nu) and `right` rows in block (nu, m).  The
+    orbits of (x_t, z) and (z, y_t) are read from the reference blocks, not
+    from the index's anchored rows.
+    """
+    i, m = target
+    px, py = orbindex.block_reps[target]
+    rows_a = oracle.labels(i, nu)[px, :]
+    cols_b = oracle.labels(nu, m)[:, py]
+    ra, rb, rt = orbindex.r[(i, nu)], orbindex.r[(nu, m)], orbindex.r[target]
+    out = np.empty((left.shape[0], right.shape[0], rt), dtype=np.int64)
+    for t in range(rt):
+        combined = rows_a[t].astype(np.int64) * rb + cols_b[:, t]
+        ct = np.bincount(combined, minlength=ra * rb).reshape(ra, rb)
+        out[:, :, t] = modmul(modmul(left % p, ct, p), right.T % p, p)
+    return out
+
+
 def idempotent_defect(
-    e: CPIdem, other: CPIdem | None, orbindex: OrbitalIndex, p: int
+    e: CPIdem, other: CPIdem | None, orbindex: OrbitalIndex, oracle: BlockOracle, p: int
 ) -> int:
     """Nonzero count of e*other - (e if same) mod p; 0 means the identity holds."""
     bad = 0
     for c in e.block_values:
         u = e.block_vector_mod(c, p)[None, :]
         v = (other if other is not None else e).block_vector_mod(c, p)[None, :]
-        prod = chain_products(orbindex, (c, c), c, u, v, p)[0, 0]
+        prod = per_orbit_products(orbindex, oracle, (c, c), c, u, v, p)[0, 0]
         expected = u[0] if other is None else np.zeros_like(prod)
         bad += int(np.count_nonzero((prod - expected) % p))
     return bad
@@ -191,7 +212,9 @@ def completeness_defect(
         total = np.zeros(orbindex.r[(c, c)], dtype=np.int64)
         for e in cpis.values():
             total = (total + e.block_vector_mod(c, p)) % p
-        ident = (orbindex.diag_pair_counts[c] > 0).astype(np.int64)
+        # the identity is 1 on the diagonal, orbit 0, and 0 elsewhere
+        ident = np.zeros_like(total)
+        ident[0] = 1
         bad += int(np.count_nonzero((total - ident) % p))
     return bad
 

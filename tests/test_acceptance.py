@@ -21,6 +21,7 @@ from math import factorial
 import golden
 import terwilliger as tw
 from conftest import completeness_defect, idempotent_defect, record_acceptance
+from orbit_oracle import BlockOracle
 from terwilliger.chars import (
     centralizer_wedderburn,
     char_table,
@@ -416,9 +417,10 @@ def test_criterion_7_property_suite(q8_path, c3_path, trivial_path):
             ok = ok and completeness_defect(cpis, oi, p) == 0
         sps = sorted(cpis, key=lambda sp: sp.label())
         p0 = res.primes[0]
-        ok = ok and idempotent_defect(cpis[sps[0]], None, oi, p0) == 0
+        oracle = BlockOracle(s)
+        ok = ok and idempotent_defect(cpis[sps[0]], None, oi, oracle, p0) == 0
         if len(sps) > 1:
-            ok = ok and idempotent_defect(cpis[sps[0]], cpis[sps[1]], oi, p0) == 0
+            ok = ok and idempotent_defect(cpis[sps[0]], cpis[sps[1]], oi, oracle, p0) == 0
 
     elapsed = time.monotonic() - start
     _check("criterion-7 (property suite)", ok)

@@ -168,8 +168,8 @@ def test_anchored_index_matches_block_oracle(stages, q8_path, c3_path, tmp_path)
             rel = s.relation_of(ei[i][want.reps[0]], ei[k][want.reps[1]])
             assert np.array_equal(oi.block_rel[(i, k)], rel), where
         for c in range(oi.n_classes):
-            diag = np.bincount(np.diagonal(oracle.labels(c, c)), minlength=oi.r[(c, c)])
-            assert np.array_equal(oi.diag_pair_counts[c], diag), (s.group.name, c)
+            # the diagonal of C_c x C_c is orbit 0, the one block_trace reads
+            assert not np.diagonal(oracle.labels(c, c)).any(), (s.group.name, c)
 
 
 def _counted_generator_table(s, oracle, i, nu, m):
@@ -210,10 +210,15 @@ def test_s8_orbit_index():
 
 def test_diag_pair_counts(stages):
     oi = stages.orbindex(4)
+    oracle = stages.oracle(4)
     cls = stages.scheme(4).classes
     for c in range(cls.n_classes):
-        counts = oi.diag_pair_counts[c]
-        assert counts.sum() == cls.sizes[c]
+        # orbit 0 of a diagonal block holds exactly its |C_c| diagonal pairs
+        assert oi.block_counts[(c, c)][0] == cls.sizes[c]
+        assert np.count_nonzero(oracle.labels(c, c) == 0) == cls.sizes[c]
+        diag = np.diagonal(oracle.labels(c, c))
+        for e in stages.cpis(4).values():
+            assert e.block_trace(oi, c) == sum(e.block_values[c][t] for t in diag)
 
 
 def test_orbital_table_function(stages):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import dense_rank_modp, dihedral_table
+from conftest import dense_rank_modp, dihedral_table, per_orbit_products
 from orbit_oracle import BlockOracle
 
 import terwilliger as tw
-from terwilliger.fieldla import PRIME_HI, FieldCtx, RationalField, is_prime, modmul, sample_primes
+from terwilliger.fieldla import PRIME_HI, FieldCtx, RationalField, is_prime, sample_primes
 from terwilliger.groups import load_cayley_table
 from terwilliger.orbitals import OrbitalIndex
 from terwilliger.switching import (
@@ -310,25 +310,6 @@ def test_block_echelon_invariants():
     assert blk.rank == r and grown == []
 
 
-def _per_orbit_products(orbindex, oracle, target, nu, left, right, p):
-    """Reference: one contraction table C_t[a, b] per target orbit t.
-
-    The orbits of (x_t, z) and (z, y_t) are read from the reference blocks,
-    not from the index's anchored rows.
-    """
-    i, m = target
-    px, py = orbindex.block_reps[target]
-    rows_a = oracle.labels(i, nu)[px, :]
-    cols_b = oracle.labels(nu, m)[:, py]
-    ra, rb, rt = orbindex.r[(i, nu)], orbindex.r[(nu, m)], orbindex.r[target]
-    out = np.empty((left.shape[0], right.shape[0], rt), dtype=np.int64)
-    for t in range(rt):
-        combined = rows_a[t].astype(np.int64) * rb + cols_b[:, t]
-        ct = np.bincount(combined, minlength=ra * rb).reshape(ra, rb)
-        out[:, :, t] = modmul(modmul(left % p, ct, p), right.T % p, p)
-    return out
-
-
 def _largest_prime_below(hi):
     q = hi - 1
     while not is_prime(q):
@@ -338,51 +319,39 @@ def _largest_prime_below(hi):
 
 def test_chain_products_match_per_orbit_loop(stages, q8_path, c3_path, tmp_path):
     schemes = [
-        (stages.scheme(4), stages.orbindex(4), stages.oracle(4), stages.cpis(4)),
-        (stages.scheme(5), stages.orbindex(5), stages.oracle(5), stages.cpis(5)),
+        (stages.scheme(4), stages.orbindex(4), stages.oracle(4)),
+        (stages.scheme(5), stages.orbindex(5), stages.oracle(5)),
     ]
     for path in (q8_path, c3_path, dihedral_table(tmp_path / "d5.txt", 5)):
         s = tw.build_scheme(load_cayley_table(path))
-        schemes.append((s, OrbitalIndex(s), BlockOracle(s), {}))
+        schemes.append((s, OrbitalIndex(s), BlockOracle(s)))
     rng = np.random.default_rng(7)
     primes = (sample_primes(31, 1)[0], _largest_prime_below(PRIME_HI))
     assert primes[1] < PRIME_HI
-    for s, oi, oracle, cpis in schemes:
+    for s, oi, oracle in schemes:
         nc = oi.n_classes
         closure = SwitchingClosure(s, oi, FieldCtx(primes[0]))
         for p in primes:
             for i, nu, m in itertools.product(range(nc), repeat=3):
-                ra, rb = oi.r[(i, nu)], oi.r[(nu, m)]
-                pairs = [
-                    (rng.integers(0, p, (3, ra)), rng.integers(0, p, (4, rb))),
-                    (closure.gens[(i, nu)][1], closure.gens[(nu, m)][1]),
-                ]
-                if i == nu == m:
-                    for e in cpis.values():
-                        v = e.block_vector_mod(i, p)[None, :]
-                        pairs.append((v, v))
-                for left, right in pairs:
-                    got = chain_products(oi, (i, m), nu, left, right, p)
-                    want = _per_orbit_products(oi, oracle, (i, m), nu, left, right, p)
+                right = closure.gens[(nu, m)][1]
+                for left in (rng.integers(0, p, (3, oi.r[(i, nu)])), closure.gens[(i, nu)][1]):
+                    got = chain_products(oi, (i, m), nu, left, p)
+                    want = per_orbit_products(oi, oracle, (i, m), nu, left, right, p)
                     assert got.shape == want.shape
-                    assert np.array_equal(got, want), (s.group.name, i, nu, m, p)
-                # the closure's products read the generator table of (nu, m)
-                for left, _ in pairs[:2]:
-                    got = chain_products(oi, (i, m), nu, left, None, p)
-                    want = chain_products(oi, (i, m), nu, left, closure.gens[(nu, m)][1], p)
                     assert np.array_equal(got, want), (s.group.name, i, nu, m, p)
 
 
 def test_generator_products_reduce_counts_below_small_prime(stages):
     # S5 generator tables hold counts up to 12, above the prime 7
     oi = stages.orbindex(5)
+    oracle = stages.oracle(5)
     closure = SwitchingClosure(stages.scheme(5), oi, FieldCtx(7))
     assert max(int(oi.generator_table((i, m), nu).max()) for i, nu, m in
                itertools.product(range(oi.n_classes), repeat=3)) > 7
     for i, nu, m in itertools.product(range(oi.n_classes), repeat=3):
         left = closure.gens[(i, nu)][1]
-        got = chain_products(oi, (i, m), nu, left, None, 7)
-        want = chain_products(oi, (i, m), nu, left, closure.gens[(nu, m)][1], 7)
+        got = chain_products(oi, (i, m), nu, left, 7)
+        want = per_orbit_products(oi, oracle, (i, m), nu, left, closure.gens[(nu, m)][1], 7)
         assert np.array_equal(got, want), (i, nu, m)
 
 
@@ -401,12 +370,8 @@ def test_closure_builds_each_generator_table_once(monkeypatch, stages):
         events.append(("t0", self.field.p))
         return generate_t0(self)
 
-    def no_columns(self, target, nu):
-        raise AssertionError("the closure read column labels")
-
     monkeypatch.setattr(OrbitalIndex, "_count_generator_table", counting)
     monkeypatch.setattr(SwitchingClosure, "generate_t0", announce)
-    monkeypatch.setattr(OrbitalIndex, "column_labels", no_columns)
     res = run_to_stationary(s, oi, seed=0)
     assert [e[0] for e in events].count("t0") == 2
     second = events.index(("t0", res.primes[1]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import completeness_defect, dense_rank_modp, idempotent_defect
+from conftest import completeness_defect, dense_rank_modp, idempotent_defect, per_orbit_products
 
 import terwilliger as tw
 from terwilliger.groups import load_cayley_table
@@ -86,24 +86,24 @@ def test_trace_multiplicities_match_inner_products(stages):
 
 def test_idempotence_both_primes(stages):
     for n in (3, 4, 5):
-        oi = stages.orbindex(n)
+        oi, oracle = stages.orbindex(n), stages.oracle(n)
         primes = stages.closure(n).primes
         for e in stages.cpis(n).values():
             for p in primes:
-                assert idempotent_defect(e, None, oi, p) == 0
+                assert idempotent_defect(e, None, oi, oracle, p) == 0
 
 
 def test_pairwise_orthogonality_small(stages):
     for n in (3, 4):
-        oi = stages.orbindex(n)
+        oi, oracle = stages.orbindex(n), stages.oracle(n)
         p = stages.closure(n).primes[0]
         cpis = list(stages.cpis(n).values())
         for a, b in itertools.combinations(cpis, 2):
-            assert idempotent_defect(a, b, oi, p) == 0
+            assert idempotent_defect(a, b, oi, oracle, p) == 0
 
 
 def test_orthogonality_sampled_s6(stages):
-    oi = stages.orbindex(6)
+    oi, oracle = stages.orbindex(6), stages.oracle(6)
     p = stages.closure(6).primes[0]
     cpis = list(stages.cpis(6).values())
     import random
@@ -111,7 +111,7 @@ def test_orthogonality_sampled_s6(stages):
     rng = random.Random(4)
     for _ in range(8):
         a, b = rng.sample(cpis, 2)
-        assert idempotent_defect(a, b, oi, p) == 0
+        assert idempotent_defect(a, b, oi, oracle, p) == 0
 
 
 def test_completeness(stages):
@@ -242,6 +242,45 @@ def test_algebra_times_idempotent_full_blocks(stages):
         assert d == e.multiplicity**2
 
 
+def _right_times_e_dims(e, res, oracle):
+    """Per prime, the sum over blocks (i, k) of rank(T_ik rows * e_k), from the right."""
+    dims = []
+    for closure in res.closures:
+        p, oi = closure.field.p, closure.orbindex
+        total = 0
+        for (i, k), blk in closure.blocks.items():
+            ek = e.block_vector_mod(k, p)[None, :]
+            prods = per_orbit_products(oi, oracle, (i, k), k, blk.raw[: blk.rank], ek, p)
+            total += dense_rank_modp(prods[:, 0, :].tolist(), blk.r, p)
+        dims.append(total)
+    return dims
+
+
+def test_t_times_e_from_the_right_equals_replay(stages):
+    # e is central in the centralizer algebra, so T*e (right) = e*T (replayed words)
+    for n in (4, 5, 6):
+        res, oracle = stages.closure(n), stages.oracle(n)
+        idems = [e for e in stages.cpis(n).values() if cpi_membership(e, res)]
+        if n == 6:
+            cpis = stages.cpis(6)
+            for pair in golden.S6_MERGED_PAIRS:
+                a, b = (cpis[parse_signed_partition(label)] for label in sorted(pair))
+                idems.append(add_idempotents(a, b))
+        for e in idems:
+            d = algebra_times_idempotent_dim(e, res)
+            assert _right_times_e_dims(e, res, oracle) == [d, d], (n, e.label)
+        # the replay reads every word's prefix as an accepted word of (i, nu)
+        for closure in res.closures:
+            for (i, m), blk in closure.blocks.items():
+                for w in blk.words:
+                    nu, _, last = w[-1]
+                    assert w[0][0] == i and last == m
+                    if len(w) == 1:
+                        assert nu == i
+                    else:
+                        assert w[:-1] in closure.blocks[(i, nu)].words, (n, w)
+
+
 def test_merged_sum_is_idempotent(stages):
     oi = stages.orbindex(6)
     cpis = stages.cpis(6)
@@ -250,7 +289,7 @@ def test_merged_sum_is_idempotent(stages):
     b = cpis[parse_signed_partition("[2^2,1^2]+")]
     s = add_idempotents(a, b)
     assert s.multiplicity == 2
-    assert idempotent_defect(s, None, oi, p) == 0
+    assert idempotent_defect(s, None, oi, stages.oracle(6), p) == 0
 
 
 def test_pigeonhole_guard(stages):
