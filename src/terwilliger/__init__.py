@@ -20,7 +20,6 @@ from .chars import (
 from .groups import (
     ConjugacyData,
     GroupTable,
-    Permutation,
     SymmetricGroup,
     build_group,
     conjugacy_classes,
@@ -28,7 +27,7 @@ from .groups import (
     inversion_closed,
     load_cayley_table,
 )
-from .orbitals import OrbitalIndex, burnside_orbital_count, orbital_table
+from .orbitals import OrbitalIndex, burnside_orbital_count
 from .partitions import Partition, SignedPartition, class_size, partitions_of
 from .scheme import (
     ClassScheme,
@@ -42,7 +41,6 @@ from .scheme import (
 from .switching import (
     ClosureResult,
     SwitchingClosure,
-    run_matrix_closure,
     run_to_stationary,
     triple_regularity,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "IntersectionTensor",
     "OrbitalIndex",
     "Partition",
-    "Permutation",
     "SignedPartition",
     "SwitchingClosure",
     "SymmetricGroup",
@@ -95,11 +92,9 @@ __all__ = [
     "mn_character",
     "module_block_dims",
     "multiplicities",
-    "orbital_table",
     "partitions_of",
     "perm_char_H1",
     "row_sums",
-    "run_matrix_closure",
     "run_to_stationary",
     "scheme_eigenmatrix",
     "thinness",

@@ -237,9 +237,6 @@ class CentralizerReport:
     def dim(self) -> int:
         return sum(m * m for _, m in self.components)
 
-    def decomposition_string(self) -> str:
-        return " + ".join(f"M_{m}({sp.label()})" for sp, m in self.components)
-
 
 def centralizer_wedderburn(mv: MultiplicityVector) -> CentralizerReport:
     ordered = sorted(

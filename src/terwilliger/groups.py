@@ -1,4 +1,4 @@
-"""Finite groups: permutations, symmetric groups, Cayley-table groups, conjugacy."""
+"""Finite groups: symmetric groups, Cayley-table groups, conjugacy, cycle types."""
 
 from __future__ import annotations
 
@@ -31,36 +31,8 @@ class ReconciliationError(AssertionError):
         self.check = check
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {0,...,n-1} given by its image list."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation: {self.images}")
-
-    def __len__(self):
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self*other)(i) = self(other(i))."""
-        return Permutation(tuple(self.images[j] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-
-def cycle_type(p: Permutation | tuple[int, ...] | np.ndarray) -> Partition:
-    """Cycle type of a permutation, fixed points included as parts 1."""
-    images = p.images if isinstance(p, Permutation) else p
+def cycle_type(images: tuple[int, ...] | np.ndarray) -> Partition:
+    """Cycle type of a permutation's image array, fixed points included as parts 1."""
     seen = [False] * len(images)
     lengths = []
     for start in range(len(images)):

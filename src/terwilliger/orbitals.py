@@ -181,16 +181,6 @@ class OrbitalIndex:
         return BlockDimTable(labels=labels, dims=dims)
 
 
-def orbital_table(scheme_or_index: ClassScheme | OrbitalIndex) -> BlockDimTable:
-    """Counts of stabilizer orbits on C_mu x C_lam, per ordered class pair."""
-    index = (
-        scheme_or_index
-        if isinstance(scheme_or_index, OrbitalIndex)
-        else OrbitalIndex(scheme_or_index)
-    )
-    return index.table()
-
-
 def burnside_orbital_count(s: ClassScheme) -> int:
     """Orbit count on pairs via the orbit-counting lemma: avg of fix(h)^2.
 

@@ -17,10 +17,6 @@ independent over Q and every dimension found is an exact lower bound.  The
 upper bound is not proved: it rests on the two primes agreeing, since the
 Q-span of the accepted words could in principle fail to be closed while
 their span mod p is closed.
-
-A literal matrix engine over the ambient |C_i| x |C_k| coordinates (built on
-the sparse field primitives) is kept as an independent oracle for small
-groups.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fieldla
-from .fieldla import FieldCtx, RankTracker, modmul, restrict_block, sample_primes, spmm, vectorize
+from .fieldla import FieldCtx, modmul, sample_primes
 from .orbitals import OrbitalIndex
 from .scheme import ClassScheme, conj_centralizer_dim, dim_T0, intersection_numbers
 from .tables import BlockDimTable
@@ -80,7 +76,8 @@ class Block:
         residual = self.reduce(cands)
         grown: list[int] = []
         n = residual.shape[0]
-        for idx in range(n):
+        # a row already in the span stays zero under the updates below
+        for idx in np.flatnonzero(residual.any(axis=1)).tolist():
             if self.rank == self.r:
                 break
             v = residual[idx]
@@ -333,13 +330,9 @@ def run_to_stationary(
         for p in pair:
             if avoid % p == 0:
                 raise ValueError(f"prime {p} divides twice the group order")
-            if p >= fieldla.PRIME_HI:
-                raise ValueError(
-                    f"prime {p} is not below {fieldla.PRIME_HI}: int64 arithmetic "
-                    "mod p would overflow"
-                )
-        c1, w1 = _run_once(scheme, orbindex, FieldCtx(pair[0]), max_width, progress)
-        c2, w2 = _run_once(scheme, orbindex, FieldCtx(pair[1]), max_width, progress)
+        f1, f2 = FieldCtx(pair[0]), FieldCtx(pair[1])
+        c1, w1 = _run_once(scheme, orbindex, f1, max_width, progress)
+        c2, w2 = _run_once(scheme, orbindex, f2, max_width, progress)
         same = w1 == w2 and len(c1.history) == len(c2.history)
         if same:
             same = all(
@@ -383,95 +376,3 @@ def triple_regularity(result: ClosureResult) -> TripleRegularity:
     if transitive and not regular:
         raise AssertionError("triply transitive requires triply regular")
     return TripleRegularity(triply_regular=regular, triply_transitive=transitive)
-
-
-class MatrixClosure:
-    """Reference engine over ambient coordinates (independent oracle).
-
-    Tracks each block in the flattened |C_i|*|C_k| space with sparse
-    echelon trackers; feasible for the small symmetric groups only.
-    """
-
-    def __init__(self, scheme: ClassScheme, fieldctx: FieldCtx | fieldla.RationalField):
-        self.scheme = scheme
-        self.field = fieldctx
-        cls = scheme.classes
-        nc = cls.n_classes
-        self.trackers = {
-            (i, k): RankTracker(cls.sizes[i] * cls.sizes[k], fieldctx)
-            for i in range(nc)
-            for k in range(nc)
-        }
-        self.basis_mats: dict[tuple[int, int], list] = {
-            key: [] for key in self.trackers
-        }
-        self.frontier: dict[tuple[int, int], list] = {}
-        self.gen_mats: dict[tuple[int, int], list[tuple[int, object]]] = {}
-        self.level = -1
-        self.history: list[BlockDimTable] = []
-        tensor = intersection_numbers(scheme)
-        for i in range(nc):
-            for k in range(nc):
-                gens = []
-                for j in range(nc):
-                    if tensor.get(i, j, k):
-                        gens.append((j, restrict_block(scheme, i, j, k)))
-                self.gen_mats[(i, k)] = gens
-
-    def block_dims(self) -> BlockDimTable:
-        nc = self.scheme.classes.n_classes
-        dims = [[self.trackers[(i, k)].rank for k in range(nc)] for i in range(nc)]
-        return BlockDimTable(labels=self.scheme.classes.label_strings(), dims=dims)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(t.rank for t in self.trackers.values())
-
-    def generate_t0(self) -> None:
-        for key, gens in sorted(self.gen_mats.items()):
-            new = []
-            for _, mat in gens:
-                if self.trackers[key].insert(vectorize(mat)):
-                    self.basis_mats[key].append(mat)
-                    new.append(mat)
-            self.frontier[key] = new
-        self.level = 0
-        self.history.append(self.block_dims())
-
-    def extend_level(self) -> int:
-        nc = self.scheme.classes.n_classes
-        grown_total = 0
-        new_frontier: dict[tuple[int, int], list] = {
-            key: [] for key in self.trackers
-        }
-        for i in range(nc):
-            for m in range(nc):
-                key = (i, m)
-                for nu in range(nc):
-                    for left in self.frontier.get((i, nu), []):
-                        for _, gen in self.gen_mats[(nu, m)]:
-                            prod = spmm(left, gen, self.field)
-                            if prod.is_zero():
-                                continue
-                            if self.trackers[key].insert(vectorize(prod)):
-                                self.basis_mats[key].append(prod)
-                                new_frontier[key].append(prod)
-                                grown_total += 1
-        self.frontier = new_frontier
-        self.level += 1
-        self.history.append(self.block_dims())
-        return grown_total
-
-
-def run_matrix_closure(
-    scheme: ClassScheme,
-    fieldctx: FieldCtx | fieldla.RationalField,
-    max_width: int = 6,
-) -> tuple[MatrixClosure, int]:
-    """Reference stationary closure; returns the engine and the width."""
-    closure = MatrixClosure(scheme, fieldctx)
-    closure.generate_t0()
-    for level in range(1, max_width + 2):
-        if closure.extend_level() == 0:
-            return closure, level - 1
-    raise ClosureError(f"reference closure did not stabilize within {max_width}")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -143,6 +146,19 @@ def dihedral_table(path, n):
         rows.append(" ".join(map(str, row)))
     path.write_text(f"order {2 * n}\n" + "\n".join(rows) + "\n")
     return path
+
+
+def bench_cayley():
+    """The benchmark's Cayley-table builder, `bench/cayley.py`, loaded once."""
+
+    def build():
+        path = Path(__file__).resolve().parents[1] / "bench" / "cayley.py"
+        spec = importlib.util.spec_from_file_location("bench_cayley", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return _memo("bench_cayley", build)
 
 
 def dense_rank_modp(rows, ncols, p):

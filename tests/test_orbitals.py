@@ -1,25 +1,19 @@
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import numpy as np
 
 import golden
 import terwilliger as tw
-from conftest import dihedral_table
+from conftest import bench_cayley, dihedral_table
 from orbit_oracle import BlockOracle, build_h1_action, element_orbit_count
 from terwilliger.groups import CayleyGroup, load_cayley_table
-from terwilliger.orbitals import OrbitalIndex, burnside_orbital_count, orbital_table
-
-BENCH_CAYLEY = Path(__file__).resolve().parents[1] / "bench" / "cayley.py"
+from terwilliger.orbitals import OrbitalIndex, burnside_orbital_count
 
 
 def _bench_table_group(name: str, seed: int) -> CayleyGroup:
     """One of the benchmark's Cayley-table groups, relabelled as it does for `seed`."""
-    spec = importlib.util.spec_from_file_location("bench_cayley", BENCH_CAYLEY)
-    cayley = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cayley)
+    cayley = bench_cayley()
     table = cayley.cayley_table(cayley.TABLE_GROUPS[name])
     table = cayley.relabel(table, random.Random(f"cayley:{name}:{seed}"))
     return CayleyGroup(table, name=name)
@@ -219,9 +213,3 @@ def test_diag_pair_counts(stages):
         diag = np.diagonal(oracle.labels(c, c))
         for e in stages.cpis(4).values():
             assert e.block_trace(oi, c) == sum(e.block_values[c][t] for t in diag)
-
-
-def test_orbital_table_function(stages):
-    t1 = orbital_table(stages.orbindex(4))
-    t2 = orbital_table(stages.scheme(4))
-    assert t1.dims == t2.dims

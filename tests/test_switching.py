@@ -5,10 +5,11 @@ import pytest
 
 import golden
 from conftest import dense_rank_modp, dihedral_table, per_orbit_products
+from oracle import PrimeField, RationalField, run_matrix_closure
 from orbit_oracle import BlockOracle
 
 import terwilliger as tw
-from terwilliger.fieldla import PRIME_HI, FieldCtx, RationalField, is_prime, sample_primes
+from terwilliger.fieldla import PRIME_HI, FieldCtx, is_prime, sample_primes
 from terwilliger.groups import load_cayley_table
 from terwilliger.orbitals import OrbitalIndex
 from terwilliger.switching import (
@@ -18,7 +19,6 @@ from terwilliger.switching import (
     SwitchingClosure,
     chain_products,
     generate_T0,
-    run_matrix_closure,
     run_to_stationary,
     triple_regularity,
 )
@@ -240,7 +240,7 @@ def test_matrix_engine_matches_fast_engine(stages):
     for n in (3, 4, 5):
         fast = stages.closure(n)
         ref, width = run_matrix_closure(
-            stages.scheme(n), FieldCtx(sample_primes(23, 1)[0])
+            stages.scheme(n), PrimeField(sample_primes(23, 1)[0])
         )
         assert width == fast.width
         assert len(ref.history) == len(fast.tables)
