@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import chars as chars_mod
@@ -18,25 +16,9 @@ from .groups import ReconciliationError, SymmetricGroup, build_group, inversion_
 from .partitions import Partition
 from .tables import BlockDimTable, render_cells
 
-ENV_PREFIX = "TERWILLIGER_"
-
 
 class UsageError(ValueError):
     """Bad flag combination or group/format mismatch."""
-
-
-def _env(name: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
-@dataclass
-class RunConfig:
-    group: str
-    primes: tuple[int, ...] = ()
-    seed: int = 0
-    max_width: int = 6
-    fmt: str = "md"
-    blocks: str | None = None
 
 
 def _split_blocks(spec: str) -> list[str]:
@@ -73,12 +55,12 @@ def _filter_table(table: BlockDimTable, blocks: str | None) -> BlockDimTable:
 class Pipeline:
     """Lazy pipeline over one group; every stage is computed once."""
 
-    def __init__(self, cfg: RunConfig, progress=None):
-        if len(cfg.primes) not in (0, 2):
+    def __init__(self, args: argparse.Namespace, progress=None):
+        if len(args.prime or ()) not in (0, 2):
             raise UsageError("--prime is given twice or not at all")
-        self.cfg = cfg
+        self.args = args
         self.progress = progress
-        self.group = build_group(cfg.group)
+        self.group = build_group(args.group)
         self.checks: dict[str, bool] = {}
         #: orbit-counting-lemma total, computed with the orbit index
         self.burnside: int | None = None
@@ -106,9 +88,8 @@ class Pipeline:
         res = sw_mod.run_to_stationary(
             self.scheme,
             self.orbindex,
-            seed=self.cfg.seed,
-            primes=self.cfg.primes or None,
-            max_width=self.cfg.max_width,
+            seed=self.args.seed,
+            primes=tuple(self.args.prime) if self.args.prime else None,
             progress=self.progress,
         )
         tilde = self.orbindex.total
@@ -176,12 +157,12 @@ class Pipeline:
 # -- rendering ---------------------------------------------------------------
 
 
-def _print_table(table: BlockDimTable, fmt: str, corner: str = "") -> str:
+def _print_table(table: BlockDimTable, fmt: str) -> str:
     if fmt == "json":
         return table.to_json() + "\n"
     if fmt == "csv":
         return table.to_csv()
-    return table.to_markdown(corner=corner)
+    return table.to_markdown()
 
 
 def _growth_sections(pipe: Pipeline, fmt: str) -> list[str]:
@@ -194,12 +175,12 @@ def _growth_sections(pipe: Pipeline, fmt: str) -> list[str]:
         out.append(f"Growth at level {lvl} (base+growth):\n")
         if fmt == "md":
             out.append(
-                _filter_table(base, pipe.cfg.blocks).growth_markdown(
-                    _filter_table(new, pipe.cfg.blocks), corner=f"T{lvl}"
+                _filter_table(base, pipe.args.blocks).growth_markdown(
+                    _filter_table(new, pipe.args.blocks), corner=f"T{lvl}"
                 )
             )
         else:
-            out.append(_print_table(_filter_table(new, pipe.cfg.blocks), fmt))
+            out.append(_print_table(_filter_table(new, pipe.args.blocks), fmt))
     return out
 
 
@@ -218,7 +199,7 @@ def cmd_scheme(pipe: Pipeline) -> str:
         "conj_centralizer_dim": scheme_mod.conj_centralizer_dim(s),
         "axioms": {"ok": axioms.ok, "violations": axioms.violations},
     }
-    if pipe.cfg.fmt == "json":
+    if pipe.args.fmt == "json":
         return json.dumps(info, indent=2) + "\n"
     lines = [f"{k}: {v}" for k, v in info.items() if k != "axioms"]
     lines.append(f"axioms: {'ok' if axioms.ok else axioms.violations}")
@@ -231,7 +212,7 @@ def cmd_characters(pipe: Pipeline) -> str:
     table = pipe.chartable
     sums = chars_mod.row_sums(table)
     eig = chars_mod.scheme_eigenmatrix(pipe.group.n)
-    if pipe.cfg.fmt == "json":
+    if pipe.args.fmt == "json":
         return (
             json.dumps(
                 {
@@ -266,7 +247,7 @@ def cmd_centralizer(pipe: Pipeline) -> str:
     table = pipe.orbindex.table()
     burn = pipe.burnside
     out = []
-    if pipe.cfg.fmt == "json":
+    if pipe.args.fmt == "json":
         payload = {
             "table": json.loads(table.to_json()),
             "total": pipe.orbindex.total,
@@ -279,7 +260,7 @@ def cmd_centralizer(pipe: Pipeline) -> str:
             payload["dim"] = pipe.centralizer.dim
         return json.dumps(payload, indent=2) + "\n"
     out.append("Centralizer-algebra block dimensions (orbit counts):\n")
-    out.append(_print_table(_filter_table(table, pipe.cfg.blocks), pipe.cfg.fmt))
+    out.append(_print_table(_filter_table(table, pipe.args.blocks), pipe.args.fmt))
     out.append(f"\ntotal: {pipe.orbindex.total}\norbit-counting check: {burn}\n")
     if pipe.is_symmetric_group:
         out.append(
@@ -293,7 +274,7 @@ def cmd_centralizer(pipe: Pipeline) -> str:
 def cmd_terwilliger(pipe: Pipeline) -> str:
     res = pipe.closure
     flags = sw_mod.triple_regularity(res)
-    if pipe.cfg.fmt == "json":
+    if pipe.args.fmt == "json":
         return (
             json.dumps(
                 {
@@ -318,9 +299,9 @@ def cmd_terwilliger(pipe: Pipeline) -> str:
         f"triply regular: {flags.triply_regular}, "
         f"triply transitive: {flags.triply_transitive}\n",
         "\nFinal block dimension table:\n",
-        _print_table(_filter_table(res.final_table, pipe.cfg.blocks), pipe.cfg.fmt),
+        _print_table(_filter_table(res.final_table, pipe.args.blocks), pipe.args.fmt),
     ]
-    out.extend(_growth_sections(pipe, pipe.cfg.fmt))
+    out.extend(_growth_sections(pipe, pipe.args.fmt))
     return "".join(out)
 
 
@@ -328,7 +309,7 @@ def cmd_wedderburn(pipe: Pipeline) -> str:
     if not pipe.is_symmetric_group:
         raise UsageError("the Wedderburn pipeline needs a symmetric group (>= 3)")
     rep = pipe.wedderburn
-    if pipe.cfg.fmt == "json":
+    if pipe.args.fmt == "json":
         return (
             json.dumps(
                 {
@@ -355,7 +336,7 @@ def cmd_thinness(pipe: Pipeline) -> str:
     if not pipe.is_symmetric_group:
         raise UsageError("thinness reports need a symmetric group (>= 3)")
     rep = pipe.thinness
-    if pipe.cfg.fmt == "json":
+    if pipe.args.fmt == "json":
         return rep.to_json() + "\n"
     lines = ["label dim thin block_dims"]
     for e in rep.entries:
@@ -367,7 +348,7 @@ def cmd_thinness(pipe: Pipeline) -> str:
 
 def cmd_conjecture(pipe: Pipeline) -> str:
     data = pipe.conjecture()
-    if pipe.cfg.fmt == "json":
+    if pipe.args.fmt == "json":
         return json.dumps(data, indent=2) + "\n"
     return (
         f"n={data['n']} block {data['block']}: "
@@ -383,7 +364,7 @@ def cmd_report(pipe: Pipeline) -> str:
         sections.append(cmd_thinness(pipe))
         sections.append(cmd_conjecture(pipe))
     checks = dict(sorted(pipe.checks.items()))
-    if pipe.cfg.fmt == "json":
+    if pipe.args.fmt == "json":
         merged = {}
         names = ["scheme", "centralizer", "terwilliger"]
         if pipe.is_symmetric_group:
@@ -391,7 +372,7 @@ def cmd_report(pipe: Pipeline) -> str:
         for name, body in zip(names, sections):
             merged[name] = json.loads(body)
         merged["checks"] = checks
-        merged["seed"] = pipe.cfg.seed
+        merged["seed"] = pipe.args.seed
         return json.dumps(merged, indent=2) + "\n"
     sections.append(
         "Reconciliation checks:\n"
@@ -418,19 +399,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="terwilliger",
         description=(
             "Terwilliger algebras of conjugacy-class association schemes: "
-            "dimensions, block tables, Wedderburn decompositions, thinness. "
-            f"Flags may also be set via {ENV_PREFIX}* environment variables."
+            "dimensions, block tables, Wedderburn decompositions, thinness."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument(
-            "--group",
-            default=_env("GROUP"),
-            required=_env("GROUP") is None,
-            help="group descriptor: sym:N or file:PATH",
-        )
+        p.add_argument("--group", required=True, help="group descriptor: sym:N or file:PATH")
         p.add_argument(
             "--prime",
             action="append",
@@ -438,33 +413,15 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="explicit working prime (give it twice or not at all)",
         )
-        p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-        p.add_argument("--max-width", type=int, default=int(_env("MAX_WIDTH", "6")))
-        p.add_argument(
-            "--format",
-            choices=["md", "csv", "json"],
-            default=_env("FORMAT", "md"),
-            dest="fmt",
-        )
-        p.add_argument("--blocks", default=_env("BLOCKS"))
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=["md", "csv", "json"], default="md", dest="fmt")
+        p.add_argument("--blocks")
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    primes_env = _env("PRIME")
-    primes = tuple(args.prime) if args.prime else ()
-    if not primes and primes_env:
-        primes = tuple(int(tok) for tok in primes_env.split(",") if tok)
-    cfg = RunConfig(
-        group=args.group,
-        primes=primes,
-        seed=args.seed,
-        max_width=args.max_width,
-        fmt=args.fmt,
-        blocks=args.blocks,
-    )
 
     def progress(prime, level, block, rank, elapsed):
         print(
@@ -474,9 +431,9 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     try:
-        pipe = Pipeline(cfg, progress=None if args.quiet else progress)
+        pipe = Pipeline(args, progress=None if args.quiet else progress)
         text = COMMANDS[args.command](pipe)
-    except (ReconciliationError, sw_mod.PrimeDisagreement) as exc:
+    except ReconciliationError as exc:
         print(f"error[{args.command}]: check {exc.check} failed: {exc}", file=sys.stderr)
         return 1
     except (sw_mod.ClosureError, AssertionError, ValueError, OSError) as exc:

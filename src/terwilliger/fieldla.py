@@ -45,18 +45,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def sample_primes(
-    seed: int,
-    count: int = 2,
-    avoid: int = 1,
-    lo: int = PRIME_LO,
-    hi: int = PRIME_HI,
-) -> tuple[int, ...]:
-    """Sample distinct primes in [lo, hi) not dividing `avoid`, seeded."""
+def sample_primes(seed: int, count: int = 2, avoid: int = 1) -> tuple[int, ...]:
+    """Sample distinct primes in [PRIME_LO, PRIME_HI) not dividing `avoid`, seeded."""
     rng = random.Random(f"primes:{seed}")
     out: list[int] = []
     while len(out) < count:
-        c = rng.randrange(lo | 1, hi, 2)
+        c = rng.randrange(PRIME_LO | 1, PRIME_HI, 2)
         if c in out or not is_prime(c):
             continue
         if avoid % c == 0:

@@ -101,11 +101,11 @@ def subgroup_generators(g: GroupTable, members: np.ndarray) -> list[int]:
 class SymmetricGroup(GroupTable):
     """S_n with elements indexed by the lexicographic rank of their image tuple."""
 
-    def __init__(self, n: int, max_n: int = MAX_SYMMETRIC_N):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n > max_n:
-            raise ValueError(f"symmetric({n}) exceeds the configured maximum {max_n}")
+        if n > MAX_SYMMETRIC_N:
+            raise ValueError(f"symmetric({n}) exceeds the maximum {MAX_SYMMETRIC_N}")
         self.n = n
         self.order = factorial(n)
         self.name = f"S{n}"
@@ -295,16 +295,14 @@ class ConjugacyData:
         return [f"c{i}" for i in range(self.n_classes)]
 
 
-def conjugacy_classes(g: GroupTable, gens: list[int] | None = None) -> ConjugacyData:
+def conjugacy_classes(g: GroupTable) -> ConjugacyData:
     """Orbit partition of G under conjugation.
 
-    Orbits are expanded breadth-first from a generating set (O(|G|*|gens|));
-    pass gens explicitly to override the group's own choice.
+    Orbits are expanded breadth-first from the group's generating set
+    `g.generators()`, in O(|G|*|gens|).
     """
-    if gens is None:
-        gens = g.generators()
     n = g.order
-    gens = np.asarray(gens, dtype=np.intp)
+    gens = np.asarray(g.generators(), dtype=np.intp)
     conj = g.conjugate(gens[:, None], np.arange(n))  # conj[j, x] = s_j x s_j^-1
     raw = np.full(n, -1, dtype=np.intp)
     # t with t * start * t^-1 = x, where start is the root of x's search

@@ -39,10 +39,6 @@ class IntersectionTensor:
     entries: dict[tuple[int, int, int], int]
     n_classes: int
 
-    @property
-    def d(self) -> int:
-        return self.n_classes - 1
-
     def get(self, i: int, j: int, k: int) -> int:
         return self.entries.get((i, j, k), 0)
 

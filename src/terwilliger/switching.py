@@ -29,6 +29,7 @@ import numpy as np
 
 from . import fieldla
 from .fieldla import FieldCtx, modmul, sample_primes
+from .groups import ReconciliationError
 from .orbitals import OrbitalIndex
 from .scheme import ClassScheme, conj_centralizer_dim, dim_T0, intersection_numbers
 from .tables import BlockDimTable
@@ -38,12 +39,6 @@ Word = tuple[tuple[int, int, int], ...]
 
 class ClosureError(RuntimeError):
     pass
-
-
-class PrimeDisagreement(ClosureError):
-    """The two working primes produced different dimension tables."""
-
-    check = "two_prime_agreement"
 
 
 class Block:
@@ -227,13 +222,14 @@ def chain_products(
     orbit t is the sum over z in C_nu of L(x_i, z) * A_j(z, y_t), at the
     orbit's representative pair (x_i, y_t): `left` times the counts
     K[a, j, t] of `OrbitalIndex.generator_table`, in one matmul.  The counts
-    are exact integers memoized across primes, levels and callers, reduced
-    mod p here because an explicit prime may be no larger than a count.
+    are exact integers memoized across primes, levels and callers and are
+    not reduced mod p: each is at most |C_nu| < PRIME_HI, so `modmul`'s int64
+    bound holds as it does for residues, and it reduces the product.
     Returns an (n_left, n_generators, r_target) array mod p.
     """
     if p >= fieldla.PRIME_HI:
         raise ValueError(f"prime {p} is not below {fieldla.PRIME_HI}: int64 products overflow")
-    contracted = orbindex.generator_table(target, nu).astype(np.int64) % p
+    contracted = orbindex.generator_table(target, nu).astype(np.int64)
     ra, n2, rt = contracted.shape
     return modmul(left % p, contracted.reshape(ra, n2 * rt), p).reshape(
         left.shape[0], n2, rt
@@ -267,10 +263,6 @@ class ClosureResult:
     def final_table(self) -> BlockDimTable:
         return self.tables[-1]
 
-    @property
-    def basis(self) -> SwitchingClosure:
-        return self.closures[0]
-
 
 def generate_T0(
     scheme: ClassScheme, orbindex: OrbitalIndex, fieldctx: FieldCtx
@@ -290,15 +282,14 @@ def _run_once(
     scheme: ClassScheme,
     orbindex: OrbitalIndex,
     fieldctx: FieldCtx,
-    max_width: int,
     progress,
 ) -> tuple[SwitchingClosure, int]:
     closure = generate_T0(scheme, orbindex, fieldctx)
-    for level in range(1, max_width + 2):
-        growth = closure.extend_level(progress=progress)
-        if not any(growth.values()):
-            return closure, level - 1
-    raise ClosureError(f"closure still growing after max width {max_width}; aborting")
+    # terminates: each level before the last raises the total rank, which the
+    # orbit total bounds
+    while any(closure.extend_level(progress=progress).values()):
+        pass
+    return closure, closure.level - 1
 
 
 def run_to_stationary(
@@ -308,17 +299,18 @@ def run_to_stationary(
     seed: int = 0,
     primes: tuple[int, int] | None = None,
     bounds: BlockDimTable | None = None,
-    max_width: int = 6,
     progress=None,
 ) -> ClosureResult:
     """Close the chain under two primes and cross-check every level.
 
-    Each block grows up to its own orbit count.  `bounds`, if given, is only
-    checked, after the primes agree: a final block dimension above its bound
-    raises `ClosureError` naming the block.
+    Each prime extends level by level until a level adds nothing; each block
+    grows up to its own orbit count.  The two primes must agree on every
+    level's table, else a fresh sampled pair is tried once and a second
+    disagreement (or any disagreement under explicit primes) raises
+    `ReconciliationError("two_prime_agreement", ...)`.  `bounds`, if given,
+    is only checked, after the primes agree: a final block dimension above
+    its bound raises `ClosureError` naming the block.
     """
-    if max_width < 1:
-        raise ValueError("max_width must be >= 1")
     if orbindex is None:
         orbindex = OrbitalIndex(scheme)
     avoid = 2 * scheme.group.order
@@ -331,8 +323,8 @@ def run_to_stationary(
             if avoid % p == 0:
                 raise ValueError(f"prime {p} divides twice the group order")
         f1, f2 = FieldCtx(pair[0]), FieldCtx(pair[1])
-        c1, w1 = _run_once(scheme, orbindex, f1, max_width, progress)
-        c2, w2 = _run_once(scheme, orbindex, f2, max_width, progress)
+        c1, w1 = _run_once(scheme, orbindex, f1, progress)
+        c2, w2 = _run_once(scheme, orbindex, f2, progress)
         same = w1 == w2 and len(c1.history) == len(c2.history)
         if same:
             same = all(
@@ -356,7 +348,8 @@ def run_to_stationary(
             )
         attempts += 1
         if primes is not None or attempts >= 2:
-            raise PrimeDisagreement(
+            raise ReconciliationError(
+                "two_prime_agreement",
                 f"dimension tables disagree under primes {pair}"
                 + ("; a fresh prime pair also disagreed" if attempts >= 2 else "")
             )

@@ -188,12 +188,6 @@ class ThinEntry:
 class ThinReport:
     entries: list[ThinEntry]
 
-    def flag(self, sp: SignedPartition) -> bool:
-        for entry in self.entries:
-            if entry.label == sp:
-                return entry.thin
-        raise KeyError(str(sp))
-
     def to_json(self) -> str:
         return json.dumps(
             [
@@ -322,9 +316,6 @@ class WedderburnReport:
     def reconciled(self) -> bool:
         return self.total_dim == self.dim_t
 
-    def sizes(self) -> list[int]:
-        return [c.size for c in self.components if c.size is not None]
-
     def to_json(self) -> str:
         return json.dumps(
             [{"labels": c.label_strings(), "size": c.size} for c in self.components]
@@ -351,13 +342,17 @@ def decompose_T(
     one component.  Every e here is a centrally primitive idempotent of the
     centralizer algebra, or a sum of them, hence central in an algebra that
     contains T, so T*e = e*T, which is how `algebra_times_idempotent_dim`
-    computes it.  The squared sizes must add up to dim T.
+    computes it.  The squared sizes must add up to dim T.  A failed check
+    raises `ReconciliationError` naming it.
     """
     dim_t = result.dim_t
     dim_tilde = centralizer.dim
     delta = dim_tilde - dim_t
     if delta < 0:
-        raise AssertionError("closed algebra larger than its centralizer bound")
+        raise ReconciliationError(
+            "dim_t_within_centralizer",
+            f"closed algebra dim {dim_t} exceeds its centralizer bound {dim_tilde}",
+        )
 
     members: list[SignedPartition] = []
     non_members: list[SignedPartition] = []
@@ -370,8 +365,9 @@ def decompose_T(
         if 2 * m - 1 > delta:
             # the gap corollary forces T*e = centralizer block of e
             if not in_t:
-                raise AssertionError(
-                    f"{sp} must lie in T by the dimension-gap corollary"
+                raise ReconciliationError(
+                    "dimension_gap_membership",
+                    f"{sp} must lie in T by the dimension-gap corollary",
                 )
             members.append(sp)
             components.append(WedderburnComponent((sp,), m, m * m))
@@ -436,16 +432,18 @@ def _merge_non_members(
             ms = {pending[idx][1] for idx in combo}
             size_guess = isqrt(d)
             if size_guess * size_guess != d or (len(ms) == 1 and d != pending[combo[0]][1] ** 2):
-                raise AssertionError(
+                raise ReconciliationError(
+                    "merged_component_dimension",
                     f"merged idempotent {[str(pending[i][0]) for i in combo]} has "
-                    f"irregular dimension {d}"
+                    f"irregular dimension {d}",
                 )
             labels = tuple(pending[idx][0] for idx in combo)
             out.append(WedderburnComponent(labels, size_guess, d))
             remaining = [idx for idx in remaining if idx not in combo]
     if remaining:
-        raise AssertionError(
+        raise ReconciliationError(
+            "non_member_partition",
             "non-member idempotents could not be partitioned into sums lying "
-            f"in the algebra: {[str(pending[i][0]) for i in remaining]}"
+            f"in the algebra: {[str(pending[i][0]) for i in remaining]}",
         )
     return out

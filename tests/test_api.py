@@ -1,14 +1,35 @@
-import terwilliger as tw
-from terwilliger import chars, groups, orbitals, switching
+import ast
+import inspect
+from pathlib import Path
 
-# names removed from the library: nothing in it used them, and the ambient
-# reference engine is a test oracle (tests/oracle.py)
+import terwilliger as tw
+from terwilliger import chars, cli, fieldla, groups, orbitals, scheme, switching, wedderburn
+
+# names removed from the library: nothing in it used them, the ambient
+# reference engine is a test oracle (tests/oracle.py), a run is set by flags
+# alone, and a failed two-prime check is a ReconciliationError
 REMOVED = (
     (groups, "Permutation"),
     (orbitals, "orbital_table"),
     (switching, "run_matrix_closure"),
     (switching, "MatrixClosure"),
     (chars.CentralizerReport, "decomposition_string"),
+    (switching, "PrimeDisagreement"),
+    (cli, "RunConfig"),
+    (cli, "ENV_PREFIX"),
+    (switching.ClosureResult, "basis"),
+    (wedderburn.WedderburnReport, "sizes"),
+    (wedderburn.ThinReport, "flag"),
+    (scheme.IntersectionTensor, "d"),
+)
+
+# parameters removed because no caller set them
+REMOVED_PARAMETERS = (
+    (switching.run_to_stationary, "max_width"),
+    (groups.conjugacy_classes, "gens"),
+    (groups.SymmetricGroup, "max_n"),
+    (fieldla.sample_primes, "lo"),
+    (fieldla.sample_primes, "hi"),
 )
 
 
@@ -20,3 +41,37 @@ def test_public_api():
         assert name not in tw.__all__
         assert not hasattr(tw, name), name
         assert not hasattr(owner, name), name
+
+
+def test_removed_parameters():
+    for fn, name in REMOVED_PARAMETERS:
+        assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            # an attribute chain a.b.c reads its root a as a Name
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parent.parent
+    files = sorted((root / "src" / "terwilliger").glob("*.py")) + sorted(
+        (root / "tests").glob("*.py")
+    )
+    assert [hit for path in files for hit in _unused_imports(path)] == []

@@ -9,7 +9,6 @@ from terwilliger.chars import (
     char_table,
     hook_length_dim,
     mn_character,
-    multiplicities,
     perm_char_H1,
     row_sums,
     scheme_eigenmatrix,

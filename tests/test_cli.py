@@ -12,6 +12,7 @@ from terwilliger import switching as sw_mod
 from terwilliger import wedderburn as wed_mod
 from terwilliger.cli import _split_blocks, main
 from terwilliger.fieldla import sample_primes
+from terwilliger.groups import ReconciliationError
 from terwilliger.scheme import IntersectionTensor
 from terwilliger.wedderburn import WedderburnReport
 
@@ -266,7 +267,7 @@ def test_multiplicity_ledger_exits_1(capsys, monkeypatch):
 
 def test_prime_disagreement_exits_1(capsys, monkeypatch):
     def disagree(*args, **kwargs):
-        raise sw_mod.PrimeDisagreement("dimension tables disagree")
+        raise ReconciliationError("two_prime_agreement", "dimension tables disagree")
 
     monkeypatch.setattr(sw_mod, "run_to_stationary", disagree)
     code, out, err = run_cli(capsys, "terwilliger", "--group", "sym:4", "--quiet")
@@ -327,6 +328,21 @@ def test_t_times_e_prime_disagreement_exits_1(capsys, monkeypatch):
     assert "dim(T*e)" in err
 
 
+def test_merged_component_dimension_exits_1(capsys, monkeypatch):
+    t_times_e = wed_mod.algebra_times_idempotent_dim
+
+    def one_too_many(e, result):
+        # at S6 only the three merged non-member sums are sized, each dim 1
+        return t_times_e(e, result) + 1
+
+    monkeypatch.setattr(wed_mod, "algebra_times_idempotent_dim", one_too_many)
+    code, out, err = run_cli(capsys, "wedderburn", "--group", "sym:6", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "merged_component_dimension" in err
+    assert "irregular dimension 2" in err
+
+
 def test_cpi_trace_ledger_exits_1(capsys, monkeypatch):
     build = wed_mod.CpiBuilder.build
 
@@ -342,19 +358,13 @@ def test_cpi_trace_ledger_exits_1(capsys, monkeypatch):
     assert "cpi_trace_multiplicity" in err
 
 
-def test_env_overrides(capsys, monkeypatch):
-    monkeypatch.setenv("TERWILLIGER_GROUP", "sym:3")
-    monkeypatch.setenv("TERWILLIGER_FORMAT", "json")
-    code, out, _ = run_cli(capsys, "scheme", "--quiet")
-    assert code == 0
-    assert json.loads(out)["order"] == 6
-
-
 def test_bounds_flag_removed():
-    # blocks are always capped at their orbit counts, so there is no switch
-    with pytest.raises(SystemExit) as exc:
-        main(["report", "--group", "sym:3", "--bounds", "on"])
-    assert exc.value.code == 2
+    # blocks are always capped at their orbit counts, and the closure stops at
+    # the first level that adds nothing, so neither needs a switch
+    for flag in (["--bounds", "on"], ["--max-width", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--group", "sym:3", *flag])
+        assert exc.value.code == 2
 
 
 def test_bad_group_errors(capsys):

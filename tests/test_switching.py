@@ -10,12 +10,11 @@ from orbit_oracle import BlockOracle
 
 import terwilliger as tw
 from terwilliger.fieldla import PRIME_HI, FieldCtx, is_prime, sample_primes
-from terwilliger.groups import load_cayley_table
+from terwilliger.groups import ReconciliationError, load_cayley_table
 from terwilliger.orbitals import OrbitalIndex
 from terwilliger.switching import (
     Block,
     ClosureError,
-    PrimeDisagreement,
     SwitchingClosure,
     chain_products,
     generate_T0,
@@ -222,9 +221,20 @@ def test_explicit_primes_and_determinism(stages):
         generate_T0(s, oi, FieldCtx(2**31 - 1))
 
 
-def test_max_width_exceeded(stages):
-    with pytest.raises(ValueError):
-        run_to_stationary(stages.scheme(4), stages.orbindex(4), max_width=0)
+def test_prime_disagreement_names_check(monkeypatch, stages):
+    s = stages.scheme(4)
+    primes = sample_primes(19, 2, avoid=48)
+    block_dims = SwitchingClosure.block_dims
+
+    def block_dims_off_under_second_prime(self):
+        table = block_dims(self)
+        table.dims[0][0] += self.field.p == primes[1]
+        return table
+
+    monkeypatch.setattr(SwitchingClosure, "block_dims", block_dims_off_under_second_prime)
+    with pytest.raises(ReconciliationError, match="disagree") as exc:
+        run_to_stationary(s, stages.orbindex(4), primes=primes)
+    assert exc.value.check == "two_prime_agreement"
 
 
 def test_two_prime_runs_agree(stages):

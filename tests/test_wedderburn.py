@@ -1,7 +1,6 @@
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import golden
@@ -12,7 +11,6 @@ from terwilliger.groups import load_cayley_table
 from terwilliger.orbitals import OrbitalIndex
 from terwilliger.partitions import (
     SignedPartition,
-    parse_partition,
     parse_signed_partition,
     partitions_of,
 )
@@ -22,7 +20,6 @@ from terwilliger.wedderburn import (
     algebra_times_idempotent_dim,
     cpi_membership,
     module_block_dims,
-    thinness,
 )
 
 
