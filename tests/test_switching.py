@@ -228,7 +228,8 @@ def test_prime_disagreement_names_check(monkeypatch, stages):
 
     def block_dims_off_under_second_prime(self):
         table = block_dims(self)
-        table.dims[0][0] += self.field.p == primes[1]
+        if self.field.p == primes[1]:
+            table.dims[0][0] += 1
         return table
 
     monkeypatch.setattr(SwitchingClosure, "block_dims", block_dims_off_under_second_prime)
