@@ -28,7 +28,7 @@ def hook_length_dim(lam: Partition) -> int:
         for j in range(p):
             num, rem = divmod(num, p - j + conj[j] - i - 1)
             if rem:
-                raise AssertionError("hook length formula did not divide")
+                raise ReconciliationError("hook_length_formula", f"{lam}: hooks do not divide n!")
     return num
 
 
@@ -86,11 +86,13 @@ def char_table(n: int) -> CharTable:
     order = factorial(n)
     for a, ra in enumerate(values):
         if ra[0] != hook_length_dim(rows[a]):
-            raise AssertionError(f"degree mismatch for {rows[a]}")
+            raise ReconciliationError("character_degrees", f"degree mismatch for {rows[a]}")
         for b, rb in enumerate(values):
             dot = sum(s * x * y for s, x, y in zip(sizes, ra, rb))
             if dot != (order if a == b else 0):
-                raise AssertionError(f"row orthogonality fails at ({rows[a]},{rows[b]})")
+                raise ReconciliationError(
+                    "character_orthogonality", f"row orthogonality fails at ({rows[a]},{rows[b]})"
+                )
     return CharTable(n=n, row_labels=rows, col_labels=cols, values=values)
 
 
@@ -100,7 +102,7 @@ def row_sums(table: CharTable) -> dict[Partition, int]:
     for lam, row in zip(table.row_labels, table.values):
         s = sum(row)
         if s <= 0:
-            raise AssertionError(f"non-positive row sum {s} for {lam}")
+            raise ReconciliationError("positive_row_sums", f"non-positive row sum {s} for {lam}")
         out[lam] = s
     return out
 
@@ -127,12 +129,14 @@ def scheme_eigenmatrix(n: int) -> Eigenmatrix:
         for size, chi in zip(sizes, row):
             q = Fraction(chi * size, f)
             if q.denominator != 1:
-                raise AssertionError(f"non-integral eigenvalue at ({lam})")
+                raise ReconciliationError(
+                    "integral_eigenvalues", f"non-integral eigenvalue at ({lam})"
+                )
             entries.append(int(q))
         values.append(entries)
         mults.append(f * f)
     if sum(mults) != factorial(n):
-        raise AssertionError("sum of squared degrees != n!")
+        raise ReconciliationError("squared_degrees_sum", "sum of squared degrees != n!")
     return Eigenmatrix(
         n=n,
         row_labels=table.row_labels,
@@ -195,17 +199,17 @@ def multiplicities(pi: PermChar, n: int) -> MultiplicityVector:
             for size, c, fp, fm in zip(sizes, chi, pi.plus_values, pi.minus_values):
                 total += size * c * (fp + sign * fm)
             m, rem = divmod(total, order2)
-            if rem:
-                raise AssertionError(f"non-integer multiplicity for {lam} sign {sign}")
-            if m < 0:
-                raise AssertionError(f"negative multiplicity for {lam} sign {sign}")
+            if rem or m < 0:
+                raise ReconciliationError(
+                    _LEDGER, f"multiplicity {Fraction(total, order2)} for {lam} sign {sign}"
+                )
             values[SignedPartition(lam, sign)] = m
     mv = MultiplicityVector(n=n, values=values)
     _validate_multiplicities(mv, table)
     return mv
 
 
-#: check name of the multiplicity ledger below
+#: check name of the multiplicity ledgers, here and in `multiplicities`
 _LEDGER = "multiplicity_ledger"
 
 

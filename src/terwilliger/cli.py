@@ -155,14 +155,12 @@ class Pipeline:
 
 
 # -- rendering ---------------------------------------------------------------
+# Each command returns (payload, text): its `--format json` value and its
+# md/csv rendering.  `report` merges the payloads and joins the texts.
 
 
 def _print_table(table: BlockDimTable, fmt: str) -> str:
-    if fmt == "json":
-        return table.to_json() + "\n"
-    if fmt == "csv":
-        return table.to_csv()
-    return table.to_markdown()
+    return table.to_csv() if fmt == "csv" else table.to_markdown()
 
 
 def _growth_sections(pipe: Pipeline, fmt: str) -> list[str]:
@@ -184,7 +182,7 @@ def _growth_sections(pipe: Pipeline, fmt: str) -> list[str]:
     return out
 
 
-def cmd_scheme(pipe: Pipeline) -> str:
+def cmd_scheme(pipe: Pipeline) -> tuple[dict, str]:
     s = pipe.scheme
     axioms = scheme_mod.verify_axioms(s)
     pipe.checks["scheme_axioms"] = axioms.ok
@@ -199,40 +197,31 @@ def cmd_scheme(pipe: Pipeline) -> str:
         "conj_centralizer_dim": scheme_mod.conj_centralizer_dim(s),
         "axioms": {"ok": axioms.ok, "violations": axioms.violations},
     }
-    if pipe.args.fmt == "json":
-        return json.dumps(info, indent=2) + "\n"
     lines = [f"{k}: {v}" for k, v in info.items() if k != "axioms"]
     lines.append(f"axioms: {'ok' if axioms.ok else axioms.violations}")
-    return "\n".join(lines) + "\n"
+    return info, "\n".join(lines) + "\n"
 
 
-def cmd_characters(pipe: Pipeline) -> str:
+def cmd_characters(pipe: Pipeline) -> tuple[dict, str]:
     if not pipe.is_symmetric_group:
         raise UsageError("character tables are available for symmetric groups only")
     table = pipe.chartable
     sums = chars_mod.row_sums(table)
     eig = chars_mod.scheme_eigenmatrix(pipe.group.n)
-    if pipe.args.fmt == "json":
-        return (
-            json.dumps(
-                {
-                    "n": table.n,
-                    "rows": [lam.label() for lam in table.row_labels],
-                    "cols": [mu.label() for mu in table.col_labels],
-                    "values": table.values,
-                    "row_sums": [sums[lam] for lam in table.row_labels],
-                    "eigenmatrix": eig.values,
-                    "eigen_multiplicities": eig.multiplicities,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+    payload = {
+        "n": table.n,
+        "rows": [lam.label() for lam in table.row_labels],
+        "cols": [mu.label() for mu in table.col_labels],
+        "values": table.values,
+        "row_sums": [sums[lam] for lam in table.row_labels],
+        "eigenmatrix": eig.values,
+        "eigen_multiplicities": eig.multiplicities,
+    }
     # printed rows follow the descending label order of the stored table
     out = ["Character table (rows descending, columns ascending):\n"]
-    cells = [[""] + [mu.label() for mu in table.col_labels]]
-    for lam, row in zip(table.row_labels, table.values):
-        cells.append([lam.label()] + [str(v) for v in row])
+    cells = [[""] + payload["cols"]]
+    for lam, row in zip(payload["rows"], table.values):
+        cells.append([lam] + [str(v) for v in row])
     out.append(render_cells(cells))
     out.append("\nRow sums: " + ", ".join(f"{k.label()}:{v}" for k, v in sums.items()))
     out.append("\n\nScheme eigenvalue table (entry chi*|C|/f, multiplicity f^2):\n")
@@ -240,57 +229,48 @@ def cmd_characters(pipe: Pipeline) -> str:
     for lam, row, m in zip(eig.row_labels, eig.values, eig.multiplicities):
         cells.append([lam.label()] + [str(v) for v in row] + [str(m)])
     out.append(render_cells(cells))
-    return "".join(out)
+    return payload, "".join(out)
 
 
-def cmd_centralizer(pipe: Pipeline) -> str:
+def cmd_centralizer(pipe: Pipeline) -> tuple[dict, str]:
     table = pipe.orbindex.table()
-    burn = pipe.burnside
-    out = []
-    if pipe.args.fmt == "json":
-        payload = {
-            "table": json.loads(table.to_json()),
-            "total": pipe.orbindex.total,
-            "burnside": burn,
-        }
-        if pipe.is_symmetric_group:
-            payload["multiplicities"] = {
-                sp.label(): m for sp, m in pipe.mults.nonzero()
-            }
-            payload["dim"] = pipe.centralizer.dim
-        return json.dumps(payload, indent=2) + "\n"
-    out.append("Centralizer-algebra block dimensions (orbit counts):\n")
-    out.append(_print_table(_filter_table(table, pipe.args.blocks), pipe.args.fmt))
-    out.append(f"\ntotal: {pipe.orbindex.total}\norbit-counting check: {burn}\n")
+    total, burn = pipe.orbindex.total, pipe.burnside
+    payload = {
+        "table": {"labels": table.labels, "dims": table.dims},
+        "total": total,
+        "burnside": burn,
+    }
+    out = [
+        "Centralizer-algebra block dimensions (orbit counts):\n",
+        _print_table(_filter_table(table, pipe.args.blocks), pipe.args.fmt),
+        f"\ntotal: {total}\norbit-counting check: {burn}\n",
+    ]
     if pipe.is_symmetric_group:
+        nonzero = pipe.mults.nonzero()
+        payload["multiplicities"] = {sp.label(): m for sp, m in nonzero}
+        payload["dim"] = pipe.centralizer.dim
         out.append(
             "multiplicities: "
-            + " + ".join(f"{m}*{sp.label()}" for sp, m in pipe.mults.nonzero())
+            + " + ".join(f"{m}*{sp.label()}" for sp, m in nonzero)
             + f"\ndim: {pipe.centralizer.dim}\n"
         )
-    return "".join(out)
+    return payload, "".join(out)
 
 
-def cmd_terwilliger(pipe: Pipeline) -> str:
+def cmd_terwilliger(pipe: Pipeline) -> tuple[dict, str]:
     res = pipe.closure
     flags = sw_mod.triple_regularity(res)
-    if pipe.args.fmt == "json":
-        return (
-            json.dumps(
-                {
-                    "primes": list(res.primes),
-                    "width": res.width,
-                    "dims_per_level": res.dims_per_level,
-                    "dim_t0": res.dim_t0,
-                    "dim_t": res.dim_t,
-                    "block_table": json.loads(res.final_table.to_json()),
-                    "triply_regular": flags.triply_regular,
-                    "triply_transitive": flags.triply_transitive,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+    final = res.final_table
+    payload = {
+        "primes": list(res.primes),
+        "width": res.width,
+        "dims_per_level": res.dims_per_level,
+        "dim_t0": res.dim_t0,
+        "dim_t": res.dim_t,
+        "block_table": {"labels": final.labels, "dims": final.dims},
+        "triply_regular": flags.triply_regular,
+        "triply_transitive": flags.triply_transitive,
+    }
     out = [
         f"primes: {res.primes}\n",
         f"dims per level: {res.dims_per_level}\n",
@@ -299,87 +279,70 @@ def cmd_terwilliger(pipe: Pipeline) -> str:
         f"triply regular: {flags.triply_regular}, "
         f"triply transitive: {flags.triply_transitive}\n",
         "\nFinal block dimension table:\n",
-        _print_table(_filter_table(res.final_table, pipe.args.blocks), pipe.args.fmt),
+        _print_table(_filter_table(final, pipe.args.blocks), pipe.args.fmt),
     ]
     out.extend(_growth_sections(pipe, pipe.args.fmt))
-    return "".join(out)
+    return payload, "".join(out)
 
 
-def cmd_wedderburn(pipe: Pipeline) -> str:
+def cmd_wedderburn(pipe: Pipeline) -> tuple[dict, str]:
     if not pipe.is_symmetric_group:
         raise UsageError("the Wedderburn pipeline needs a symmetric group (>= 3)")
     rep = pipe.wedderburn
-    if pipe.args.fmt == "json":
-        return (
-            json.dumps(
-                {
-                    "dim_t": rep.dim_t,
-                    "components": json.loads(rep.to_json()),
-                    "members": [sp.label() for sp in rep.members],
-                    "non_members": [sp.label() for sp in rep.non_members],
-                    "reconciled": rep.reconciled,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-    return (
+    payload = {
+        "dim_t": rep.dim_t,
+        "components": [{"labels": c.label_strings(), "size": c.size} for c in rep.components],
+        "members": [sp.label() for sp in rep.members],
+        "non_members": [sp.label() for sp in rep.non_members],
+        "reconciled": rep.reconciled,
+    }
+    return payload, (
         f"dim T = {rep.dim_t}\n"
         f"components ({len(rep.components)}): {rep.to_markdown()}\n"
         f"sizes: {sorted((c.size for c in rep.components if c.size), reverse=True)}\n"
-        f"non-members of T: {[sp.label() for sp in rep.non_members]}\n"
+        f"non-members of T: {payload['non_members']}\n"
         f"reconciled: {rep.reconciled}\n"
     )
 
 
-def cmd_thinness(pipe: Pipeline) -> str:
+def cmd_thinness(pipe: Pipeline) -> tuple[list, str]:
     if not pipe.is_symmetric_group:
         raise UsageError("thinness reports need a symmetric group (>= 3)")
-    rep = pipe.thinness
-    if pipe.args.fmt == "json":
-        return rep.to_json() + "\n"
-    lines = ["label dim thin block_dims"]
-    for e in rep.entries:
-        lines.append(
-            f"{e.label.label()} {e.dim} {'thin' if e.thin else 'not-thin'} {e.block_dims}"
-        )
-    return "\n".join(lines) + "\n"
+    payload = [
+        {"label": e.label.label(), "dim": e.dim, "block_dims": e.block_dims, "thin": e.thin}
+        for e in pipe.thinness.entries
+    ]
+    lines = ["label dim thin block_dims"] + [
+        f"{e['label']} {e['dim']} {'thin' if e['thin'] else 'not-thin'} {e['block_dims']}"
+        for e in payload
+    ]
+    return payload, "\n".join(lines) + "\n"
 
 
-def cmd_conjecture(pipe: Pipeline) -> str:
+def cmd_conjecture(pipe: Pipeline) -> tuple[dict, str]:
     data = pipe.conjecture()
-    if pipe.args.fmt == "json":
-        return json.dumps(data, indent=2) + "\n"
-    return (
+    return data, (
         f"n={data['n']} block {data['block']}: "
         f"dim in T = {data['t_block']}, in centralizer = {data['tilde_block']}, "
         f"strict: {data['strict']}\n"
     )
 
 
-def cmd_report(pipe: Pipeline) -> str:
-    sections = [cmd_scheme(pipe), cmd_centralizer(pipe), cmd_terwilliger(pipe)]
+def cmd_report(pipe: Pipeline) -> tuple[dict, str]:
+    names = ["scheme", "centralizer", "terwilliger"]
     if pipe.is_symmetric_group:
-        sections.append(cmd_wedderburn(pipe))
-        sections.append(cmd_thinness(pipe))
-        sections.append(cmd_conjecture(pipe))
+        names += ["wedderburn", "thinness", "conjecture"]
+    sections = {name: COMMANDS[name](pipe) for name in names}
     checks = dict(sorted(pipe.checks.items()))
-    if pipe.args.fmt == "json":
-        merged = {}
-        names = ["scheme", "centralizer", "terwilliger"]
-        if pipe.is_symmetric_group:
-            names += ["wedderburn", "thinness", "conjecture"]
-        for name, body in zip(names, sections):
-            merged[name] = json.loads(body)
-        merged["checks"] = checks
-        merged["seed"] = pipe.args.seed
-        return json.dumps(merged, indent=2) + "\n"
-    sections.append(
+    payload = {name: body for name, (body, _) in sections.items()}
+    payload |= {"checks": checks, "seed": pipe.args.seed}
+    texts = [text for _, text in sections.values()]
+    texts.append(
         "Reconciliation checks:\n"
         + "\n".join(f"  {k}: {'ok' if v else 'FAIL'}" for k, v in checks.items())
         + "\n"
     )
-    return ("\n" + "-" * 60 + "\n").join(sections)
+    return payload, ("\n" + "-" * 60 + "\n").join(texts)
 
 
 COMMANDS = {
@@ -432,14 +395,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         pipe = Pipeline(args, progress=None if args.quiet else progress)
-        text = COMMANDS[args.command](pipe)
+        payload, text = COMMANDS[args.command](pipe)
     except ReconciliationError as exc:
         print(f"error[{args.command}]: check {exc.check} failed: {exc}", file=sys.stderr)
         return 1
     except (sw_mod.ClosureError, AssertionError, ValueError, OSError) as exc:
         print(f"error[{args.command}]: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n" if args.fmt == "json" else text)
     return 0 if all(pipe.checks.values()) else 1
 
 

@@ -338,7 +338,7 @@ def conjugacy_classes(g: GroupTable) -> ConjugacyData:
     if isinstance(g, SymmetricGroup):
         labels = [cycle_type(g.elements[r]) for r in representatives]
         if labels != partitions_of(g.n):
-            raise AssertionError("class labels out of order for symmetric group")
+            raise ReconciliationError("class_label_order", "class labels out of order for S_n")
     return ConjugacyData(
         class_of=class_of,
         representatives=representatives,
@@ -377,7 +377,9 @@ def fixed_point_counts(
     if classes.labels is not None:
         for c, lam in enumerate(classes.labels):
             if classes.sizes[c] != class_size(lam):
-                raise AssertionError(f"class {lam} has {classes.sizes[c]} elements")
+                raise ReconciliationError(
+                    "class_sizes", f"class {lam} has {classes.sizes[c]} elements"
+                )
     plus = [g.order // size for size in classes.sizes]
     if not inversion_closed(classes):
         return plus, None

@@ -196,5 +196,5 @@ def burnside_orbital_count(s: ClassScheme) -> int:
     order_h = (1 if minus is None else 2) * s.group.order
     q, rem = divmod(total, order_h)
     if rem:
-        raise AssertionError("orbit-counting average is not an integer")
+        raise ReconciliationError("burnside_integral", "orbit-counting average is not an integer")
     return q

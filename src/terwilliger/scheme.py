@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import ConjugacyData, GroupTable, conjugacy_classes
+from .groups import ConjugacyData, GroupTable, ReconciliationError, conjugacy_classes
 
 
 @dataclass
@@ -42,13 +41,6 @@ class IntersectionTensor:
     def get(self, i: int, j: int, k: int) -> int:
         return self.entries.get((i, j, k), 0)
 
-    def to_json(self) -> str:
-        rows = [
-            {"i": i, "j": j, "k": k, "p": p}
-            for (i, j, k), p in sorted(self.entries.items())
-        ]
-        return json.dumps(rows)
-
 
 def intersection_numbers(s: ClassScheme) -> IntersectionTensor:
     """Compute all p_ij^k from one representative pair (1, g_k) per k.
@@ -81,11 +73,13 @@ def _validate_tensor(t: IntersectionTensor, cls: ConjugacyData) -> None:
         for i in range(t.n_classes):
             total = sum(t.get(i, j, k) for j in range(t.n_classes))
             if total != cls.sizes[i]:
-                raise AssertionError(f"row sum p_{i}j^{k} = {total} != |C_{i}|")
+                raise ReconciliationError(
+                    "tensor_row_sums", f"row sum p_{i}j^{k} = {total} != |C_{i}|"
+                )
     for j in range(t.n_classes):
         for k in range(t.n_classes):
             if t.get(0, j, k) != (1 if j == k else 0):
-                raise AssertionError("p_0j^k != delta_jk")
+                raise ReconciliationError("tensor_identity_relation", "p_0j^k != delta_jk")
 
 
 def dim_T0(t: IntersectionTensor) -> int:

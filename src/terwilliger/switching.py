@@ -150,8 +150,9 @@ class SwitchingClosure:
             blk = self.blocks[key]
             grown = blk.insert_batch(mat)
             if len(grown) != len(js):
-                raise ClosureError(
-                    f"length-1 generators of block {key} are not independent"
+                raise ReconciliationError(
+                    "t0_generators_independent",
+                    f"length-1 generators of block {key} are not independent",
                 )
             blk.words.extend(((i, js[idx], k),) for idx in grown)
             self.frontier[key] = range(blk.rank)
@@ -271,9 +272,9 @@ def generate_T0(
     closure.generate_t0()
     tensor_dim = dim_T0(intersection_numbers(scheme))
     if closure.total_dim != tensor_dim:
-        raise ClosureError(
-            f"level-0 dimension {closure.total_dim} != nonzero intersection "
-            f"numbers {tensor_dim}"
+        raise ReconciliationError(
+            "t0_dimension_matches_tensor",
+            f"level-0 dimension {closure.total_dim} != {tensor_dim} nonzero p_ij^k",
         )
     return closure
 
@@ -367,5 +368,5 @@ def triple_regularity(result: ClosureResult) -> TripleRegularity:
     regular = result.dim_t0 == result.dim_t
     transitive = result.dim_t0 == centr
     if transitive and not regular:
-        raise AssertionError("triply transitive requires triply regular")
+        raise ReconciliationError("triple_regularity", "triply transitive requires triply regular")
     return TripleRegularity(triply_regular=regular, triply_transitive=transitive)

@@ -1,8 +1,7 @@
-"""Square label-indexed dimension tables with markdown/CSV/JSON rendering."""
+"""Square label-indexed dimension tables with markdown/CSV rendering."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -29,9 +28,6 @@ class BlockDimTable:
         return all(
             self.dims[a][b] == self.dims[b][a] for a in range(n) for b in range(n)
         )
-
-    def to_json(self) -> str:
-        return json.dumps({"labels": self.labels, "dims": self.dims})
 
     def to_csv(self) -> str:
         lines = ["row_label,col_label,dim"]

@@ -10,7 +10,6 @@ reduction under both working primes.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -131,7 +130,9 @@ class CpiBuilder:
         e = CPIdem(label=sp, degree=f, multiplicity=0, block_values=values)
         trace = sum((e.block_trace(oi, c) for c in values), start=Fraction(0))
         if trace.denominator != 1 or int(trace) % f:
-            raise AssertionError(f"trace {trace} of {sp} is not a multiple of {f}")
+            raise ReconciliationError(
+                "cpi_trace_multiplicity", f"trace {trace} of {sp} is not a multiple of {f}"
+            )
         m = int(trace) // f
         if m == 0:
             raise ValueError(f"character {sp} does not occur: zero idempotent")
@@ -161,18 +162,17 @@ def module_block_dims(e: CPIdem, orbindex: OrbitalIndex) -> list[int]:
     dims: list[int] = []
     for c in sorted(e.block_values):
         tr = e.block_trace(orbindex, c)
-        if tr.denominator != 1:
-            raise AssertionError(f"non-integral block trace at class {c}")
-        dim, rem = divmod(int(tr), e.degree)
-        if rem:
-            raise AssertionError(
-                f"block trace {tr} at class {c} not divisible by degree {e.degree}"
+        dim, rem = divmod(tr, e.degree)
+        if rem or dim < 0:
+            raise ReconciliationError(
+                "module_block_dims",
+                f"block trace {tr} at class {c} is no non-negative multiple of {e.degree}",
             )
-        if dim < 0:
-            raise AssertionError(f"negative block dimension at class {c}")
         dims.append(dim)
     if sum(dims) != e.multiplicity:
-        raise AssertionError("block dimensions do not sum to the multiplicity")
+        raise ReconciliationError(
+            "module_block_dims", "block dimensions do not sum to the multiplicity"
+        )
     return dims
 
 
@@ -188,19 +188,6 @@ class ThinEntry:
 class ThinReport:
     entries: list[ThinEntry]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "label": e.label.label(),
-                    "dim": e.dim,
-                    "block_dims": e.block_dims,
-                    "thin": e.thin,
-                }
-                for e in self.entries
-            ]
-        )
-
 
 def thinness(
     cpis: dict[SignedPartition, CPIdem], orbindex: OrbitalIndex
@@ -212,7 +199,9 @@ def thinness(
         dims = module_block_dims(e, orbindex)
         thin = all(d <= 1 for d in dims)
         if e.multiplicity > n_classes and thin:
-            raise AssertionError("module larger than the class count cannot be thin")
+            raise ReconciliationError(
+                "thin_module_size", "module larger than the class count cannot be thin"
+            )
         entries.append(
             ThinEntry(label=sp, dim=e.multiplicity, block_dims=dims, thin=thin)
         )
@@ -315,11 +304,6 @@ class WedderburnReport:
     @property
     def reconciled(self) -> bool:
         return self.total_dim == self.dim_t
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [{"labels": c.label_strings(), "size": c.size} for c in self.components]
-        )
 
     def to_markdown(self) -> str:
         parts = []

@@ -3,11 +3,14 @@ import inspect
 from pathlib import Path
 
 import terwilliger as tw
-from terwilliger import chars, cli, fieldla, groups, orbitals, scheme, switching, wedderburn
+from terwilliger import (
+    chars, cli, fieldla, groups, orbitals, scheme, switching, tables, wedderburn,
+)
 
 # names removed from the library: nothing in it used them, the ambient
 # reference engine is a test oracle (tests/oracle.py), a run is set by flags
-# alone, and a failed two-prime check is a ReconciliationError
+# alone, a failed two-prime check is a ReconciliationError, and the report's
+# JSON is built in the CLI alone
 REMOVED = (
     (groups, "Permutation"),
     (orbitals, "orbital_table"),
@@ -21,6 +24,10 @@ REMOVED = (
     (wedderburn.WedderburnReport, "sizes"),
     (wedderburn.ThinReport, "flag"),
     (scheme.IntersectionTensor, "d"),
+    (tables.BlockDimTable, "to_json"),
+    (wedderburn.ThinReport, "to_json"),
+    (wedderburn.WedderburnReport, "to_json"),
+    (scheme.IntersectionTensor, "to_json"),
 )
 
 # parameters removed because no caller set them

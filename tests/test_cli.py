@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,7 @@ def test_terwilliger_command_json(capsys):
     assert data["dim_t"] == 43
     assert data["width"] == 1
     assert data["triply_regular"] is False
+    assert set(data["block_table"]) == {"labels", "dims"}
 
 
 def test_report_s4(capsys):
@@ -91,6 +93,23 @@ def test_report_s4(capsys):
     assert "sizes: [5, 3, 2, 2, 1]" in out
     assert "Reconciliation checks" in out
     assert "FAIL" not in out
+
+
+def test_section_json_equals_report_key(capsys, q8_path):
+    # each section's payload is built once: standalone and inside the report
+    for group, sections in (
+        ("sym:4", {"scheme", "centralizer", "terwilliger", "wedderburn", "thinness",
+                   "conjecture"}),
+        (f"file:{q8_path}", {"scheme", "centralizer", "terwilliger"}),
+    ):
+        code, out, _ = run_cli(capsys, "report", "--group", group, "--format", "json", "--quiet")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == sections | {"checks", "seed"}
+        for name in sections:
+            code, out, _ = run_cli(capsys, name, "--group", group, "--format", "json", "--quiet")
+            assert code == 0
+            assert json.loads(out) == report[name], (group, name)
 
 
 def test_report_byte_identical(capsys):
@@ -140,6 +159,12 @@ def test_thinness_command(capsys):
     code, out, _ = run_cli(capsys, "thinness", "--group", "sym:5", "--quiet")
     assert code == 0
     assert "[3,1^2]- 5 not-thin" in out
+    code, out, _ = run_cli(capsys, "thinness", "--group", "sym:4", "--format", "json", "--quiet")
+    assert code == 0
+    assert out.startswith("[\n  {")  # indented like every other JSON output
+    data = json.loads(out)
+    assert len(data) == 5
+    assert all(set(d) == {"label", "dim", "block_dims", "thin"} for d in data)
 
 
 def test_blocks_filter(capsys):
@@ -157,11 +182,15 @@ def test_blocks_filter(capsys):
 
 
 def test_blocks_filter_unknown_label(capsys):
-    code, _, err = run_cli(
-        capsys, "terwilliger", "--group", "sym:4", "--blocks", "[9]", "--quiet"
-    )
-    assert code == 2
-    assert "unknown block labels" in err
+    # every format renders the filtered text, so a bad label is a usage error in each
+    for fmt in ("md", "csv", "json"):
+        code, out, err = run_cli(
+            capsys, "terwilliger", "--group", "sym:4", "--blocks", "[9]", "--format", fmt,
+            "--quiet",
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown block labels" in err
 
 
 def test_cayley_group_report(capsys, q8_path):
@@ -356,6 +385,57 @@ def test_cpi_trace_ledger_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "cpi_trace_multiplicity" in err
+
+
+def test_module_block_dims_exits_1(capsys, monkeypatch):
+    build_all = wed_mod.CpiBuilder.build_all
+
+    def nudged(self, mults):
+        cpis = build_all(self, mults)
+        # the identity class has one element: its block trace moves by 1/2
+        next(iter(cpis.values())).block_values[0][0] += Fraction(1, 2)
+        return cpis
+
+    monkeypatch.setattr(wed_mod.CpiBuilder, "build_all", nudged)
+    code, out, err = run_cli(capsys, "thinness", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "module_block_dims" in err
+    assert "block trace 3/2 at class 0" in err
+
+
+def test_triple_regularity_exits_1(capsys, monkeypatch):
+    # a centralizer as small as T0 makes S4 triply transitive but not regular
+    monkeypatch.setattr(
+        sw_mod, "conj_centralizer_dim", lambda s: sw_mod.dim_T0(sw_mod.intersection_numbers(s))
+    )
+    code, out, err = run_cli(capsys, "terwilliger", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "triple_regularity" in err
+
+
+def test_t0_dimension_check_exits_1(capsys, monkeypatch):
+    dim_t0 = sw_mod.dim_T0
+    monkeypatch.setattr(sw_mod, "dim_T0", lambda t: dim_t0(t) + 1)
+    code, out, err = run_cli(capsys, "terwilliger", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "t0_dimension_matches_tensor" in err
+
+
+def test_burnside_integral_exits_1(capsys, monkeypatch):
+    count = orb_mod.fixed_point_counts
+
+    def one_more_fixed_point(g, classes):
+        plus, minus = count(g, classes)
+        return [plus[0] + 1] + plus[1:], minus
+
+    monkeypatch.setattr(orb_mod, "fixed_point_counts", one_more_fixed_point)
+    code, out, err = run_cli(capsys, "centralizer", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "burnside_integral" in err
 
 
 def test_bounds_flag_removed():

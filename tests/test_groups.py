@@ -6,6 +6,7 @@ import pytest
 
 from terwilliger.groups import (
     CayleyTableError,
+    ReconciliationError,
     SymmetricGroup,
     build_group,
     centralizer_elements,
@@ -266,8 +267,9 @@ def test_fixed_point_counts_checks_class_sizes():
     g = SymmetricGroup(4)
     cls = conjugacy_classes(g)
     cls.sizes = [1, 6, 3, 6, 8]  # the sizes of [3,1] and [4] exchanged
-    with pytest.raises(AssertionError):
+    with pytest.raises(ReconciliationError) as exc:
         fixed_point_counts(g, cls)
+    assert exc.value.check == "class_sizes"
 
 
 def test_trivial_group(trivial_path):

@@ -1,5 +1,4 @@
 import copy
-import json
 import random
 
 import numpy as np
@@ -232,14 +231,6 @@ def test_sandwich_chain(stages):
         lo = dim_T0(stages.tensor(n))
         hi = conj_centralizer_dim(stages.scheme(n))
         assert lo <= hi
-
-
-def test_tensor_json_sorted(stages):
-    rows = json.loads(stages.tensor(3).to_json())
-    keys = [(r["i"], r["j"], r["k"]) for r in rows]
-    assert keys == sorted(keys)
-    assert all(r["p"] > 0 for r in rows)
-    assert len(rows) == 11
 
 
 def test_abelian_scheme_all_singletons(c3_path):

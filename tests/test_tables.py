@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from terwilliger.tables import BlockDimTable
@@ -19,12 +17,6 @@ def test_total_and_get():
     assert t.total() == 11
     assert t.get("[2,1]", "[2,1]") == 2
     assert t.is_symmetric()
-
-
-def test_json_roundtrip():
-    t = small()
-    data = json.loads(t.to_json())
-    assert data == {"labels": t.labels, "dims": t.dims}
 
 
 def test_csv_layout():

@@ -184,14 +184,6 @@ def test_thinness_s6(stages):
     assert dims_not_thin == [6, 7, 8, 8, 9, 9, 15]
 
 
-def test_thin_report_json(stages):
-    import json
-
-    data = json.loads(stages.thin(4).to_json())
-    assert len(data) == 5
-    assert all(set(d) == {"label", "dim", "block_dims", "thin"} for d in data)
-
-
 def test_membership_s4_all_members(stages):
     res = stages.closure(4)
     for e in stages.cpis(4).values():
