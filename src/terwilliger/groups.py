@@ -51,7 +51,8 @@ class GroupTable:
     """A finite group on element indices 0..order-1 with identity at 0.
 
     `mul` and `inv` take ints or integer arrays, broadcast like numpy
-    operators and return np.intp values of the broadcast shape.
+    operators and return np.intp values of the broadcast shape; `mul_outer`
+    takes two 1-d arrays and multiplies every pair.
     """
 
     order: int
@@ -62,6 +63,10 @@ class GroupTable:
 
     def inv(self, a) -> np.ndarray:
         raise NotImplementedError
+
+    def mul_outer(self, a, b) -> np.ndarray:
+        """Products on the outer grid: the (len(a), len(b)) array of a[s] * b[t]."""
+        return self.mul(np.asarray(a)[:, None], np.asarray(b)[None, :])
 
     def conjugate(self, g, x) -> np.ndarray:
         """g x g^-1."""
@@ -128,6 +133,14 @@ class SymmetricGroup(GroupTable):
 
     def inv(self, a) -> np.ndarray:
         return self._rank_of(self.elements[a].argsort(axis=-1))
+
+    def mul_outer(self, a, b) -> np.ndarray:
+        # key(a*b) = sum_v a(b(v)) w[v] = sum_u a(u) w[b^-1(u)]: one integer
+        # matmul in place of the (len(a), len(b), n) gather of images, exact
+        # in int32 since every key is below n^(n-1) <= 8^7
+        a_images = self.elements[np.asarray(a)].astype(np.int32)
+        b_weights = self._weights[self.elements[np.asarray(b)].argsort(axis=-1)]
+        return self._rank[a_images @ b_weights.T].astype(np.intp)
 
     def generators(self) -> list[int]:
         """A transposition and an n-cycle; they coincide in S2."""

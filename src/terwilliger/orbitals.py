@@ -99,10 +99,11 @@ class OrbitalIndex:
         self.r: dict[tuple[int, int], int] = {}
         self._generator_tables: dict[tuple[tuple[int, int], int], np.ndarray] = {}
 
-        every = np.arange(g.order)
+        # rel_rows[i, y] = relation of (x_i, y) = class of x_i^-1 y
+        rel_rows = cls.class_of[g.mul_outer(g.inv(cls.representatives), np.arange(g.order))]
         for i, x in enumerate(cls.representatives):
             labels = _block_orbits(_stabilizer_perms(scheme, x), g.order)
-            rel_row = scheme.relation_of(x, every)
+            rel_row = rel_rows[i]
             for k in range(nc):
                 elems = self.class_elems[k]
                 uniq, local, counts = np.unique(
@@ -154,7 +155,11 @@ class OrbitalIndex:
         # every relation of a pair in block (nu, m) is in js
         rel_index = np.zeros(self.n_classes, dtype=np.int64)
         rel_index[js] = np.arange(n_rel)
-        c = rel_index[self.scheme.relation_of(self.class_elems[nu], y[:, None])]
+        # c[t, z]: the relation of (z, y_t), the class of z^-1 y_t, which is
+        # the inverse of the class of y_t^-1 z: one grid of products
+        cls, g = self.scheme.classes, self.scheme.group
+        quotients = g.mul_outer(g.inv(y), self.class_elems[nu])
+        c = rel_index[cls.inverse_class][cls.class_of[quotients]]
         bins = (self.block_labels[(i, nu)] * n_rel + c) * rt + np.arange(rt)[:, None]
         counts = np.bincount(bins.ravel(), minlength=ra * n_rel * rt)
         return counts.astype(np.min_scalar_type(counts.max())).reshape(ra, n_rel, rt)

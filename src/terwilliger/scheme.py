@@ -18,7 +18,11 @@ class ClassScheme:
     _tensor: "IntersectionTensor | None" = field(default=None, repr=False)
 
     def relation_of(self, x, y):
-        """Relation of (x, y): ints or broadcasting integer arrays."""
+        """Relation of (x, y): ints or broadcasting integer arrays.
+
+        The library reads relation grids through `GroupTable.mul_outer`
+        instead; this form is the reference the tests compare them with.
+        """
         g = self.group
         return self.classes.class_of[g.mul(g.inv(x), y)]
 
@@ -54,10 +58,11 @@ def intersection_numbers(s: ClassScheme) -> IntersectionTensor:
     g = s.group
     cls = s.classes
     nc = cls.n_classes
-    inverses = g.inv(np.arange(g.order))
+    # quotients[z, k] = z^-1 y_k
+    quotients = g.mul_outer(g.inv(np.arange(g.order)), cls.representatives)
     entries: dict[tuple[int, int, int], int] = {}
-    for k, y in enumerate(cls.representatives):
-        pairs = cls.class_of * nc + cls.class_of[g.mul(inverses, y)]
+    for k in range(nc):
+        pairs = cls.class_of * nc + cls.class_of[quotients[:, k]]
         counts = np.bincount(pairs, minlength=nc * nc)
         for ij in np.flatnonzero(counts):
             entries[(int(ij) // nc, int(ij) % nc, k)] = int(counts[ij])

@@ -4,13 +4,20 @@ The fast engine works blockwise in orbit coordinates: every switching
 product commutes with the identity-stabilizer action, hence is constant on
 its pair orbits, so the block of the algebra lives inside a space whose
 dimension is the block's orbit count.  Products are evaluated at one
-representative pair per orbit, one matmul per (target block, middle class),
-and ranks are tracked mod two independent primes below `fieldla.PRIME_HI`.
-Every product has a length-1 generator as its right factor, so its
-contraction with the middle class is an integer table on the orbital index,
-counted once per (target block, middle class) and shared by both primes,
-every level and the idempotent products (which replay the accepted words,
-see `wedderburn.algebra_times_idempotent_dim`).
+representative pair per orbit, and ranks are tracked mod two independent
+primes below `fieldla.PRIME_HI`.  Every product has a length-1 generator as
+its right factor, so its contraction with the middle class is an integer
+table K on the orbital index, counted once per (target block, middle class)
+and shared by both primes, every level and the idempotent products (which
+replay the accepted words, see `wedderburn.algebra_times_idempotent_dim`).
+
+A closure step tests the candidates of each (target block, middle class)
+against the target block's kernel U, one matmul left @ (K @ U) for all of
+them, whenever that costs less than multiplying them all in full: a
+candidate lies in the block's span exactly when its row of the test is
+zero.  Only the other candidates are multiplied in full and inserted, in
+their original order, so the accepted words are those a full product of
+every candidate would give.
 
 Rank mod p is at most rank over Q, so the words a prime accepts are
 independent over Q and every dimension found is an exact lower bound.  The
@@ -49,7 +56,8 @@ class Block:
     rows[s, pivots[t]] is 1 if s == t and 0 otherwise, and raw[:s+1] (the
     candidates that grew the rank, reduced mod p only) spans the same space
     as rows[:s+1].  A vector's residual is then one product with the rows (see
-    `reduce`).  `words` is the provenance of `raw`, kept by the caller.
+    `reduce`), and its membership one product with the kernel basis (see
+    `kernel`).  `words` is the provenance of `raw`, kept by the caller.
     """
 
     __slots__ = ("r", "p", "rank", "pivots", "rows", "raw", "words")
@@ -66,38 +74,59 @@ class Block:
         self.words: list[Word] = []
 
     def insert_batch(self, cands: np.ndarray) -> list[int]:
-        """Insert candidate rows in order, up to `r`; return the indices that grew rank."""
+        """Insert candidate rows in order, up to `r`; return the indices that grew rank.
+
+        A row grows the rank exactly when it lies outside the span of the rows
+        before it, so the result does not change when rows already in the
+        block's span are left out of `cands`.
+        """
         p = self.p
         residual = self.reduce(cands)
+        # live[s]: row s is outside the span of the rows so far, so the loop
+        # visits the rows that grow the rank and no others
+        live = residual.any(axis=1)
         grown: list[int] = []
         n = residual.shape[0]
-        # a row already in the span stays zero under the updates below
-        for idx in np.flatnonzero(residual.any(axis=1)).tolist():
-            if self.rank == self.r:
+        idx = -1
+        while self.rank < self.r and idx + 1 < n:
+            idx += 1 + int(live[idx + 1 :].argmax())
+            if not live[idx]:
                 break
             v = residual[idx]
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                continue
-            piv = int(nz[0])
+            piv = int(v.nonzero()[0][0])
             v = v * pow(int(v[piv]), -1, p) % p
             k = self.rank
             col = self.rows[:k, piv]
             if col.any():
-                self.rows[:k] = (self.rows[:k] - np.outer(col, v)) % p
+                self.rows[:k] = (self.rows[:k] - col[:, None] * v) % p
             self.rows[k] = v
             self.pivots[k] = piv
             self.raw[k] = cands[idx] % p
             self.rank = k + 1
             grown.append(idx)
-            if idx + 1 < n:
-                col = residual[idx + 1 :, piv]
-                mask = col.nonzero()[0]
-                if mask.size:
-                    residual[idx + 1 + mask] = (
-                        residual[idx + 1 + mask] - np.outer(col[mask], v)
-                    ) % p
+            below = idx + 1 + residual[idx + 1 :, piv].nonzero()[0]
+            if below.size:
+                rest = (residual[below] - residual[below, piv, None] * v) % p
+                residual[below] = rest
+                live[below] = rest.any(axis=1)
         return grown
+
+    def kernel(self) -> np.ndarray:
+        """(r, r - rank) right-kernel basis U of the rows: rows @ U = 0 mod p.
+
+        U[pivots] = -rows[:, free] and U[free] = I, the free columns being
+        those without a pivot.  A vector's residual vanishes on the pivots, so
+        v @ U mod p is its residual on the free columns: v lies in the span
+        exactly when v @ U = 0.
+        """
+        k = self.rank
+        free = np.ones(self.r, dtype=bool)
+        free[self.pivots[:k]] = False
+        free = np.flatnonzero(free)
+        u = np.zeros((self.r, free.size), dtype=np.int64)
+        u[self.pivots[:k]] = -self.rows[:k, free] % self.p
+        u[free, np.arange(free.size)] = 1
+        return u
 
     def reduce(self, vecs: np.ndarray) -> np.ndarray:
         """Residual of a vector, or of each row of a matrix, against the echelon rows."""
@@ -168,6 +197,7 @@ class SwitchingClosure:
         if self.level < 0:
             raise ClosureError("generate level 0 first")
         nc = self.scheme.classes.n_classes
+        p = self.field.p
         labels = self.scheme.classes.label_strings()
         start = time.monotonic()
         growth: dict[tuple[int, int], int] = {}
@@ -188,16 +218,33 @@ class SwitchingClosure:
                 words = left_blk.words[rows.start : rows.stop]
                 js = self.gens[(nu, m)][0]
                 n2 = len(js)
-                cands = chain_products(self.orbindex, key, nu, left, self.field.p).reshape(
-                    left.shape[0] * n2, blk.r
-                )
-                for idx in blk.insert_batch(cands):
+                # candidate (a, c) is left[a] @ K[:, c, :], in the span exactly
+                # when its product with the kernel U is zero: all are tested
+                # at once as left @ (K @ U), at U's width f in place of r, and
+                # only the live ones are multiplied in full, in their order.
+                # Per row of K, the test costs (r + n) * f multiply-adds and
+                # the full products of all n rows n * r: it runs when cheaper.
+                n = len(left)
+                if (blk.r + n) * (blk.r - blk.rank) < n * blk.r:
+                    table = self.orbindex.generator_table(key, nu).astype(np.int64)
+                    ku = modmul(table.reshape(-1, blk.r), blk.kernel(), p)
+                    test = modmul(left, ku.reshape(table.shape[0], -1), p)
+                    live = test.reshape(n, n2, -1).any(axis=2)
+                    if not live.any():
+                        continue
+                    keep = live.any(axis=1)
+                    cands = chain_products(self.orbindex, key, nu, left[keep], p)[live[keep]]
+                    grown = np.flatnonzero(live)[blk.insert_batch(cands)].tolist()
+                else:
+                    cands = chain_products(self.orbindex, key, nu, left, p)
+                    grown = blk.insert_batch(cands.reshape(n * n2, blk.r))
+                for idx in grown:
                     blk.words.append(words[idx // n2] + ((nu, js[idx % n2], m),))
             growth[key] = blk.rank - before
             new_frontier[key] = range(before, blk.rank)
             if progress is not None and growth[key]:
                 progress(
-                    self.field.p,
+                    p,
                     self.level + 1,
                     f"({labels[i]},{labels[m]})",
                     blk.rank,

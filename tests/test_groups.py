@@ -97,6 +97,21 @@ def test_mul_matches_composition(q8_path, c3_path, trivial_path):
         )
 
 
+def test_mul_outer_matches_broadcast_mul(q8_path):
+    # S_n's one-matmul grid against the broadcasting product, at every n the
+    # rank table allows; the Cayley group keeps the base class's form
+    rng = np.random.default_rng(3)
+    groups = [SymmetricGroup(n) for n in range(1, 9)] + [load_cayley_table(q8_path)]
+    for g in groups:
+        a = rng.integers(0, g.order, size=40)
+        b = rng.integers(0, g.order, size=25)
+        for left, right in ((a, b), (a[:1], b), (a, b[:0]), (np.arange(g.order), a[:3])):
+            got = g.mul_outer(left, right)
+            assert got.dtype == np.intp
+            assert got.shape == (len(left), len(right))
+            assert (got == g.mul(left[:, None], right[None, :])).all(), g.name
+
+
 def test_conjugacy_classes_s4():
     g = SymmetricGroup(4)
     cls = conjugacy_classes(g)

@@ -286,6 +286,17 @@ def test_basis_rows_reproduce_ranks(stages):
         assert dense_rank_modp(mat.tolist(), blk.r, p) == blk.rank == len(blk.words)
 
 
+def _assert_kernel(blk, vecs):
+    """Block.kernel's invariants, and its test against `reduce` on `vecs`."""
+    u = blk.kernel()
+    rank, p = blk.rank, blk.p
+    assert u.shape == (blk.r, blk.r - rank)
+    assert not (blk.rows[:rank] @ u % p).any()
+    free = np.setdiff1d(np.arange(blk.r), blk.pivots[:rank])
+    assert (u[free] == np.eye(free.size, dtype=np.int64)).all()
+    assert ((vecs @ u % p).any(axis=1) == blk.reduce(vecs).any(axis=1)).all()
+
+
 def test_block_echelon_invariants():
     # dependent rows, zero rows and more candidates than the block's r orbits
     r = 7
@@ -301,6 +312,8 @@ def test_block_echelon_invariants():
     blk = Block(r, p)
     seen: list[list[int]] = []
     for cands in batches:
+        # every batch against the kernel of the empty, partial or full block
+        _assert_kernel(blk, np.vstack(batches))
         want = []
         for idx, row in enumerate(cands.tolist()):
             before = dense_rank_modp(seen, r, p)
@@ -319,6 +332,7 @@ def test_block_echelon_invariants():
         assert (rows >= 0).all() and (rows < p).all()
     # the last batch met a full block: it stops at r and grows nothing
     assert blk.rank == r and grown == []
+    _assert_kernel(blk, np.vstack(batches))
 
 
 def _largest_prime_below(hi):
@@ -394,3 +408,50 @@ def test_closure_builds_each_generator_table_once(monkeypatch, stages):
     assert (res.dim_t0, res.dim_t, res.width) == (
         golden.DIMS[5]["t0"], golden.DIMS[5]["t"], golden.DIMS[5]["width"]
     )
+
+
+class _FullProductClosure(SwitchingClosure):
+    """The closure step without the kernel test: every frontier row times every
+    generator is multiplied in full, and the whole batch goes to insert_batch."""
+
+    def extend_level(self, progress=None):
+        growth, frontier = {}, {}
+        for key in sorted(self.blocks, key=self._block_order):
+            i, m = key
+            blk = self.blocks[key]
+            before = blk.rank
+            for nu in range(self.scheme.n_classes):
+                rows = self.frontier[(i, nu)]
+                if blk.rank == blk.r or not rows:
+                    continue
+                left_blk = self.blocks[(i, nu)]
+                words = left_blk.words[rows.start : rows.stop]
+                js = self.gens[(nu, m)][0]
+                left = left_blk.raw[rows.start : rows.stop]
+                cands = chain_products(self.orbindex, key, nu, left, self.field.p)
+                for idx in blk.insert_batch(cands.reshape(-1, blk.r)):
+                    blk.words.append(words[idx // len(js)] + ((nu, js[idx % len(js)], m),))
+            growth[key] = blk.rank - before
+            frontier[key] = range(before, blk.rank)
+        self.frontier = frontier
+        self.level += 1
+        self.history.append(self.block_dims())
+        return growth
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_kernel_test_keeps_accepted_words(stages, n):
+    # same words and raw rows, block by block, as multiplying every candidate
+    s, oi = stages.scheme(n), stages.orbindex(n)
+    for p in sample_primes(31, 2, avoid=2 * s.group.order):
+        closures = [cls(s, oi, FieldCtx(p)) for cls in (SwitchingClosure, _FullProductClosure)]
+        for closure in closures:
+            closure.generate_t0()
+            while any(closure.extend_level().values()):
+                pass
+        fast, full = closures
+        assert fast.level == full.level
+        for key, blk in fast.blocks.items():
+            ref = full.blocks[key]
+            assert blk.words == ref.words, (p, key)
+            assert (blk.raw[: blk.rank] == ref.raw[: ref.rank]).all(), (p, key)
