@@ -77,8 +77,12 @@ class CharTable:
         return self.value(lam, self.col_labels[0])
 
 
+@lru_cache(maxsize=None)
 def char_table(n: int) -> CharTable:
-    """Full character table of the degree-n symmetric group, verified."""
+    """Full character table of the degree-n symmetric group, verified.
+
+    Built once per n: every caller shares the table, so none may modify it.
+    """
     cols = partitions_of(n)
     rows = list(reversed(cols))
     values = [[mn_character(lam, mu) for mu in cols] for lam in rows]

@@ -109,10 +109,6 @@ class Pipeline:
         return isinstance(self.group, SymmetricGroup) and self.group.n >= 3
 
     @cached_property
-    def chartable(self):
-        return chars_mod.char_table(self.group.n)
-
-    @cached_property
     def mults(self):
         pi = chars_mod.perm_char_H1(self.group, self.scheme.classes)
         mults = chars_mod.multiplicities(pi, self.group.n)
@@ -126,7 +122,7 @@ class Pipeline:
 
     @cached_property
     def cpis(self):
-        return wed_mod.CpiBuilder(self.orbindex, self.chartable).build_all(self.mults)
+        return wed_mod.CpiBuilder(self.orbindex).build_all(self.mults)
 
     @cached_property
     def wedderburn(self) -> wed_mod.WedderburnReport:
@@ -205,7 +201,7 @@ def cmd_scheme(pipe: Pipeline) -> tuple[dict, str]:
 def cmd_characters(pipe: Pipeline) -> tuple[dict, str]:
     if not pipe.is_symmetric_group:
         raise UsageError("character tables are available for symmetric groups only")
-    table = pipe.chartable
+    table = chars_mod.char_table(pipe.group.n)
     sums = chars_mod.row_sums(table)
     eig = chars_mod.scheme_eigenmatrix(pipe.group.n)
     payload = {

@@ -75,10 +75,10 @@ class OrbitalIndex:
     """Per-block orbit data of the stabilizer acting on ordered pairs.
 
     Orbits of block (i, k) are numbered by their least position in the
-    anchored row, so orbit t is represented by the pair of positions
-    (block_reps[0][t], block_reps[1][t]) = (0, least position); the class
-    representatives are the least elements of their classes.  Orbit 0 of a
-    diagonal block (c, c) is therefore that of (x_c, x_c): the diagonal.
+    anchored row, and block_reps[(i, k)][t] is that position: orbit t is
+    represented by the pair (x_i, class_elems[k][block_reps[(i, k)][t]]).
+    The class representatives are the least elements of their classes, so
+    orbit 0 of a diagonal block (c, c) is that of (x_c, x_c): the diagonal.
     """
 
     # `seed` is unused; bench/workloads.py still passes it, so it goes with
@@ -94,7 +94,7 @@ class OrbitalIndex:
         #: (i, k) -> orbit label of (x_i, y) for each y in C_k, by position
         self.block_labels: dict[tuple[int, int], np.ndarray] = {}
         self.block_counts: dict[tuple[int, int], np.ndarray] = {}
-        self.block_reps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.block_reps: dict[tuple[int, int], np.ndarray] = {}
         self.block_rel: dict[tuple[int, int], np.ndarray] = {}
         self.r: dict[tuple[int, int], int] = {}
         self._generator_tables: dict[tuple[tuple[int, int], int], np.ndarray] = {}
@@ -120,7 +120,7 @@ class OrbitalIndex:
                     )
                 self.block_labels[(i, k)] = local.astype(np.int32)
                 self.block_counts[(i, k)] = cls.sizes[i] * counts
-                self.block_reps[(i, k)] = (np.zeros(len(uniq), dtype=np.int64), py)
+                self.block_reps[(i, k)] = py
                 self.block_rel[(i, k)] = rel
                 self.r[(i, k)] = len(uniq)
 
@@ -151,7 +151,7 @@ class OrbitalIndex:
         i, m = target
         js = self.block_relations[(nu, m)]
         ra, n_rel, rt = self.r[(i, nu)], len(js), self.r[target]
-        y = self.class_elems[m][self.block_reps[target][1]]
+        y = self.class_elems[m][self.block_reps[target]]
         # every relation of a pair in block (nu, m) is in js
         rel_index = np.zeros(self.n_classes, dtype=np.int64)
         rel_index[js] = np.arange(n_rel)
@@ -166,18 +166,17 @@ class OrbitalIndex:
 
     def validate_against_tensor(self, t: IntersectionTensor) -> None:
         """Orbit sizes bucketed by relation must reproduce |C_k| * p_ij^k."""
-        cls = self.scheme.classes
+        sizes = self.scheme.classes.sizes
         for (i, k), rel in self.block_rel.items():
-            counts = self.block_counts[(i, k)]
-            per_rel = {}
-            for tt, j in enumerate(rel):
-                per_rel[int(j)] = per_rel.get(int(j), 0) + int(counts[tt])
-            for j in range(self.n_classes):
-                if per_rel.get(j, 0) != cls.sizes[k] * t.get(i, j, k):
-                    raise ReconciliationError(
-                        "orbit_sizes_match_tensor",
-                        f"orbit sizes at block ({i},{k}) rel {j} disagree with p_ij^k",
-                    )
+            per_rel = np.bincount(
+                rel, weights=self.block_counts[(i, k)], minlength=self.n_classes
+            )
+            bad = np.flatnonzero(per_rel != sizes[k] * t.p[i, :, k])
+            if bad.size:
+                raise ReconciliationError(
+                    "orbit_sizes_match_tensor",
+                    f"orbit sizes at block ({i},{k}) rel {bad[0]} disagree with p_ij^k",
+                )
 
     def table(self) -> BlockDimTable:
         labels = self.scheme.classes.label_strings()

@@ -37,21 +37,25 @@ def build_scheme(g: GroupTable) -> ClassScheme:
 
 @dataclass
 class IntersectionTensor:
-    """Sparse intersection numbers p_ij^k, keyed (i,j,k)."""
+    """Intersection numbers: p[i, j, k] = p_ij^k, an (nc, nc, nc) int64 array.
 
-    entries: dict[tuple[int, int, int], int]
-    n_classes: int
+    p_ij^k counts the z with (x, z) in relation i and (z, y) in relation j,
+    for any fixed (x, y) in relation k.
+    """
 
-    def get(self, i: int, j: int, k: int) -> int:
-        return self.entries.get((i, j, k), 0)
+    p: np.ndarray
+
+    @property
+    def n_classes(self) -> int:
+        return self.p.shape[0]
 
 
 def intersection_numbers(s: ClassScheme) -> IntersectionTensor:
     """Compute all p_ij^k from one representative pair (1, g_k) per k.
 
     For (1, y) with y in C_k:  p_ij^k = #{z in C_i : z^-1 y in C_j},
-    so one bincount over all z buckets every (i, j) at once.  Cached on the
-    scheme.
+    so one bincount over all (z, k) buckets every (i, j, k) at once.  Cached
+    on the scheme.
     """
     if s._tensor is not None:
         return s._tensor
@@ -60,13 +64,9 @@ def intersection_numbers(s: ClassScheme) -> IntersectionTensor:
     nc = cls.n_classes
     # quotients[z, k] = z^-1 y_k
     quotients = g.mul_outer(g.inv(np.arange(g.order)), cls.representatives)
-    entries: dict[tuple[int, int, int], int] = {}
-    for k in range(nc):
-        pairs = cls.class_of * nc + cls.class_of[quotients[:, k]]
-        counts = np.bincount(pairs, minlength=nc * nc)
-        for ij in np.flatnonzero(counts):
-            entries[(int(ij) // nc, int(ij) % nc, k)] = int(counts[ij])
-    tensor = IntersectionTensor(entries=entries, n_classes=cls.n_classes)
+    bins = (cls.class_of[:, None] * nc + cls.class_of[quotients]) * nc + np.arange(nc)
+    counts = np.bincount(bins.ravel(), minlength=nc**3)
+    tensor = IntersectionTensor(p=counts.reshape(nc, nc, nc))
     _validate_tensor(tensor, cls)
     s._tensor = tensor
     return tensor
@@ -74,22 +74,20 @@ def intersection_numbers(s: ClassScheme) -> IntersectionTensor:
 
 def _validate_tensor(t: IntersectionTensor, cls: ConjugacyData) -> None:
     # Each z in C_i contributes to exactly one j: sum_j p_ij^k = |C_i|.
-    for k in range(t.n_classes):
-        for i in range(t.n_classes):
-            total = sum(t.get(i, j, k) for j in range(t.n_classes))
-            if total != cls.sizes[i]:
-                raise ReconciliationError(
-                    "tensor_row_sums", f"row sum p_{i}j^{k} = {total} != |C_{i}|"
-                )
-    for j in range(t.n_classes):
-        for k in range(t.n_classes):
-            if t.get(0, j, k) != (1 if j == k else 0):
-                raise ReconciliationError("tensor_identity_relation", "p_0j^k != delta_jk")
+    sums = t.p.sum(axis=1)
+    bad = np.argwhere(sums.T != np.asarray(cls.sizes))
+    if bad.size:
+        k, i = bad[0].tolist()
+        raise ReconciliationError(
+            "tensor_row_sums", f"row sum p_{i}j^{k} = {sums[i, k]} != |C_{i}|"
+        )
+    if not np.array_equal(t.p[0], np.eye(t.n_classes, dtype=t.p.dtype)):
+        raise ReconciliationError("tensor_identity_relation", "p_0j^k != delta_jk")
 
 
 def dim_T0(t: IntersectionTensor) -> int:
     """Number of nonzero intersection numbers."""
-    return sum(1 for p in t.entries.values() if p != 0)
+    return int(np.count_nonzero(t.p))
 
 
 def conj_centralizer_dim(s: ClassScheme) -> int:

@@ -153,11 +153,6 @@ class SwitchingClosure:
             for i in range(nc)
             for k in range(nc)
         }
-        # length-1 generator vectors per block: relation indicators
-        self.gens: dict[tuple[int, int], tuple[list[int], np.ndarray]] = {}
-        for key, rel in orbindex.block_rel.items():
-            js = orbindex.block_relations[key]
-            self.gens[key] = (js.tolist(), (js[:, None] == rel).astype(np.int64))
         self.frontier: dict[tuple[int, int], range] = {}
         self.history: list[BlockDimTable] = []
 
@@ -174,16 +169,18 @@ class SwitchingClosure:
         if self.level >= 0:
             raise ClosureError("level 0 already generated")
         for key in sorted(self.blocks, key=self._block_order):
-            js, mat = self.gens[key]
+            # length-1 generators: the indicator rows of the block's relations
+            js = self.orbindex.block_relations[key]
+            rows = js[:, None] == self.orbindex.block_rel[key]
             i, k = key
             blk = self.blocks[key]
-            grown = blk.insert_batch(mat)
+            grown = blk.insert_batch(rows.astype(np.int64))
             if len(grown) != len(js):
                 raise ReconciliationError(
                     "t0_generators_independent",
                     f"length-1 generators of block {key} are not independent",
                 )
-            blk.words.extend(((i, js[idx], k),) for idx in grown)
+            blk.words.extend(((i, int(js[idx]), k),) for idx in grown)
             self.frontier[key] = range(blk.rank)
         self.level = 0
         self.history.append(self.block_dims())
@@ -216,7 +213,7 @@ class SwitchingClosure:
                 left_blk = self.blocks[(i, nu)]
                 left = left_blk.raw[rows.start : rows.stop]
                 words = left_blk.words[rows.start : rows.stop]
-                js = self.gens[(nu, m)][0]
+                js = self.orbindex.block_relations[(nu, m)]
                 n2 = len(js)
                 # candidate (a, c) is left[a] @ K[:, c, :], in the span exactly
                 # when its product with the kernel U is zero: all are tested
@@ -239,7 +236,7 @@ class SwitchingClosure:
                     cands = chain_products(self.orbindex, key, nu, left, p)
                     grown = blk.insert_batch(cands.reshape(n * n2, blk.r))
                 for idx in grown:
-                    blk.words.append(words[idx // n2] + ((nu, js[idx % n2], m),))
+                    blk.words.append(words[idx // n2] + ((nu, int(js[idx % n2]), m),))
             growth[key] = blk.rank - before
             new_frontier[key] = range(before, blk.rank)
             if progress is not None and growth[key]:

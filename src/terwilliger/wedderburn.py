@@ -2,9 +2,9 @@
 
 Idempotents of the stabilizer centralizer algebra are block-diagonal across
 conjugacy classes and constant on pair orbits, so each one is stored as one
-exact rational vector per diagonal block.  Values come from coset sums over
-class transversals; membership in the closed algebra is a blockwise echelon
-reduction under both working primes.
+integer vector of numerators per diagonal block, over the common denominator
+2|G|.  Values come from coset sums over class transversals; membership in the
+closed algebra is a blockwise echelon reduction under both working primes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from .chars import CentralizerReport, CharTable, char_table
+from .chars import CentralizerReport, char_table
 from .groups import ReconciliationError, SymmetricGroup, centralizer_elements, inversion_closed
 from .orbitals import OrbitalIndex
 from .partitions import SignedPartition
@@ -27,46 +27,44 @@ from .switching import Block, ClosureResult, Word, chain_products
 class CPIdem:
     """One centrally primitive idempotent in orbit coordinates.
 
-    block_values[c] holds the exact value of the idempotent on each orbit of
-    C_c x C_c; off-diagonal blocks vanish.
+    block_values[c] is an int64 array: the idempotent's value on orbit t of
+    C_c x C_c is block_values[c][t] / denominator, and `denominator` is 2|G|
+    for every idempotent of the group.  Off-diagonal blocks vanish.
     """
 
     label: SignedPartition
     degree: int
     multiplicity: int
-    block_values: dict[int, list[Fraction]]
+    block_values: dict[int, np.ndarray]
+    denominator: int
 
     def block_vector_mod(self, c: int, p: int) -> np.ndarray:
-        out = np.empty(len(self.block_values[c]), dtype=np.int64)
-        for t, v in enumerate(self.block_values[c]):
-            out[t] = v.numerator * pow(v.denominator, -1, p) % p
-        return out
+        return self.block_values[c] % p * pow(self.denominator, -1, p) % p
 
     def block_trace(self, orbindex: OrbitalIndex, c: int) -> Fraction:
         # the diagonal of C_c x C_c is orbit 0, that of (x_c, x_c)
-        return self.block_values[c][0] * orbindex.scheme.classes.sizes[c]
+        size = orbindex.scheme.classes.sizes[c]
+        return Fraction(int(self.block_values[c][0]) * size, self.denominator)
 
 
 def add_idempotents(label_a: CPIdem, label_b: CPIdem) -> CPIdem:
     """Sum of two idempotents (orthogonal by construction)."""
     if set(label_a.block_values) != set(label_b.block_values):
         raise ValueError("mismatched block structure")
-    values = {
-        c: [x + y for x, y in zip(label_a.block_values[c], label_b.block_values[c])]
-        for c in label_a.block_values
-    }
+    values = {c: v + label_b.block_values[c] for c, v in label_a.block_values.items()}
     return CPIdem(
         label=label_a.label,
         degree=label_a.degree,
         multiplicity=label_a.multiplicity + label_b.multiplicity,
         block_values=values,
+        denominator=label_a.denominator,
     )
 
 
 class CpiBuilder:
     """Builds idempotents from coset sums of character values."""
 
-    def __init__(self, orbindex: OrbitalIndex, table: CharTable | None = None):
+    def __init__(self, orbindex: OrbitalIndex):
         scheme = orbindex.scheme
         g = scheme.group
         cls = scheme.classes
@@ -77,7 +75,7 @@ class CpiBuilder:
         self.orbindex = orbindex
         self.group = g
         self.classes = cls
-        self.table = table if table is not None else char_table(g.n)
+        self.table = char_table(g.n)
         self.centralizers = [
             centralizer_elements(g, rep) for rep in cls.representatives
         ]
@@ -94,9 +92,9 @@ class CpiBuilder:
 
         Entry [0, t] of the array for class c counts, class by class, the
         elements of {g : g x g^-1 = y}, and entry [1, t] those of
-        {g : g x^-1 g^-1 = y}, where (x, y) represents orbit t of C_c x C_c.
-        Each coset is ty * C(x) * tx^-1, so one scan of the centralizer
-        serves every character.
+        {g : g x^-1 g^-1 = y}, where (x, y) represents orbit t of C_c x C_c:
+        x is the class representative.  Each coset is ty * C(x) * tx^-1, so
+        one scan of the centralizer serves every character.
         """
         if self._hists is None:
             g = self.group
@@ -104,17 +102,17 @@ class CpiBuilder:
             nc = cls.n_classes
             self._hists = []
             for c, z in enumerate(self.centralizers):
-                px, py = self.orbindex.block_reps[(c, c)]
-                elems = self.orbindex.class_elems[c]
-                ty = cls.transversal[elems[py]][:, None]
+                py = self.orbindex.block_reps[(c, c)]
+                ty = cls.transversal[self.orbindex.class_elems[c][py]][:, None]
+                rep = cls.representatives[c]
                 ids = []
-                for x in (elems[px], g.inv(elems[px])):
-                    tx_inv = g.inv(cls.transversal[x])[:, None]
+                for x in (rep, g.inv(rep)):
+                    tx_inv = g.inv(cls.transversal[x])
                     ids.append(cls.class_of[g.mul(g.mul(ty, z), tx_inv)])
                 # bin (inverted, t) * nc + class, over all (inverted, t, w)
-                bins = np.arange(2 * len(px)).reshape(2, -1, 1) * nc + np.stack(ids)
-                flat = np.bincount(bins.ravel(), minlength=2 * len(px) * nc)
-                self._hists.append(flat.reshape(2, len(px), nc))
+                bins = np.arange(2 * len(py)).reshape(2, -1, 1) * nc + np.stack(ids)
+                flat = np.bincount(bins.ravel(), minlength=2 * len(py) * nc)
+                self._hists.append(flat.reshape(2, len(py), nc))
         return self._hists
 
     def build(self, sp: SignedPartition) -> CPIdem:
@@ -123,12 +121,12 @@ class CpiBuilder:
         chi = self._char_by_class(sp)
         f = int(chi[0])
         order2 = 2 * self.group.order
-        values: dict[int, list[Fraction]] = {}
+        values: dict[int, np.ndarray] = {}
         for c, hists in enumerate(self._coset_histograms()):
             plus, minus = hists @ chi
-            values[c] = [Fraction(f * int(s), order2) for s in plus + sp.sign * minus]
-        e = CPIdem(label=sp, degree=f, multiplicity=0, block_values=values)
-        trace = sum((e.block_trace(oi, c) for c in values), start=Fraction(0))
+            values[c] = f * (plus + sp.sign * minus)
+        e = CPIdem(label=sp, degree=f, multiplicity=0, block_values=values, denominator=order2)
+        trace = sum(e.block_trace(oi, c) for c in values)
         if trace.denominator != 1 or int(trace) % f:
             raise ReconciliationError(
                 "cpi_trace_multiplicity", f"trace {trace} of {sp} is not a multiple of {f}"

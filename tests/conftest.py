@@ -3,19 +3,16 @@
 from __future__ import annotations
 
 import importlib.util
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import terwilliger as tw
-from terwilliger.chars import (
-    centralizer_wedderburn,
-    char_table,
-    multiplicities,
-    perm_char_H1,
-)
+from terwilliger.chars import centralizer_wedderburn, multiplicities, perm_char_H1
 from terwilliger.fieldla import modmul
+from terwilliger.groups import CayleyGroup
 from terwilliger.orbitals import OrbitalIndex
 from terwilliger.partitions import SignedPartition
 from terwilliger.switching import run_to_stationary
@@ -58,9 +55,6 @@ class Stages:
             lambda: run_to_stationary(self.scheme(n), self.orbindex(n), seed=0),
         )
 
-    def chartable(self, n):
-        return _memo(("chartable", n), lambda: char_table(n))
-
     def mults(self, n):
         def build():
             pi = perm_char_H1(self.group(n), self.scheme(n).classes)
@@ -70,7 +64,7 @@ class Stages:
 
     def cpis(self, n):
         def build():
-            builder = CpiBuilder(self.orbindex(n), self.chartable(n))
+            builder = CpiBuilder(self.orbindex(n))
             return builder.build_all(self.mults(n))
 
         return _memo(("cpis", n), build)
@@ -161,6 +155,23 @@ def bench_cayley():
     return _memo("bench_cayley", build)
 
 
+def bench_table_group(name: str, seed: int) -> CayleyGroup:
+    """One of the benchmark's Cayley-table groups, relabelled as it does for `seed`."""
+    cayley = bench_cayley()
+    table = cayley.cayley_table(cayley.TABLE_GROUPS[name])
+    table = cayley.relabel(table, random.Random(f"cayley:{name}:{seed}"))
+    return CayleyGroup(table, name=name)
+
+
+def generator_rows(orbindex: OrbitalIndex, key: tuple[int, int]) -> np.ndarray:
+    """The length-1 generators of block `key`: one relation-indicator row each.
+
+    Rows follow `orbindex.block_relations[key]`, the order the closure uses.
+    """
+    js = orbindex.block_relations[key]
+    return (js[:, None] == orbindex.block_rel[key]).astype(np.int64)
+
+
 def dense_rank_modp(rows, ncols, p):
     """Schoolbook Gaussian elimination oracle: the rank of `rows` mod p."""
     mat = [list(r) for r in rows]
@@ -193,13 +204,13 @@ def per_orbit_products(orbindex, oracle, target, nu, left, right, p):
     from the index's anchored rows.
     """
     i, m = target
-    px, py = orbindex.block_reps[target]
-    rows_a = oracle.labels(i, nu)[px, :]
-    cols_b = oracle.labels(nu, m)[:, py]
+    # every target orbit is represented at (x_i, y_t), x_i at position 0
+    row_a = oracle.labels(i, nu)[0].astype(np.int64)
+    cols_b = oracle.labels(nu, m)[:, orbindex.block_reps[target]]
     ra, rb, rt = orbindex.r[(i, nu)], orbindex.r[(nu, m)], orbindex.r[target]
     out = np.empty((left.shape[0], right.shape[0], rt), dtype=np.int64)
     for t in range(rt):
-        combined = rows_a[t].astype(np.int64) * rb + cols_b[:, t]
+        combined = row_a * rb + cols_b[:, t]
         ct = np.bincount(combined, minlength=ra * rb).reshape(ra, rb)
         out[:, :, t] = modmul(modmul(left % p, ct, p), right.T % p, p)
     return out

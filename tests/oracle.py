@@ -249,7 +249,7 @@ class MatrixClosure:
             for k in range(nc):
                 gens = []
                 for j in range(nc):
-                    if tensor.get(i, j, k):
+                    if tensor.p[i, j, k]:
                         gens.append((j, restrict_block(scheme, i, j, k)))
                 self.gen_mats[(i, k)] = gens
 

@@ -49,7 +49,7 @@ def fresh_pipeline(n):
     res = run_to_stationary(s, oi, seed=0)
     mv = multiplicities(perm_char_H1(g, s.classes), n)
     cent = centralizer_wedderburn(mv)
-    cpis = CpiBuilder(oi, char_table(n)).build_all(mv)
+    cpis = CpiBuilder(oi).build_all(mv)
     wed = decompose_T(res, cent, cpis)
     thin = thinness(cpis, oi)
     return dict(
@@ -412,7 +412,7 @@ def test_criterion_7_property_suite(q8_path, c3_path, trivial_path):
         ok = ok and sum(eig.multiplicities) == factorial(n)
 
         # idempotent identities under both primes
-        cpis = CpiBuilder(oi, table).build_all(mv)
+        cpis = CpiBuilder(oi).build_all(mv)
         for p in res.primes:
             ok = ok and completeness_defect(cpis, oi, p) == 0
         sps = sorted(cpis, key=lambda sp: sp.label())

@@ -9,8 +9,9 @@ from terwilliger import (
 
 # names removed from the library: nothing in it used them, the ambient
 # reference engine is a test oracle (tests/oracle.py), a run is set by flags
-# alone, a failed two-prime check is a ReconciliationError, and the report's
-# JSON is built in the CLI alone
+# alone, a failed two-prime check is a ReconciliationError, the report's
+# JSON is built in the CLI alone, the tensor is one array and the character
+# table is memoized in `chars`
 REMOVED = (
     (groups, "Permutation"),
     (orbitals, "orbital_table"),
@@ -28,15 +29,19 @@ REMOVED = (
     (wedderburn.ThinReport, "to_json"),
     (wedderburn.WedderburnReport, "to_json"),
     (scheme.IntersectionTensor, "to_json"),
+    (scheme.IntersectionTensor, "get"),
+    (cli.Pipeline, "chartable"),
 )
 
-# parameters removed because no caller set them
+# parameters removed because no caller set them, or because the value they
+# passed along is memoized where it is built
 REMOVED_PARAMETERS = (
     (switching.run_to_stationary, "max_width"),
     (groups.conjugacy_classes, "gens"),
     (groups.SymmetricGroup, "max_n"),
     (fieldla.sample_primes, "lo"),
     (fieldla.sample_primes, "hi"),
+    (wedderburn.CpiBuilder, "table"),
 )
 
 
@@ -53,6 +58,13 @@ def test_public_api():
 def test_removed_parameters():
     for fn, name in REMOVED_PARAMETERS:
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
+
+
+def test_char_table_built_once_per_report(capsys):
+    chars.char_table.cache_clear()
+    assert cli.main(["report", "--group", "sym:6", "--quiet"]) == 0
+    capsys.readouterr()
+    assert chars.char_table.cache_info().misses == 1
 
 
 def _unused_imports(path: Path) -> list[str]:

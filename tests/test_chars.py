@@ -185,7 +185,7 @@ def test_multiplicity_row_sum_identity(stages):
 
     for n in range(3, 8):
         mv = stages.mults(n)
-        sums = row_sums(stages.chartable(n))
+        sums = row_sums(char_table(n))
         for lam in partitions_of(n):
             plus = mv.get(SignedPartition(lam, 1))
             minus = mv.get(SignedPartition(lam, -1))
@@ -209,9 +209,9 @@ def test_centralizer_dims(stages):
 
 
 def test_row_sums_values(stages):
-    t4 = stages.chartable(4)
+    t4 = char_table(4)
     assert [row_sums(t4)[lam] for lam in t4.row_labels] == [5, 2, 3, 2, 1]
-    t3 = stages.chartable(3)
+    t3 = char_table(3)
     assert [row_sums(t3)[lam] for lam in t3.row_labels] == [3, 1, 1]
 
 
@@ -236,7 +236,7 @@ def test_multiplicities_elementwise_oracle_s4(stages):
             out[j] = i
         return tuple(out)
 
-    t = stages.chartable(n)
+    t = char_table(n)
     from terwilliger.groups import cycle_type
 
     got = {}

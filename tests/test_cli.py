@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ import pytest
 import terwilliger as tw
 from terwilliger import chars as chars_mod
 from terwilliger import orbitals as orb_mod
+from terwilliger import scheme as scheme_mod
 from terwilliger import switching as sw_mod
 from terwilliger import wedderburn as wed_mod
 from terwilliger.cli import _split_blocks, main
@@ -252,9 +252,9 @@ def test_orbit_sizes_ledger_exits_1(capsys, monkeypatch):
     validate = orb_mod.OrbitalIndex.validate_against_tensor
 
     def validate_off_by_one(self, t):
-        entries = dict(t.entries)
-        entries[(0, 0, 0)] += 1
-        return validate(self, IntersectionTensor(entries=entries, n_classes=t.n_classes))
+        p = t.p.copy()
+        p[0, 0, 0] += 1
+        return validate(self, IntersectionTensor(p=p))
 
     monkeypatch.setattr(orb_mod.OrbitalIndex, "validate_against_tensor", validate_off_by_one)
     code, out, err = run_cli(capsys, "centralizer", "--group", "sym:4", "--quiet")
@@ -372,6 +372,30 @@ def test_merged_component_dimension_exits_1(capsys, monkeypatch):
     assert "irregular dimension 2" in err
 
 
+@pytest.mark.parametrize(
+    "check, moved",
+    [
+        # one more z counted in C_1 for relation 0
+        ("tensor_row_sums", {(1, 0, 0): 1}),
+        # a count moved from j = 1 to j = 0 in p_0j^1: the row sums still hold
+        ("tensor_identity_relation", {(0, 0, 1): 1, (0, 1, 1): -1}),
+    ],
+    ids=["tensor_row_sums", "tensor_identity_relation"],
+)
+def test_tensor_checks_exit_1(capsys, monkeypatch, check, moved):
+    def corrupted(p):
+        p = p.copy()
+        for idx, d in moved.items():
+            p[idx] += d
+        return IntersectionTensor(p=p)
+
+    monkeypatch.setattr(scheme_mod, "IntersectionTensor", corrupted)
+    code, out, err = run_cli(capsys, "scheme", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert check in err
+
+
 def test_cpi_trace_ledger_exits_1(capsys, monkeypatch):
     build = wed_mod.CpiBuilder.build
 
@@ -393,7 +417,8 @@ def test_module_block_dims_exits_1(capsys, monkeypatch):
     def nudged(self, mults):
         cpis = build_all(self, mults)
         # the identity class has one element: its block trace moves by 1/2
-        next(iter(cpis.values())).block_values[0][0] += Fraction(1, 2)
+        e = next(iter(cpis.values()))
+        e.block_values[0][0] += e.denominator // 2
         return cpis
 
     monkeypatch.setattr(wed_mod.CpiBuilder, "build_all", nudged)

@@ -80,8 +80,9 @@ def test_closure_matches_ambient_oracle(name, data):
     for closure in res.closures:
         field = PrimeField(closure.field.p)
         for key, blk in closure.blocks.items():
-            px, py = oi.block_reps[key]
+            # orbit t is represented by (x_i, y_t), x_i at position 0 of C_i
+            py = oi.block_reps[key].tolist()
             for k, word in enumerate(blk.words):
                 mat = word_product(s, word, field)
-                at_reps = [mat.rows[x].get(y, 0) for x, y in zip(px.tolist(), py.tolist())]
+                at_reps = [mat.rows[0].get(y, 0) for y in py]
                 assert at_reps == blk.raw[k].tolist(), (field.p, key, word)

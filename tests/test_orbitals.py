@@ -1,22 +1,14 @@
 import itertools
-import random
+from fractions import Fraction
 
 import numpy as np
 
 import golden
 import terwilliger as tw
-from conftest import bench_cayley, dihedral_table
+from conftest import bench_table_group, dihedral_table
 from orbit_oracle import BlockOracle, build_h1_action, element_orbit_count
-from terwilliger.groups import CayleyGroup, load_cayley_table
+from terwilliger.groups import load_cayley_table
 from terwilliger.orbitals import OrbitalIndex, burnside_orbital_count
-
-
-def _bench_table_group(name: str, seed: int) -> CayleyGroup:
-    """One of the benchmark's Cayley-table groups, relabelled as it does for `seed`."""
-    cayley = bench_cayley()
-    table = cayley.cayley_table(cayley.TABLE_GROUPS[name])
-    table = cayley.relabel(table, random.Random(f"cayley:{name}:{seed}"))
-    return CayleyGroup(table, name=name)
 
 
 def test_orbital_table_s4_golden(stages):
@@ -107,10 +99,11 @@ def test_block_label_shapes(stages):
 def test_block_reps_consistent(stages):
     oi = stages.orbindex(5)
     oracle = stages.oracle(5)
-    for (i, k), (px, py) in oi.block_reps.items():
+    for (i, k), py in oi.block_reps.items():
+        # orbit t is represented by (x_i, y) with x_i at position 0 of C_i
         lab = oracle.labels(i, k)
         for t in range(oi.r[(i, k)]):
-            assert lab[px[t], py[t]] == t
+            assert lab[0, py[t]] == t
 
 
 def test_orbit_invariance_under_action(stages):
@@ -146,7 +139,7 @@ def test_anchored_index_matches_block_oracle(stages, q8_path, c3_path, tmp_path)
     schemes = [stages.scheme(n) for n in (3, 4, 5, 6)]
     for path in (q8_path, c3_path, dihedral_table(tmp_path / "d5.txt", 5)):
         schemes.append(tw.build_scheme(load_cayley_table(path)))
-    schemes.append(tw.build_scheme(_bench_table_group("psl2_11", 0)))
+    schemes.append(tw.build_scheme(bench_table_group("psl2_11", 0)))
     for s in schemes:
         oi = OrbitalIndex(s)
         oracle = BlockOracle(s)
@@ -155,8 +148,9 @@ def test_anchored_index_matches_block_oracle(stages, q8_path, c3_path, tmp_path)
             want = oracle.block(i, k)
             where = (s.group.name, i, k)
             assert oi.r[(i, k)] == len(want.counts), where
-            assert np.array_equal(oi.block_reps[(i, k)][0], want.reps[0]), where
-            assert np.array_equal(oi.block_reps[(i, k)][1], want.reps[1]), where
+            # the oracle's least pair of each orbit is anchored at x_i too
+            assert not want.reps[0].any(), where
+            assert np.array_equal(oi.block_reps[(i, k)], want.reps[1]), where
             assert np.array_equal(oi.block_counts[(i, k)], want.counts), where
             assert np.array_equal(row, want.labels[0]), where
             rel = s.relation_of(ei[i][want.reps[0]], ei[k][want.reps[1]])
@@ -183,7 +177,7 @@ def test_generator_tables_match_counted_pairs(stages, q8_path, c3_path, tmp_path
     schemes = [(stages.scheme(n), stages.oracle(n)) for n in (3, 4, 5, 6)]
     tables = [load_cayley_table(q8_path), load_cayley_table(c3_path)]
     tables.append(load_cayley_table(dihedral_table(tmp_path / "d5.txt", 5)))
-    tables.append(_bench_table_group("psl2_11", 0))
+    tables.append(bench_table_group("psl2_11", 0))
     schemes += [(s, BlockOracle(s)) for s in map(tw.build_scheme, tables)]
     for s, oracle in schemes:
         oi = OrbitalIndex(s)
@@ -212,4 +206,5 @@ def test_diag_pair_counts(stages):
         assert np.count_nonzero(oracle.labels(c, c) == 0) == cls.sizes[c]
         diag = np.diagonal(oracle.labels(c, c))
         for e in stages.cpis(4).values():
-            assert e.block_trace(oi, c) == sum(e.block_values[c][t] for t in diag)
+            want = Fraction(int(sum(e.block_values[c][t] for t in diag)), e.denominator)
+            assert e.block_trace(oi, c) == want

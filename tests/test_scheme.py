@@ -4,6 +4,7 @@ import random
 import numpy as np
 
 import terwilliger as tw
+from conftest import bench_table_group
 from terwilliger.groups import fixed_point_counts, load_cayley_table
 from terwilliger.orbitals import burnside_orbital_count
 from terwilliger.scheme import (
@@ -29,7 +30,7 @@ def test_relation_counts(stages):
 def test_p000_is_one(stages, q8_path):
     for s in (stages.scheme(3), build_scheme(load_cayley_table(q8_path))):
         t = intersection_numbers(s)
-        assert t.get(0, 0, 0) == 1
+        assert t.p[0, 0, 0] == 1
 
 
 def test_nonzero_triples_s4(stages):
@@ -58,14 +59,14 @@ def test_tensor_row_sums(stages):
     cls = stages.scheme(5).classes
     for k in range(t.n_classes):
         for i in range(t.n_classes):
-            assert sum(t.get(i, j, k) for j in range(t.n_classes)) == cls.sizes[i]
+            assert sum(t.p[i, j, k] for j in range(t.n_classes)) == cls.sizes[i]
 
 
 def test_tensor_commutative(stages):
     for n in (4, 5, 6):
         t = stages.tensor(n)
-        for (i, j, k), p in t.entries.items():
-            assert t.get(j, i, k) == p
+        for i, j, k in np.argwhere(t.p):
+            assert t.p[j, i, k] == t.p[i, j, k]
 
 
 def test_converse_symmetry_sampled(stages):
@@ -223,7 +224,31 @@ def test_representative_independence(stages):
                     j = s.relation_of(z, y)
                     counts[(i, j)] = counts.get((i, j), 0) + 1
             for (i, j), v in counts.items():
-                assert t.get(i, j, k) == v
+                assert t.p[i, j, k] == v
+
+
+def _relation_counted_tensor(s, rng):
+    """Reference: p_ij^k counted over every z at one pair (x, y) of relation k, x != e."""
+    g, cls = s.group, s.classes
+    nc = cls.n_classes
+    every = np.arange(g.order)
+    p = np.zeros((nc, nc, nc), dtype=np.int64)
+    for k, rep in enumerate(cls.representatives):
+        x = rng.randrange(1, g.order)
+        y = g.mul(x, rep)
+        assert s.relation_of(x, y) == k
+        np.add.at(p[:, :, k], (s.relation_of(x, every), s.relation_of(every, y)), 1)
+    return p
+
+
+def test_tensor_matches_relation_counts(stages, q8_path, c3_path):
+    schemes = [stages.scheme(n) for n in (3, 4, 5)]
+    schemes += [build_scheme(load_cayley_table(path)) for path in (q8_path, c3_path)]
+    schemes.append(build_scheme(bench_table_group("psl2_11", 0)))
+    rng = random.Random(11)
+    for s in schemes:
+        want = _relation_counted_tensor(s, rng)
+        assert np.array_equal(intersection_numbers(s).p, want), s.group.name
 
 
 def test_sandwich_chain(stages):

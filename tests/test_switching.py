@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import dense_rank_modp, dihedral_table, per_orbit_products
+from conftest import dense_rank_modp, dihedral_table, generator_rows, per_orbit_products
 from oracle import PrimeField, RationalField, run_matrix_closure
 from orbit_oracle import BlockOracle
 
@@ -39,7 +39,7 @@ def test_t0_block_dims_are_relation_counts(stages):
     assert table.dims == golden.S5_T0_TABLE
     for i in range(s.n_classes):
         for k in range(s.n_classes):
-            want = sum(1 for j in range(s.n_classes) if t.get(i, j, k))
+            want = sum(1 for j in range(s.n_classes) if t.p[i, j, k])
             assert table.dims[i][k] == want
 
 
@@ -126,7 +126,7 @@ def test_block_support_reachability(stages):
     nc = res.scheme.n_classes
     # edges (i -> k) whenever some length-1 element lives in block (i,k)
     adj = {
-        i: {k for k in range(nc) if any(t.get(i, j, k) for j in range(nc))}
+        i: {k for k in range(nc) if any(t.p[i, j, k] for j in range(nc))}
         for i in range(nc)
     }
     reach = {i: set(adj[i]) for i in range(nc)}
@@ -355,11 +355,10 @@ def test_chain_products_match_per_orbit_loop(stages, q8_path, c3_path, tmp_path)
     assert primes[1] < PRIME_HI
     for s, oi, oracle in schemes:
         nc = oi.n_classes
-        closure = SwitchingClosure(s, oi, FieldCtx(primes[0]))
         for p in primes:
             for i, nu, m in itertools.product(range(nc), repeat=3):
-                right = closure.gens[(nu, m)][1]
-                for left in (rng.integers(0, p, (3, oi.r[(i, nu)])), closure.gens[(i, nu)][1]):
+                right = generator_rows(oi, (nu, m))
+                for left in (rng.integers(0, p, (3, oi.r[(i, nu)])), generator_rows(oi, (i, nu))):
                     got = chain_products(oi, (i, m), nu, left, p)
                     want = per_orbit_products(oi, oracle, (i, m), nu, left, right, p)
                     assert got.shape == want.shape
@@ -370,13 +369,12 @@ def test_generator_products_reduce_counts_below_small_prime(stages):
     # S5 generator tables hold counts up to 12, above the prime 7
     oi = stages.orbindex(5)
     oracle = stages.oracle(5)
-    closure = SwitchingClosure(stages.scheme(5), oi, FieldCtx(7))
     assert max(int(oi.generator_table((i, m), nu).max()) for i, nu, m in
                itertools.product(range(oi.n_classes), repeat=3)) > 7
     for i, nu, m in itertools.product(range(oi.n_classes), repeat=3):
-        left = closure.gens[(i, nu)][1]
+        left = generator_rows(oi, (i, nu))
         got = chain_products(oi, (i, m), nu, left, 7)
-        want = per_orbit_products(oi, oracle, (i, m), nu, left, closure.gens[(nu, m)][1], 7)
+        want = per_orbit_products(oi, oracle, (i, m), nu, left, generator_rows(oi, (nu, m)), 7)
         assert np.array_equal(got, want), (i, nu, m)
 
 
@@ -426,7 +424,7 @@ class _FullProductClosure(SwitchingClosure):
                     continue
                 left_blk = self.blocks[(i, nu)]
                 words = left_blk.words[rows.start : rows.stop]
-                js = self.gens[(nu, m)][0]
+                js = self.orbindex.block_relations[(nu, m)].tolist()
                 left = left_blk.raw[rows.start : rows.stop]
                 cands = chain_products(self.orbindex, key, nu, left, self.field.p)
                 for idx in blk.insert_batch(cands.reshape(-1, blk.r)):

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import golden
@@ -30,7 +31,7 @@ def test_builder_rejects_non_symmetric(q8_path):
 
 
 def test_zero_idempotent_rejected(stages):
-    builder = CpiBuilder(stages.orbindex(4), stages.chartable(4))
+    builder = CpiBuilder(stages.orbindex(4))
     with pytest.raises(ValueError):
         builder.build(parse_signed_partition("[4]-"))
 
@@ -50,11 +51,11 @@ def _coset_sum_values(builder, sp):
 
     values = {}
     for c in range(cls.n_classes):
-        px, py = oi.block_reps[(c, c)]
         elems = cls.elements[c]
         values[c] = []
-        for a, b in zip(px, py):
-            x, y = elems[int(a)], elems[int(b)]
+        # orbit t of C_c x C_c is represented by (x_c, y_t), x_c first in C_c
+        for b in oi.block_reps[(c, c)]:
+            x, y = elems[0], elems[int(b)]
             s = coset_sum(x, y) + sp.sign * coset_sum(g.inv(x), y)
             values[c].append(Fraction(chi[0] * s, 2 * g.order))
     return values
@@ -62,13 +63,18 @@ def _coset_sum_values(builder, sp):
 
 def test_cpi_values_match_coset_sum_loop(stages):
     for n in (4, 5, 6):
-        builder = CpiBuilder(stages.orbindex(n), stages.chartable(n))
+        builder = CpiBuilder(stages.orbindex(n))
         for base in partitions_of(n):
             for sign in (1, -1):
                 sp = SignedPartition(base, sign)
                 want = _coset_sum_values(builder, sp)
                 if stages.mults(n).get(sp):
-                    assert builder.build(sp).block_values == want
+                    e = builder.build(sp)
+                    got = {
+                        c: [Fraction(int(v), e.denominator) for v in vec]
+                        for c, vec in e.block_values.items()
+                    }
+                    assert got == want
                 else:
                     with pytest.raises(ValueError):
                         builder.build(sp)
@@ -290,9 +296,11 @@ def test_pigeonhole_guard(stages):
 
 
 def test_block_values_are_exact_fractions(stages):
+    # int64 numerators over the common denominator 2|G|
     e = stages.cpis(3)[parse_signed_partition("[3]+")]
+    assert e.denominator == 2 * stages.group(3).order
     for vec in e.block_values.values():
-        assert all(isinstance(v, Fraction) for v in vec)
+        assert isinstance(vec, np.ndarray) and vec.dtype == np.int64
 
 
 def test_identity_vector_distributes(stages):
