@@ -131,12 +131,12 @@ def scheme_eigenmatrix(n: int) -> Eigenmatrix:
         f = row[0]
         entries = []
         for size, chi in zip(sizes, row):
-            q = Fraction(chi * size, f)
-            if q.denominator != 1:
+            q, rem = divmod(chi * size, f)
+            if rem:
                 raise ReconciliationError(
                     "integral_eigenvalues", f"non-integral eigenvalue at ({lam})"
                 )
-            entries.append(int(q))
+            entries.append(q)
         values.append(entries)
         mults.append(f * f)
     if sum(mults) != factorial(n):

@@ -11,13 +11,14 @@ table K on the orbital index, counted once per (target block, middle class)
 and shared by both primes, every level and the idempotent products (which
 replay the accepted words, see `wedderburn.algebra_times_idempotent_dim`).
 
-A closure step tests the candidates of each (target block, middle class)
-against the target block's kernel U, one matmul left @ (K @ U) for all of
-them, whenever that costs less than multiplying them all in full: a
-candidate lies in the block's span exactly when its row of the test is
-zero.  Only the other candidates are multiplied in full and inserted, in
-their original order, so the accepted words are those a full product of
-every candidate would give.
+A span has one test, `Block.residual`: a vector's residual on the block's
+free columns, zero exactly when the vector lies in the span.  A closure
+step takes the residuals of every candidate of a (target block, middle
+class) at once, as left @ residual(K) or as residual(left @ K), whichever
+costs fewer multiply-adds, and eliminates within the batch on the free
+columns alone.  Only the accepted candidates are then multiplied in full,
+for the block's `raw` rows, so the accepted words are those a full product
+of every candidate would give.
 
 Rank mod p is at most rank over Q, so the words a prime accepts are
 independent over Q and every dimension found is an exact lower bound.  The
@@ -53,14 +54,16 @@ class Block:
 
     The block has `r` orbits, so at most `r` independent rows.  `pivots` is an
     (r,) array and `rows`, `raw` are (r, r) arrays mod p, filled up to `rank`:
-    rows[s, pivots[t]] is 1 if s == t and 0 otherwise, and raw[:s+1] (the
-    candidates that grew the rank, reduced mod p only) spans the same space
-    as rows[:s+1].  A vector's residual is then one product with the rows (see
-    `reduce`), and its membership one product with the kernel basis (see
-    `kernel`).  `words` is the provenance of `raw`, kept by the caller.
+    rows[s, pivots[t]] is 1 if s == t and 0 otherwise, and `is_free` marks
+    the other r - rank columns, the free ones.  A span has one test,
+    `residual`: a vector's residual on the free columns, zero exactly when the
+    vector lies in the span; `insert_batch` takes such residuals and grows
+    the rows.  `raw` and `words` are provenance, written by the caller for the
+    indices `insert_batch` returns: raw[:s+1] (the candidates that grew the
+    rank, reduced mod p) spans the same space as rows[:s+1].
     """
 
-    __slots__ = ("r", "p", "rank", "pivots", "rows", "raw", "words")
+    __slots__ = ("r", "p", "rank", "pivots", "is_free", "rows", "raw", "words")
 
     def __init__(self, r: int, p: int):
         if p >= fieldla.PRIME_HI:
@@ -69,74 +72,61 @@ class Block:
         self.p = p
         self.rank = 0
         self.pivots = np.zeros(r, dtype=np.intp)
+        self.is_free = np.ones(r, dtype=bool)
         self.rows = np.zeros((r, r), dtype=np.int64)
         self.raw = np.zeros((r, r), dtype=np.int64)
         self.words: list[Word] = []
 
-    def insert_batch(self, cands: np.ndarray) -> list[int]:
-        """Insert candidate rows in order, up to `r`; return the indices that grew rank.
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """x[..., free] - x[..., pivots] @ rows[:, free] mod p: zero exactly in the span.
 
-        A row grows the rank exactly when it lies outside the span of the rows
-        before it, so the result does not change when rows already in the
-        block's span are left out of `cands`.
+        Entries of x are nonnegative and below PRIME_HI (residues or counts),
+        as `modmul` needs.  The residual is linear in x, so the residuals of
+        a product chain may be taken at either end of it.
         """
-        p = self.p
-        residual = self.reduce(cands)
+        k, free = self.rank, self.is_free.nonzero()[0]
+        out = x[..., free]
+        if k:
+            out = out - modmul(x[..., self.pivots[:k]], self.rows[:k][:, free], self.p)
+        return out % self.p
+
+    def insert_batch(self, residuals: np.ndarray) -> list[int]:
+        """Insert rows, given by their residuals, in order; return the indices that grew rank.
+
+        `residuals` is (n, r - rank), taken by `residual` against the current
+        rows, and is reduced in place.  A row grows the rank exactly when it
+        lies outside the span of the rows before it, and elimination within
+        the batch runs over the free columns alone.
+        """
         # live[s]: row s is outside the span of the rows so far, so the loop
         # visits the rows that grow the rank and no others
-        live = residual.any(axis=1)
+        live = residuals.any(axis=1)
         grown: list[int] = []
-        n = residual.shape[0]
+        p, free = self.p, self.is_free.nonzero()[0]
+        n = residuals.shape[0]
         idx = -1
-        while self.rank < self.r and idx + 1 < n:
+        while idx + 1 < n:
             idx += 1 + int(live[idx + 1 :].argmax())
             if not live[idx]:
                 break
-            v = residual[idx]
-            piv = int(v.nonzero()[0][0])
-            v = v * pow(int(v[piv]), -1, p) % p
-            k = self.rank
+            v = residuals[idx]
+            j = int(v.nonzero()[0][0])
+            v = v * pow(int(v[j]), -1, p) % p
+            k, piv = self.rank, int(free[j])
+            self.rows[k, free] = v
             col = self.rows[:k, piv]
             if col.any():
-                self.rows[:k] = (self.rows[:k] - col[:, None] * v) % p
-            self.rows[k] = v
+                self.rows[:k] = (self.rows[:k] - col[:, None] * self.rows[k]) % p
             self.pivots[k] = piv
-            self.raw[k] = cands[idx] % p
+            self.is_free[piv] = False
             self.rank = k + 1
             grown.append(idx)
-            below = idx + 1 + residual[idx + 1 :, piv].nonzero()[0]
+            below = idx + 1 + residuals[idx + 1 :, j].nonzero()[0]
             if below.size:
-                rest = (residual[below] - residual[below, piv, None] * v) % p
-                residual[below] = rest
+                rest = (residuals[below] - residuals[below, j, None] * v) % p
+                residuals[below] = rest
                 live[below] = rest.any(axis=1)
         return grown
-
-    def kernel(self) -> np.ndarray:
-        """(r, r - rank) right-kernel basis U of the rows: rows @ U = 0 mod p.
-
-        U[pivots] = -rows[:, free] and U[free] = I, the free columns being
-        those without a pivot.  A vector's residual vanishes on the pivots, so
-        v @ U mod p is its residual on the free columns: v lies in the span
-        exactly when v @ U = 0.
-        """
-        k = self.rank
-        free = np.ones(self.r, dtype=bool)
-        free[self.pivots[:k]] = False
-        free = np.flatnonzero(free)
-        u = np.zeros((self.r, free.size), dtype=np.int64)
-        u[self.pivots[:k]] = -self.rows[:k, free] % self.p
-        u[free, np.arange(free.size)] = 1
-        return u
-
-    def reduce(self, vecs: np.ndarray) -> np.ndarray:
-        """Residual of a vector, or of each row of a matrix, against the echelon rows."""
-        p = self.p
-        v = vecs % p
-        if self.rank:
-            coeffs = v[..., self.pivots[: self.rank]]
-            if coeffs.any():
-                v = (v - modmul(coeffs, self.rows[: self.rank], p)) % p
-        return v
 
 
 class SwitchingClosure:
@@ -171,15 +161,16 @@ class SwitchingClosure:
         for key in sorted(self.blocks, key=self._block_order):
             # length-1 generators: the indicator rows of the block's relations
             js = self.orbindex.block_relations[key]
-            rows = js[:, None] == self.orbindex.block_rel[key]
+            rows = (js[:, None] == self.orbindex.block_rel[key]).astype(np.int64)
             i, k = key
             blk = self.blocks[key]
-            grown = blk.insert_batch(rows.astype(np.int64))
+            grown = blk.insert_batch(blk.residual(rows))
             if len(grown) != len(js):
                 raise ReconciliationError(
                     "t0_generators_independent",
                     f"length-1 generators of block {key} are not independent",
                 )
+            blk.raw[: blk.rank] = rows
             blk.words.extend(((i, int(js[idx]), k),) for idx in grown)
             self.frontier[key] = range(blk.rank)
         self.level = 0
@@ -214,29 +205,29 @@ class SwitchingClosure:
                 left = left_blk.raw[rows.start : rows.stop]
                 words = left_blk.words[rows.start : rows.stop]
                 js = self.orbindex.block_relations[(nu, m)]
-                n2 = len(js)
-                # candidate (a, c) is left[a] @ K[:, c, :], in the span exactly
-                # when its product with the kernel U is zero: all are tested
-                # at once as left @ (K @ U), at U's width f in place of r, and
-                # only the live ones are multiplied in full, in their order.
-                # Per row of K, the test costs (r + n) * f multiply-adds and
-                # the full products of all n rows n * r: it runs when cheaper.
-                n = len(left)
-                if (blk.r + n) * (blk.r - blk.rank) < n * blk.r:
-                    table = self.orbindex.generator_table(key, nu).astype(np.int64)
-                    ku = modmul(table.reshape(-1, blk.r), blk.kernel(), p)
-                    test = modmul(left, ku.reshape(table.shape[0], -1), p)
-                    live = test.reshape(n, n2, -1).any(axis=2)
-                    if not live.any():
-                        continue
-                    keep = live.any(axis=1)
-                    cands = chain_products(self.orbindex, key, nu, left[keep], p)[live[keep]]
-                    grown = np.flatnonzero(live)[blk.insert_batch(cands)].tolist()
+                table = self.orbindex.generator_table(key, nu)
+                ra, n2, r = table.shape
+                n, k, f = len(left), blk.rank, r - blk.rank
+                # candidate (a, c) is left[a] @ K[:, c, :] and the residual is
+                # linear, so the n * n2 residuals are left @ residual(K) as
+                # well as residual(left @ K): the chain is associated whichever
+                # way needs fewer multiply-adds per generator
+                if ra * f * (k + n) < n * (ra * r + k * f):
+                    kres = blk.residual(table.astype(np.int64))
+                    res = modmul(left, kres.reshape(ra, n2 * f), p)
                 else:
-                    cands = chain_products(self.orbindex, key, nu, left, p)
-                    grown = blk.insert_batch(cands.reshape(n * n2, blk.r))
-                for idx in grown:
-                    blk.words.append(words[idx // n2] + ((nu, int(js[idx % n2]), m),))
+                    res = blk.residual(chain_products(self.orbindex, key, nu, left, p))
+                grown = blk.insert_batch(res.reshape(n * n2, f))
+                if not grown:
+                    continue
+                # `raw` needs the accepted candidates in full: only their left
+                # rows are multiplied, times every generator
+                a, c = np.divmod(grown, n2)
+                uniq = np.unique(a)
+                prods = chain_products(self.orbindex, key, nu, left[uniq], p)
+                blk.raw[k : blk.rank] = prods[uniq.searchsorted(a), c]
+                for ai, ci in zip(a.tolist(), c.tolist()):
+                    blk.words.append(words[ai] + ((nu, int(js[ci]), m),))
             growth[key] = blk.rank - before
             new_frontier[key] = range(before, blk.rank)
             if progress is not None and growth[key]:
@@ -364,10 +355,11 @@ def run_to_stationary(
         pair = primes if primes is not None else sample_primes(seed + attempts, 2, avoid)
         if len(pair) != 2 or pair[0] == pair[1]:
             raise ValueError("need two distinct primes")
+        # FieldCtx validates each prime (odd, below PRIME_HI) before the test
+        f1, f2 = FieldCtx(pair[0]), FieldCtx(pair[1])
         for p in pair:
             if avoid % p == 0:
                 raise ValueError(f"prime {p} divides twice the group order")
-        f1, f2 = FieldCtx(pair[0]), FieldCtx(pair[1])
         c1, w1 = _run_once(scheme, orbindex, f1, progress)
         c2, w2 = _run_once(scheme, orbindex, f2, progress)
         same = w1 == w2 and len(c1.history) == len(c2.history)

@@ -213,17 +213,13 @@ def cpi_membership(e: CPIdem, result: ClosureResult) -> bool:
     supported on diagonal blocks, so membership decomposes blockwise.  Both
     primes must agree.
     """
-    verdicts = []
-    for closure in result.closures:
-        p = closure.field.p
-        member = True
-        for c in e.block_values:
-            vec = e.block_vector_mod(c, p)
-            residual = closure.blocks[(c, c)].reduce(vec)
-            if np.count_nonzero(residual):
-                member = False
-                break
-        verdicts.append(member)
+    verdicts = [
+        not any(
+            closure.blocks[(c, c)].residual(e.block_vector_mod(c, closure.field.p)).any()
+            for c in e.block_values
+        )
+        for closure in result.closures
+    ]
     if verdicts[0] != verdicts[1]:
         raise ReconciliationError(
             "two_prime_agreement",
@@ -268,7 +264,7 @@ def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
                 times_e.update(zip(words, prods[np.arange(len(words)), cols]))
             for blk in row:
                 span = Block(blk.r, p)
-                span.insert_batch(np.stack([times_e[w] for w in blk.words]))
+                span.insert_batch(span.residual(np.stack([times_e[w] for w in blk.words])))
                 total += span.rank
         dims.append(total)
     if dims[0] != dims[1]:

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import terwilliger as tw
@@ -10,8 +11,8 @@ from terwilliger import (
 # names removed from the library: nothing in it used them, the ambient
 # reference engine is a test oracle (tests/oracle.py), a run is set by flags
 # alone, a failed two-prime check is a ReconciliationError, the report's
-# JSON is built in the CLI alone, the tensor is one array and the character
-# table is memoized in `chars`
+# JSON is built in the CLI alone, the tensor is one array, the character
+# table is memoized in `chars` and a span is tested by `Block.residual` alone
 REMOVED = (
     (groups, "Permutation"),
     (orbitals, "orbital_table"),
@@ -31,6 +32,8 @@ REMOVED = (
     (scheme.IntersectionTensor, "to_json"),
     (scheme.IntersectionTensor, "get"),
     (cli.Pipeline, "chartable"),
+    (switching.Block, "kernel"),
+    (switching.Block, "reduce"),
 )
 
 # parameters removed because no caller set them, or because the value they
@@ -67,17 +70,22 @@ def test_char_table_built_once_per_report(capsys):
     assert chars.char_table.cache_info().misses == 1
 
 
-def _unused_imports(path: Path) -> list[str]:
+def _scan_imports(path: Path) -> tuple[list[str], set[str]]:
+    """A module's unused imports, and the top-level modules it imports absolutely."""
     tree = ast.parse(path.read_text(), filename=str(path))
     imported: dict[str, int] = {}
     used: set[str] = set()
+    roots: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                roots.add(alias.name.split(".")[0])
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
+            if node.level == 0:
+                roots.add(node.module.split(".")[0])
         elif isinstance(node, ast.Name):
             # an attribute chain a.b.c reads its root a as a Name
             used.add(node.id)
@@ -85,7 +93,8 @@ def _unused_imports(path: Path) -> list[str]:
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used.update(ast.literal_eval(node.value))
-    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    unused = [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    return unused, roots
 
 
 def test_no_unused_imports():
@@ -93,4 +102,16 @@ def test_no_unused_imports():
     files = sorted((root / "src" / "terwilliger").glob("*.py")) + sorted(
         (root / "tests").glob("*.py")
     )
-    assert [hit for path in files for hit in _unused_imports(path)] == []
+    assert [hit for path in files for hit in _scan_imports(path)[0]] == []
+
+
+def test_runtime_imports_numpy_and_stdlib_only():
+    # the runtime stays numpy-only: scipy, sympy and networkx are not dependencies
+    src = Path(__file__).resolve().parent.parent / "src" / "terwilliger"
+    allowed = set(sys.stdlib_module_names) | {"numpy", "terwilliger"}
+    found = {
+        f"{path.name}: {root}"
+        for path in sorted(src.glob("*.py"))
+        for root in _scan_imports(path)[1] - allowed
+    }
+    assert found == set()

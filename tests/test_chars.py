@@ -4,7 +4,9 @@ from math import factorial
 import pytest
 
 import golden
+from terwilliger import chars as chars_mod
 from terwilliger.chars import (
+    CharTable,
     centralizer_wedderburn,
     char_table,
     hook_length_dim,
@@ -13,7 +15,7 @@ from terwilliger.chars import (
     row_sums,
     scheme_eigenmatrix,
 )
-from terwilliger.groups import load_cayley_table
+from terwilliger.groups import ReconciliationError, load_cayley_table
 from terwilliger.partitions import (
     Partition,
     class_size,
@@ -112,6 +114,20 @@ def test_eigenmatrix_multiplicities():
         assert sum(eig.multiplicities) == factorial(n)
         for lam, m in zip(eig.row_labels, eig.multiplicities):
             assert m == hook_length_dim(lam) ** 2
+
+
+def test_non_integral_eigenvalue_names_check(monkeypatch):
+    table = char_table(3)
+    values = [list(row) for row in table.values]
+    # a degree of 7 makes chi * |C_mu| / f non-integral where chi = -1
+    values[1][0] = 7
+    bad = CharTable(
+        n=3, row_labels=table.row_labels, col_labels=table.col_labels, values=values
+    )
+    monkeypatch.setattr(chars_mod, "char_table", lambda n: bad)
+    with pytest.raises(ReconciliationError) as exc:
+        scheme_eigenmatrix(3)
+    assert exc.value.check == "integral_eigenvalues"
 
 
 def test_eigenmatrix_first_moment():

@@ -305,27 +305,37 @@ def test_prime_disagreement_exits_1(capsys, monkeypatch):
     assert "two_prime_agreement" in err
 
 
-def test_prime_above_limit_is_usage_error(capsys):
+@pytest.mark.parametrize(
+    "primes, message",
+    [
+        ((2**31 - 1, 2**61 - 1), f"prime {2**31 - 1} is not below"),
+        ((0, 7), "odd prime, got 0"),
+        ((1, 7), "odd prime, got 1"),
+    ],
+    ids=["above_limit", "0-7", "1-7"],
+)
+def test_prime_above_limit_is_usage_error(capsys, primes, message):
+    # each prime is validated before it is tested against the group order
     code, out, err = run_cli(
         capsys, "terwilliger", "--group", "sym:4",
-        "--prime", str(2**31 - 1), "--prime", str(2**61 - 1), "--quiet",
+        "--prime", str(primes[0]), "--prime", str(primes[1]), "--quiet",
     )
     assert code == 2
     assert out == ""
-    assert "not below" in err
+    assert message in err
 
 
 def test_membership_prime_disagreement_exits_1(capsys, monkeypatch):
     p1, p2 = sample_primes(5, 2, avoid=48)
-    reduce = sw_mod.Block.reduce
+    residual = sw_mod.Block.residual
 
-    def reduce_disagreeing(self, vecs):
-        # membership reduces single vectors; under p2 none of them lies in T
-        if vecs.ndim == 1 and self.p == p2:
-            return np.ones_like(vecs)
-        return reduce(self, vecs)
+    def residual_disagreeing(self, x):
+        # membership tests single vectors; under p2 none of them lies in T
+        if x.ndim == 1 and self.p == p2:
+            return np.ones_like(x)
+        return residual(self, x)
 
-    monkeypatch.setattr(sw_mod.Block, "reduce", reduce_disagreeing)
+    monkeypatch.setattr(sw_mod.Block, "residual", residual_disagreeing)
     code, out, err = run_cli(
         capsys, "wedderburn", "--group", "sym:4",
         "--prime", str(p1), "--prime", str(p2), "--quiet",
@@ -340,10 +350,11 @@ def test_t_times_e_prime_disagreement_exits_1(capsys, monkeypatch):
     p1, p2 = sample_primes(5, 2, avoid=1440)
 
     class RankOffBlock(sw_mod.Block):
-        def __init__(self, r, p):
-            super().__init__(r, p)
-            # one phantom zero row under the second prime: every rank reads one higher
-            self.rank = int(p == p2)
+        def insert_batch(self, residuals):
+            grown = super().insert_batch(residuals)
+            # under the second prime every rank reads one higher
+            self.rank += int(self.p == p2)
+            return grown
 
     # dim(T*e) ranks through fresh Blocks made in the wedderburn module
     monkeypatch.setattr(wed_mod, "Block", RankOffBlock)

@@ -88,9 +88,11 @@ def test_s6_final_table(stages):
     assert res.dims_per_level == [447, 758, 758]
 
 
-def test_monotonicity_and_symmetry(stages):
-    for n in (4, 5, 6):
-        res = stages.closure(n)
+def test_monotonicity_and_symmetry(stages, q8_path, c3_path):
+    results = [stages.closure(n) for n in (4, 5, 6, 7)]
+    for path in (q8_path, c3_path):
+        results.append(run_to_stationary(tw.build_scheme(load_cayley_table(path)), seed=0))
+    for res in results:
         for prev, cur in zip(res.tables, res.tables[1:]):
             for a in range(len(prev.labels)):
                 for b in range(len(prev.labels)):
@@ -98,7 +100,8 @@ def test_monotonicity_and_symmetry(stages):
         totals = res.dims_per_level
         assert all(x < y for x, y in zip(totals[:-2], totals[1:-1]))
         assert totals[-1] == totals[-2]
-        assert res.final_table.is_symmetric()
+        # every level, not only the last: transposing a word reverses it
+        assert all(t.is_symmetric() for t in res.tables), res.scheme.group.name
 
 
 def test_identity_row_column(stages):
@@ -286,15 +289,22 @@ def test_basis_rows_reproduce_ranks(stages):
         assert dense_rank_modp(mat.tolist(), blk.r, p) == blk.rank == len(blk.words)
 
 
-def _assert_kernel(blk, vecs):
-    """Block.kernel's invariants, and its test against `reduce` on `vecs`."""
-    u = blk.kernel()
-    rank, p = blk.rank, blk.p
-    assert u.shape == (blk.r, blk.r - rank)
-    assert not (blk.rows[:rank] @ u % p).any()
-    free = np.setdiff1d(np.arange(blk.r), blk.pivots[:rank])
-    assert (u[free] == np.eye(free.size, dtype=np.int64)).all()
-    assert ((vecs @ u % p).any(axis=1) == blk.reduce(vecs).any(axis=1)).all()
+def _assert_residual(blk, vecs, seen):
+    """Block.residual on `vecs` against the rows `seen` inserted so far: zero
+    exactly when the dense rank does not grow, and v - v[pivots] @ rows on the
+    free columns."""
+    rank, p, r = blk.rank, blk.p, blk.r
+    free = np.setdiff1d(np.arange(r), blk.pivots[:rank])
+    assert (np.flatnonzero(blk.is_free) == free).all()
+    got = blk.residual(vecs)
+    want = (vecs - vecs[:, blk.pivots[:rank]] @ blk.rows[:rank]) % p
+    assert got.shape == (len(vecs), r - rank) == want[:, free].shape
+    assert (got == want[:, free]).all()
+    assert not want[:, blk.pivots[:rank]].any()
+    base = dense_rank_modp(seen, r, p)
+    assert base == rank
+    for row, res in zip(vecs.tolist(), got):
+        assert res.any() == (dense_rank_modp(seen + [row], r, p) > base)
 
 
 def test_block_echelon_invariants():
@@ -312,8 +322,8 @@ def test_block_echelon_invariants():
     blk = Block(r, p)
     seen: list[list[int]] = []
     for cands in batches:
-        # every batch against the kernel of the empty, partial or full block
-        _assert_kernel(blk, np.vstack(batches))
+        # every batch against the residuals of the empty, partial or full block
+        _assert_residual(blk, np.vstack(batches), seen)
         want = []
         for idx, row in enumerate(cands.tolist()):
             before = dense_rank_modp(seen, r, p)
@@ -321,18 +331,18 @@ def test_block_echelon_invariants():
             if dense_rank_modp(seen, r, p) > before:
                 want.append(idx)
         start = blk.rank
-        grown = blk.insert_batch(cands)
+        grown = blk.insert_batch(blk.residual(cands))
         assert grown == want
         assert blk.rank == start + len(grown) == dense_rank_modp(seen, r, p)
-        for k, idx in enumerate(grown, start):
-            assert (blk.raw[k] == cands[idx] % p).all()
+        # the caller's provenance: the accepted rows span the echelon rows
+        blk.raw[start : blk.rank] = cands[grown] % p
         rows, piv = blk.rows[: blk.rank], blk.pivots[: blk.rank]
         assert (rows[:, piv] == np.eye(blk.rank, dtype=np.int64)).all()
-        assert not blk.reduce(blk.raw[: blk.rank]).any()
+        assert not blk.residual(blk.raw[: blk.rank]).any()
         assert (rows >= 0).all() and (rows < p).all()
     # the last batch met a full block: it stops at r and grows nothing
     assert blk.rank == r and grown == []
-    _assert_kernel(blk, np.vstack(batches))
+    _assert_residual(blk, np.vstack(batches), seen)
 
 
 def _largest_prime_below(hi):
@@ -409,8 +419,9 @@ def test_closure_builds_each_generator_table_once(monkeypatch, stages):
 
 
 class _FullProductClosure(SwitchingClosure):
-    """The closure step without the kernel test: every frontier row times every
-    generator is multiplied in full, and the whole batch goes to insert_batch."""
+    """The closure step without the residual chain: every frontier row times
+    every generator is multiplied in full, and the residuals of the whole batch
+    go to insert_batch."""
 
     def extend_level(self, progress=None):
         growth, frontier = {}, {}
@@ -427,7 +438,11 @@ class _FullProductClosure(SwitchingClosure):
                 js = self.orbindex.block_relations[(nu, m)].tolist()
                 left = left_blk.raw[rows.start : rows.stop]
                 cands = chain_products(self.orbindex, key, nu, left, self.field.p)
-                for idx in blk.insert_batch(cands.reshape(-1, blk.r)):
+                cands = cands.reshape(-1, blk.r)
+                start = blk.rank
+                grown = blk.insert_batch(blk.residual(cands))
+                blk.raw[start : blk.rank] = cands[grown]
+                for idx in grown:
                     blk.words.append(words[idx // len(js)] + ((nu, js[idx % len(js)], m),))
             growth[key] = blk.rank - before
             frontier[key] = range(before, blk.rank)
