@@ -98,6 +98,7 @@ class OrbitalIndex:
         self.block_rel: dict[tuple[int, int], np.ndarray] = {}
         self.r: dict[tuple[int, int], int] = {}
         self._generator_tables: dict[tuple[tuple[int, int], int], np.ndarray] = {}
+        self._transpositions: dict[tuple[int, int], np.ndarray] = {}
 
         # rel_rows[i, y] = relation of (x_i, y) = class of x_i^-1 y
         rel_rows = cls.class_of[g.mul_outer(g.inv(cls.representatives), np.arange(g.order))]
@@ -163,6 +164,43 @@ class OrbitalIndex:
         bins = (self.block_labels[(i, nu)] * n_rel + c) * rt + np.arange(rt)[:, None]
         counts = np.bincount(bins.ravel(), minlength=ra * n_rel * rt)
         return counts.astype(np.min_scalar_type(counts.max())).reshape(ra, n_rel, rt)
+
+    def transposition(self, i: int, k: int) -> np.ndarray:
+        """sigma_(i,k), i <= k: orbit t of block (i, k) -> the orbit of its transposed pairs.
+
+        Orbit t is represented by (x_i, y_t), so sigma[t] is the orbit of
+        (y_t, x_i) in block (k, i), read off the anchored row as the label of
+        (x_k, s^-1 x_i s) with s = transversal[y_t].  A matrix of block (i, k)
+        with orbit values v has a transpose with values w, w[sigma] = v.  It is
+        checked when built: a bijection taking each relation j to its inverse
+        class j', as A_j^T = A_j'.  Memoized and shared by both primes.
+        """
+        if i > k:
+            raise ValueError(f"transposition ({i},{k}) is indexed by its upper block")
+        key = (i, k)
+        sigma = self._transpositions.get(key)
+        if sigma is None:
+            sigma = self._count_transposition(i, k)
+            inverse = np.asarray(self.scheme.classes.inverse_class)
+            r = self.r[(k, i)]
+            if not (
+                len(sigma) == r
+                and (np.bincount(sigma, minlength=r) == 1).all()
+                and np.array_equal(self.block_rel[(k, i)][sigma], inverse[self.block_rel[key]])
+            ):
+                raise ReconciliationError(
+                    "transposition_preserves_relations",
+                    f"transposition of block ({i},{k}) is no bijection onto ({k},{i}) "
+                    "taking each relation to its inverse",
+                )
+            self._transpositions[key] = sigma
+        return sigma
+
+    def _count_transposition(self, i: int, k: int) -> np.ndarray:
+        g, cls = self.scheme.group, self.scheme.classes
+        s = cls.transversal[self.class_elems[k][self.block_reps[(i, k)]]]
+        z = g.conjugate(g.inv(s), cls.representatives[i])
+        return self.block_labels[(k, i)][cls.pos_in_class[z]].astype(np.intp)
 
     def validate_against_tensor(self, t: IntersectionTensor) -> None:
         """Orbit sizes bucketed by relation must reproduce |C_k| * p_ij^k."""

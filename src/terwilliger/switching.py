@@ -20,6 +20,17 @@ columns alone.  Only the accepted candidates are then multiplied in full,
 for the block's `raw` rows, so the accepted words are those a full product
 of every candidate would give.
 
+T is closed under transposition: E_i* is symmetric and A_j^T = A_j', j'
+the class of inverses (Terwilliger, J. Algebraic Combin. 1992).  So block
+(k, i) of every level is block (i, k) transposed, and only the blocks with
+i <= k are closed.  A lower block is derived, never stored: its rows are
+the upper block's rows placed through the orbit permutation
+`OrbitalIndex.transposition`, its words the upper words reversed with
+inverse relations, its rank the upper rank.  A closure step therefore
+takes a left factor (i, nu) with i > nu from block (nu, i).  The progress
+lines name the closed blocks alone; the growth that `extend_level` returns
+has every block, a lower one mirroring its upper one.
+
 Rank mod p is at most rank over Q, so the words a prime accepts are
 independent over Q and every dimension found is an exact lower bound.  The
 upper bound is not proved: it rests on the two primes agreeing, since the
@@ -130,7 +141,12 @@ class Block:
 
 
 class SwitchingClosure:
-    """Switching basis of one prime: per-block trackers plus provenance."""
+    """Switching basis of one prime: trackers of the blocks on and above the diagonal.
+
+    Block (k, i) of every level is block (i, k) transposed, so only blocks
+    with i <= k keep a `Block`; `block_rows` derives a lower block's rows and
+    words from its upper one.
+    """
 
     def __init__(self, scheme: ClassScheme, orbindex: OrbitalIndex, fieldctx: FieldCtx):
         self.scheme = scheme
@@ -141,19 +157,51 @@ class SwitchingClosure:
         self.blocks: dict[tuple[int, int], Block] = {
             (i, k): Block(orbindex.r[(i, k)], fieldctx.p)
             for i in range(nc)
-            for k in range(nc)
+            for k in range(i, nc)
         }
-        self.frontier: dict[tuple[int, int], range] = {}
+        #: (i, k), every block -> the raw rows and words it gained on the last level
+        self.frontier: dict[tuple[int, int], tuple[np.ndarray, list[Word]]] = {}
         self.history: list[BlockDimTable] = []
 
     @property
     def total_dim(self) -> int:
-        return sum(b.rank for b in self.blocks.values())
+        return sum(b.rank * (1 if i == k else 2) for (i, k), b in self.blocks.items())
 
     def block_dims(self) -> BlockDimTable:
         nc = self.scheme.classes.n_classes
-        dims = [[self.blocks[(i, k)].rank for k in range(nc)] for i in range(nc)]
+        dims = [[self.blocks[(min(i, k), max(i, k))].rank for k in range(nc)] for i in range(nc)]
         return BlockDimTable(labels=self.scheme.classes.label_strings(), dims=dims)
+
+    def block_rows(
+        self, key: tuple[int, int], rows: range | None = None
+    ) -> tuple[np.ndarray, list[Word]]:
+        """Raw rows mod p and words of block (i, k), all of them or those in `rows`.
+
+        A lower block (i > k) is block (k, i) transposed row by row: its raw
+        rows are block (k, i)'s placed through sigma_(k,i), and its words are
+        block (k, i)'s reversed, each relation replaced by its inverse class.
+        """
+        i, k = key
+        blk = self.blocks[(min(i, k), max(i, k))]
+        rows = range(blk.rank) if rows is None else rows
+        raw, words = blk.raw[rows.start : rows.stop], blk.words[rows.start : rows.stop]
+        if i <= k:
+            return raw, words
+        placed = np.empty_like(raw)
+        placed[:, self.orbindex.transposition(k, i)] = raw
+        inverse = self.scheme.classes.inverse_class
+        return placed, [transpose_word(w, inverse) for w in words]
+
+    def _advance(self, ranges: dict[tuple[int, int], range]) -> None:
+        """Close a level: the new rows of every block, lower ones derived, are the frontier."""
+        nc = self.scheme.classes.n_classes
+        self.frontier = {
+            (i, k): self.block_rows((i, k), ranges[(min(i, k), max(i, k))])
+            for i in range(nc)
+            for k in range(nc)
+        }
+        self.level += 1
+        self.history.append(self.block_dims())
 
     def generate_t0(self) -> None:
         if self.level >= 0:
@@ -172,16 +220,19 @@ class SwitchingClosure:
                 )
             blk.raw[: blk.rank] = rows
             blk.words.extend(((i, int(js[idx]), k),) for idx in grown)
-            self.frontier[key] = range(blk.rank)
-        self.level = 0
-        self.history.append(self.block_dims())
+        self._advance({key: range(blk.rank) for key, blk in self.blocks.items()})
 
     def _block_order(self, key: tuple[int, int]):
         sizes = self.scheme.classes.sizes
         return (sizes[key[0]] * sizes[key[1]], key)
 
     def extend_level(self, progress=None) -> dict[tuple[int, int], int]:
-        """One closure step: frontier rows times length-1 generators."""
+        """One closure step: frontier rows times length-1 generators.
+
+        Only the blocks (i, m) with i <= m are closed; a left factor (i, nu)
+        with i > nu is derived from block (nu, i).  The returned growth has
+        every block, a lower one mirroring its upper one.
+        """
         if self.level < 0:
             raise ClosureError("generate level 0 first")
         nc = self.scheme.classes.n_classes
@@ -189,7 +240,7 @@ class SwitchingClosure:
         labels = self.scheme.classes.label_strings()
         start = time.monotonic()
         growth: dict[tuple[int, int], int] = {}
-        new_frontier: dict[tuple[int, int], range] = {}
+        ranges: dict[tuple[int, int], range] = {}
         for key in sorted(self.blocks, key=self._block_order):
             i, m = key
             blk = self.blocks[key]
@@ -198,14 +249,11 @@ class SwitchingClosure:
                 if blk.rank == blk.r:
                     break
                 # the previous level's rows only, even if (i,nu) grew this level
-                rows = self.frontier[(i, nu)]
-                if not rows:
+                left, words = self.frontier[(i, nu)]
+                if not words:
                     continue
-                left_blk = self.blocks[(i, nu)]
-                left = left_blk.raw[rows.start : rows.stop]
-                words = left_blk.words[rows.start : rows.stop]
                 js = self.orbindex.block_relations[(nu, m)]
-                table = self.orbindex.generator_table(key, nu)
+                table = self.orbindex.generator_table(key, nu).astype(np.int64)
                 ra, n2, r = table.shape
                 n, k, f = len(left), blk.rank, r - blk.rank
                 # candidate (a, c) is left[a] @ K[:, c, :] and the residual is
@@ -213,23 +261,27 @@ class SwitchingClosure:
                 # well as residual(left @ K): the chain is associated whichever
                 # way needs fewer multiply-adds per generator
                 if ra * f * (k + n) < n * (ra * r + k * f):
-                    kres = blk.residual(table.astype(np.int64))
-                    res = modmul(left, kres.reshape(ra, n2 * f), p)
+                    prods = None
+                    res = modmul(left, blk.residual(table).reshape(ra, n2 * f), p)
                 else:
-                    res = blk.residual(chain_products(self.orbindex, key, nu, left, p))
+                    prods = chain_products(self.orbindex, key, nu, left, p, table=table)
+                    res = blk.residual(prods)
                 grown = blk.insert_batch(res.reshape(n * n2, f))
                 if not grown:
                     continue
-                # `raw` needs the accepted candidates in full: only their left
-                # rows are multiplied, times every generator
+                # `raw` needs the accepted candidates in full: after the kernel
+                # test only their left rows are multiplied, times every generator
                 a, c = np.divmod(grown, n2)
-                uniq = np.unique(a)
-                prods = chain_products(self.orbindex, key, nu, left[uniq], p)
-                blk.raw[k : blk.rank] = prods[uniq.searchsorted(a), c]
+                if prods is None:
+                    uniq = np.unique(a)
+                    prods = chain_products(self.orbindex, key, nu, left[uniq], p, table=table)
+                    blk.raw[k : blk.rank] = prods[uniq.searchsorted(a), c]
+                else:
+                    blk.raw[k : blk.rank] = prods[a, c]
                 for ai, ci in zip(a.tolist(), c.tolist()):
                     blk.words.append(words[ai] + ((nu, int(js[ci]), m),))
-            growth[key] = blk.rank - before
-            new_frontier[key] = range(before, blk.rank)
+            growth[key] = growth[(m, i)] = blk.rank - before
+            ranges[key] = range(before, blk.rank)
             if progress is not None and growth[key]:
                 progress(
                     p,
@@ -238,10 +290,13 @@ class SwitchingClosure:
                     blk.rank,
                     time.monotonic() - start,
                 )
-        self.frontier = new_frontier
-        self.level += 1
-        self.history.append(self.block_dims())
+        self._advance(ranges)
         return growth
+
+
+def transpose_word(word: Word, inverse_class: list[int]) -> Word:
+    """The word of the transposed product: E_i* A_j E_k* ... reversed, each A_j -> A_j'."""
+    return tuple((b, inverse_class[j], a) for a, j, b in reversed(word))
 
 
 def chain_products(
@@ -250,6 +305,7 @@ def chain_products(
     nu: int,
     left: np.ndarray,
     p: int,
+    table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Products of orbit-constant blocks: (left in (i,nu)) x (generators of (nu,m)).
 
@@ -261,13 +317,15 @@ def chain_products(
     are exact integers memoized across primes, levels and callers and are
     not reduced mod p: each is at most |C_nu| < PRIME_HI, so `modmul`'s int64
     bound holds as it does for residues, and it reduces the product.
+    A caller that already holds the table as int64 passes it as `table`.
     Returns an (n_left, n_generators, r_target) array mod p.
     """
     if p >= fieldla.PRIME_HI:
         raise ValueError(f"prime {p} is not below {fieldla.PRIME_HI}: int64 products overflow")
-    contracted = orbindex.generator_table(target, nu).astype(np.int64)
-    ra, n2, rt = contracted.shape
-    return modmul(left % p, contracted.reshape(ra, n2 * rt), p).reshape(
+    if table is None:
+        table = orbindex.generator_table(target, nu).astype(np.int64)
+    ra, n2, rt = table.shape
+    return modmul(left % p, table.reshape(ra, n2 * rt), p).reshape(
         left.shape[0], n2, rt
     )
 

@@ -10,7 +10,7 @@ closed algebra is a blockwise echelon reduction under both working primes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -20,7 +20,7 @@ from .chars import CentralizerReport, char_table
 from .groups import ReconciliationError, SymmetricGroup, centralizer_elements, inversion_closed
 from .orbitals import OrbitalIndex
 from .partitions import SignedPartition
-from .switching import Block, ClosureResult, Word, chain_products
+from .switching import Block, ClosureResult, Word, chain_products, transpose_word
 
 
 @dataclass
@@ -37,9 +37,17 @@ class CPIdem:
     multiplicity: int
     block_values: dict[int, np.ndarray]
     denominator: int
+    #: (c, p) -> block_vector_mod(c, p), shared by membership and dim(T*e)
+    _residues: dict[tuple[int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def block_vector_mod(self, c: int, p: int) -> np.ndarray:
-        return self.block_values[c] % p * pow(self.denominator, -1, p) % p
+        vec = self._residues.get((c, p))
+        if vec is None:
+            vec = self.block_values[c] % p * pow(self.denominator, -1, p) % p
+            self._residues[(c, p)] = vec
+        return vec
 
     def block_trace(self, orbindex: OrbitalIndex, c: int) -> Fraction:
         # the diagonal of C_c x C_c is orbit 0, that of (x_c, x_c)
@@ -233,39 +241,64 @@ def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
 
     e is a sum of centrally primitive idempotents of the centralizer algebra,
     which contains the closed algebra T, so T * e = e * T.  Block (i, m) of
-    e * T is spanned by e_i * w over the accepted words w of block (i, m),
-    e_i the (i, i) block of e.  Every accepted word is an accepted word of
-    some block (i, nu), or the empty word, times one length-1 generator of
-    (nu, m), so e_i * w = (e_i * prefix) * generator: the closure's own
-    generator products, replayed by word length from e_i, which stands in
-    for the empty word.
+    e * T is spanned by e_i * w over the words w of block (i, m), e_i the
+    (i, i) block of e.  Every accepted word is a word of some block (i, nu),
+    or the empty word, times one length-1 generator of (nu, m), so
+    e_i * w = (e_i * prefix) * generator: the closure's own generator
+    products, replayed by word length from e_i, which stands in for the
+    empty word.
+
+    e is symmetric (checked: the characters of S_n are real), so block
+    (m, i) of e * T is block (i, m) transposed, and only the blocks with
+    i <= m are replayed, each off-diagonal rank counting twice, in the rows
+    with e_i != 0.  A prefix in a lower block (i, nu), nu < i, is the
+    transpose x^T of a word x of block (nu, i), and
+    e_i * x^T = (x * e)^T = (e_nu * x)^T: row nu's replay placed through
+    sigma_(nu,i), zero when e_nu = 0.
     """
+    oi = result.orbindex
+    for c, v in e.block_values.items():
+        if not np.array_equal(v[oi.transposition(c, c)], v):
+            raise ReconciliationError(
+                "cpi_symmetric", f"idempotent {e.label} is not symmetric at class {c}"
+            )
+    inverse = result.scheme.classes.inverse_class
+    nc = oi.n_classes
     dims = []
     for closure in result.closures:
         p = closure.field.p
-        oi = closure.orbindex
         total = 0
-        for i in e.block_values:
-            times_e: dict[Word, np.ndarray] = {(): e.block_vector_mod(i, p)}
-            if not times_e[()].any():
+        # word of an upper block of a replayed row -> e_i * word mod p
+        times_e: dict[Word, np.ndarray] = {}
+        for i in range(nc):
+            e_i = e.block_vector_mod(i, p)
+            if not e_i.any():
                 continue
-            row = [closure.blocks[(i, m)] for m in range(oi.n_classes)]
-            # (length, m, nu) -> the accepted words of block (i, m) ending in
-            # a generator of (nu, m); shorter words first, so prefixes are ready
+            row = {m: closure.blocks[(i, m)] for m in range(i, nc)}
+            # (length, m, nu) -> the words of block (i, m) ending in a
+            # generator of (nu, m); shorter words first, so prefixes are ready
             groups: dict[tuple[int, int, int], list[Word]] = {}
-            for m, blk in enumerate(row):
+            for m, blk in row.items():
                 for w in blk.words:
                     groups.setdefault((len(w), m, w[-1][0]), []).append(w)
             for (_, m, nu), words in sorted(groups.items()):
-                left = np.stack([times_e[w[:-1]] for w in words])
+                prefixes = [w[:-1] for w in words]
+                if nu >= i:
+                    left = np.stack([times_e[u] if u else e_i for u in prefixes])
+                else:
+                    left = np.zeros((len(words), oi.r[(i, nu)]), dtype=np.int64)
+                    if e.block_vector_mod(nu, p).any():
+                        left[:, oi.transposition(nu, i)] = np.stack(
+                            [times_e[transpose_word(u, inverse)] for u in prefixes]
+                        )
                 js = [w[-1][1] for w in words]
                 cols = np.searchsorted(oi.block_relations[(nu, m)], js)
                 prods = chain_products(oi, (i, m), nu, left, p)
                 times_e.update(zip(words, prods[np.arange(len(words)), cols]))
-            for blk in row:
+            for m, blk in row.items():
                 span = Block(blk.r, p)
                 span.insert_batch(span.residual(np.stack([times_e[w] for w in blk.words])))
-                total += span.rank
+                total += span.rank * (1 if m == i else 2)
         dims.append(total)
     if dims[0] != dims[1]:
         raise ReconciliationError(

@@ -305,6 +305,43 @@ def test_prime_disagreement_exits_1(capsys, monkeypatch):
     assert "two_prime_agreement" in err
 
 
+def test_corrupted_transposition_exits_1(capsys, monkeypatch):
+    count = orb_mod.OrbitalIndex._count_transposition
+
+    def one_entry_off(self, i, k):
+        sigma = count(self, i, k).copy()
+        sigma[-1] = sigma[0]
+        return sigma
+
+    monkeypatch.setattr(orb_mod.OrbitalIndex, "_count_transposition", one_entry_off)
+    code, out, err = run_cli(capsys, "terwilliger", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "transposition_preserves_relations" in err
+
+
+def test_asymmetric_idempotent_exits_1(capsys, monkeypatch):
+    membership = wed_mod.cpi_membership
+
+    def then_one_value_off(e, result):
+        # after the member test, so the replay of dim(T*e) meets it first
+        verdict = membership(e, result)
+        oi = result.orbindex
+        for c, values in e.block_values.items():
+            moved = np.flatnonzero(oi.transposition(c, c) != np.arange(len(values)))
+            if moved.size:
+                values[moved[0]] += 1
+                break
+        return verdict
+
+    monkeypatch.setattr(wed_mod, "cpi_membership", then_one_value_off)
+    # S6 is the least S_n whose transpositions move orbits of diagonal blocks
+    code, out, err = run_cli(capsys, "wedderburn", "--group", "sym:6", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "cpi_symmetric" in err
+
+
 @pytest.mark.parametrize(
     "primes, message",
     [

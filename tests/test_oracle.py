@@ -4,10 +4,13 @@ Each example is a small group given as a Cayley table, relabelled by a drawn
 permutation that fixes the identity.  The fast engine must reproduce the
 oracle's level tables and width, its orbit total must equal Burnside's
 count, and every accepted word, multiplied out over ambient coordinates,
-must equal the block's stored row at the orbit representatives under both
-primes: dimensions alone miss a generator table with the right ranks but the
-wrong entries.
+must equal the block's row at the orbit representatives under both primes,
+for the blocks on and above the diagonal that the engine closes and for the
+lower blocks it derives from them by transposition: dimensions alone miss a
+generator table with the right ranks but the wrong entries.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -79,10 +82,12 @@ def test_closure_matches_ambient_oracle(name, data):
     assert [t.dims for t in ref.history] == [t.dims for t in res.tables]
     for closure in res.closures:
         field = PrimeField(closure.field.p)
-        for key, blk in closure.blocks.items():
+        # every block, the lower ones derived from their upper blocks
+        for key in itertools.product(range(oi.n_classes), repeat=2):
             # orbit t is represented by (x_i, y_t), x_i at position 0 of C_i
             py = oi.block_reps[key].tolist()
-            for k, word in enumerate(blk.words):
+            raw, words = closure.block_rows(key)
+            for k, word in enumerate(words):
                 mat = word_product(s, word, field)
                 at_reps = [mat.rows[0].get(y, 0) for y in py]
-                assert at_reps == blk.raw[k].tolist(), (field.p, key, word)
+                assert at_reps == raw[k].tolist(), (field.p, key, word)

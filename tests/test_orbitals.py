@@ -2,12 +2,13 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import golden
 import terwilliger as tw
 from conftest import bench_table_group, dihedral_table
 from orbit_oracle import BlockOracle, build_h1_action, element_orbit_count
-from terwilliger.groups import load_cayley_table
+from terwilliger.groups import ReconciliationError, load_cayley_table
 from terwilliger.orbitals import OrbitalIndex, burnside_orbital_count
 
 
@@ -208,3 +209,48 @@ def test_diag_pair_counts(stages):
         for e in stages.cpis(4).values():
             want = Fraction(int(sum(e.block_values[c][t] for t in diag)), e.denominator)
             assert e.block_trace(oi, c) == want
+
+
+def test_transposition_matches_block_oracle(stages, q8_path, c3_path, tmp_path):
+    # sigma_(i,k)[t] is the orbit of the transposed representative (y_t, x_i)
+    schemes = [(stages.scheme(n), stages.oracle(n)) for n in (3, 4, 5)]
+    tables = [load_cayley_table(q8_path), load_cayley_table(c3_path)]
+    tables.append(load_cayley_table(dihedral_table(tmp_path / "d5.txt", 5)))
+    # PSL(2,11) has classes that are not inversion-closed: j -> j' matters
+    tables.append(bench_table_group("psl2_11", 0))
+    schemes += [(s, BlockOracle(s)) for s in map(tw.build_scheme, tables)]
+    for s, oracle in schemes:
+        oi = OrbitalIndex(s)
+        inverse = np.asarray(s.classes.inverse_class)
+        for i in range(oi.n_classes):
+            for k in range(i, oi.n_classes):
+                sigma = oi.transposition(i, k)
+                want = oracle.labels(k, i)[oi.block_reps[(i, k)], 0]
+                assert np.array_equal(sigma, want), (s.group.name, i, k)
+                assert np.array_equal(oi.block_rel[(k, i)][sigma], inverse[oi.block_rel[(i, k)]])
+                assert oi.transposition(i, k) is sigma
+        with pytest.raises(ValueError):
+            oi.transposition(1, 0)
+
+
+@pytest.mark.parametrize("corrupt", ["duplicate", "swap"])
+def test_transposition_check_rejects_a_corrupted_entry(monkeypatch, stages, corrupt):
+    count = OrbitalIndex._count_transposition
+
+    def corrupted(self, i, k):
+        sigma = count(self, i, k).copy()
+        rel = self.block_rel[(k, i)][sigma]
+        # one entry moved onto another orbit: no bijection, or (swapped with
+        # an orbit of another relation) a bijection that breaks relations
+        other = int(np.flatnonzero(rel != rel[0])[0])
+        if corrupt == "duplicate":
+            sigma[other] = sigma[0]
+        else:
+            sigma[[0, other]] = sigma[[other, 0]]
+        return sigma
+
+    monkeypatch.setattr(OrbitalIndex, "_count_transposition", corrupted)
+    oi = OrbitalIndex(stages.scheme(4))
+    with pytest.raises(ReconciliationError) as exc:
+        oi.transposition(1, 2)
+    assert exc.value.check == "transposition_preserves_relations"

@@ -273,20 +273,23 @@ def test_matrix_engine_rational_mode(stages):
 
 def test_provenance_words_chain(stages):
     closure = stages.closure(5).closures[0]
-    for (i, k), blk in closure.blocks.items():
-        for word in blk.words:
+    nc = closure.orbindex.n_classes
+    for i, k in itertools.product(range(nc), repeat=2):
+        for word in closure.block_rows((i, k))[1]:
             assert word[0][0] == i and word[-1][2] == k
             for (a, _, b), (c, _, d) in zip(word, word[1:]):
                 assert b == c
 
 
 def test_basis_rows_reproduce_ranks(stages):
-    # raw stored rows must span exactly the tracked rank
-    closure = stages.closure(4).closures[0]
-    p = closure.field.p
-    for key, blk in closure.blocks.items():
-        mat = blk.raw[: blk.rank]
-        assert dense_rank_modp(mat.tolist(), blk.r, p) == blk.rank == len(blk.words)
+    # raw rows, stored or derived, must span exactly the tracked rank
+    for n in (4, 5):
+        for closure in stages.closure(n).closures:
+            p, oi = closure.field.p, closure.orbindex
+            dims = closure.block_dims().dims
+            for i, k in itertools.product(range(oi.n_classes), repeat=2):
+                raw, words = closure.block_rows((i, k))
+                assert dense_rank_modp(raw.tolist(), oi.r[(i, k)], p) == dims[i][k] == len(words)
 
 
 def _assert_residual(blk, vecs, seen):
@@ -421,22 +424,20 @@ def test_closure_builds_each_generator_table_once(monkeypatch, stages):
 class _FullProductClosure(SwitchingClosure):
     """The closure step without the residual chain: every frontier row times
     every generator is multiplied in full, and the residuals of the whole batch
-    go to insert_batch."""
+    go to insert_batch.  Like the closure, it closes the blocks (i, m) with
+    i <= m alone, a lower left factor derived from its upper block."""
 
     def extend_level(self, progress=None):
-        growth, frontier = {}, {}
+        growth, ranges = {}, {}
         for key in sorted(self.blocks, key=self._block_order):
             i, m = key
             blk = self.blocks[key]
             before = blk.rank
             for nu in range(self.scheme.n_classes):
-                rows = self.frontier[(i, nu)]
-                if blk.rank == blk.r or not rows:
+                left, words = self.frontier[(i, nu)]
+                if blk.rank == blk.r or not words:
                     continue
-                left_blk = self.blocks[(i, nu)]
-                words = left_blk.words[rows.start : rows.stop]
                 js = self.orbindex.block_relations[(nu, m)].tolist()
-                left = left_blk.raw[rows.start : rows.stop]
                 cands = chain_products(self.orbindex, key, nu, left, self.field.p)
                 cands = cands.reshape(-1, blk.r)
                 start = blk.rank
@@ -444,11 +445,9 @@ class _FullProductClosure(SwitchingClosure):
                 blk.raw[start : blk.rank] = cands[grown]
                 for idx in grown:
                     blk.words.append(words[idx // len(js)] + ((nu, js[idx % len(js)], m),))
-            growth[key] = blk.rank - before
-            frontier[key] = range(before, blk.rank)
-        self.frontier = frontier
-        self.level += 1
-        self.history.append(self.block_dims())
+            growth[key] = growth[(m, i)] = blk.rank - before
+            ranges[key] = range(before, blk.rank)
+        self._advance(ranges)
         return growth
 
 
@@ -464,7 +463,8 @@ def test_kernel_test_keeps_accepted_words(stages, n):
                 pass
         fast, full = closures
         assert fast.level == full.level
-        for key, blk in fast.blocks.items():
-            ref = full.blocks[key]
-            assert blk.words == ref.words, (p, key)
-            assert (blk.raw[: blk.rank] == ref.raw[: ref.rank]).all(), (p, key)
+        assert [t.dims for t in fast.history] == [t.dims for t in full.history]
+        for key in itertools.product(range(oi.n_classes), repeat=2):
+            (raw, words), (ref_raw, ref_words) = fast.block_rows(key), full.block_rows(key)
+            assert words == ref_words, (p, key)
+            assert (raw == ref_raw).all(), (p, key)

@@ -8,7 +8,8 @@ import golden
 from conftest import completeness_defect, dense_rank_modp, idempotent_defect, per_orbit_products
 
 import terwilliger as tw
-from terwilliger.groups import load_cayley_table
+from terwilliger.fieldla import modmul
+from terwilliger.groups import ReconciliationError, load_cayley_table
 from terwilliger.orbitals import OrbitalIndex
 from terwilliger.partitions import (
     SignedPartition,
@@ -16,6 +17,7 @@ from terwilliger.partitions import (
     partitions_of,
 )
 from terwilliger.wedderburn import (
+    CPIdem,
     CpiBuilder,
     add_idempotents,
     algebra_times_idempotent_dim,
@@ -237,34 +239,40 @@ def test_algebra_times_idempotent_full_blocks(stages):
         assert d == e.multiplicity**2
 
 
-def _right_times_e_dims(e, res, oracle):
-    """Per prime, the sum over blocks (i, k) of rank(T_ik rows * e_k), from the right."""
-    dims = []
+def _right_times_e_dims(idems, res, oracle):
+    """Per idempotent e, per prime: the sum over every block (i, k), the derived
+    lower blocks included, of rank(T_ik rows * e_k), T*e from the right."""
+    dims = [[] for _ in idems]
     for closure in res.closures:
         p, oi = closure.field.p, closure.orbindex
-        total = 0
-        for (i, k), blk in closure.blocks.items():
-            ek = e.block_vector_mod(k, p)[None, :]
-            prods = per_orbit_products(oi, oracle, (i, k), k, blk.raw[: blk.rank], ek, p)
-            total += dense_rank_modp(prods[:, 0, :].tolist(), blk.r, p)
-        dims.append(total)
+        totals = [0] * len(idems)
+        for i, k in itertools.product(range(oi.n_classes), repeat=2):
+            raw, _ = closure.block_rows((i, k))
+            # unit[a, b, t]: row a times the indicator of orbit b of (k, k)
+            unit = per_orbit_products(
+                oi, oracle, (i, k), k, raw, np.eye(oi.r[(k, k)], dtype=np.int64), p
+            ).transpose(0, 2, 1)
+            for idx, e in enumerate(idems):
+                prods = modmul(unit, e.block_vector_mod(k, p), p)
+                totals[idx] += dense_rank_modp(prods.tolist(), oi.r[(i, k)], p)
+        for idx, total in enumerate(totals):
+            dims[idx].append(total)
     return dims
 
 
 def test_t_times_e_from_the_right_equals_replay(stages):
-    # e is central in the centralizer algebra, so T*e (right) = e*T (replayed words)
+    # e is central in the centralizer algebra, so T*e (right) = e*T (replayed
+    # words): every idempotent, member or not, and every sum of two
     for n in (4, 5, 6):
         res, oracle = stages.closure(n), stages.oracle(n)
-        idems = [e for e in stages.cpis(n).values() if cpi_membership(e, res)]
-        if n == 6:
-            cpis = stages.cpis(6)
-            for pair in golden.S6_MERGED_PAIRS:
-                a, b = (cpis[parse_signed_partition(label)] for label in sorted(pair))
-                idems.append(add_idempotents(a, b))
-        for e in idems:
-            d = algebra_times_idempotent_dim(e, res)
-            assert _right_times_e_dims(e, res, oracle) == [d, d], (n, e.label)
-        # the replay reads every word's prefix as an accepted word of (i, nu)
+        cpis = list(stages.cpis(n).values())
+        idems = cpis + [add_idempotents(a, b) for a, b in itertools.combinations(cpis, 2)]
+        replayed = [algebra_times_idempotent_dim(e, res) for e in idems]
+        right = _right_times_e_dims(idems, res, oracle)
+        for e, d, got in zip(idems, replayed, right):
+            assert got == [d, d], (n, e.label)
+        # the replay reads every upper word's prefix as a word of (i, nu),
+        # which block_rows derives when nu < i
         for closure in res.closures:
             for (i, m), blk in closure.blocks.items():
                 for w in blk.words:
@@ -273,7 +281,25 @@ def test_t_times_e_from_the_right_equals_replay(stages):
                     if len(w) == 1:
                         assert nu == i
                     else:
-                        assert w[:-1] in closure.blocks[(i, nu)].words, (n, w)
+                        assert w[:-1] in closure.block_rows((i, nu))[1], (n, w)
+
+
+def test_replay_rejects_an_asymmetric_idempotent(stages):
+    # the halved replay needs e symmetric: one value off at an orbit that
+    # transposition moves, and the check names itself
+    res, oi = stages.closure(6), stages.orbindex(6)
+    e = next(e for e in stages.cpis(6).values() if cpi_membership(e, res))
+    c, moved = next(
+        (c, moved)
+        for c in range(oi.n_classes)
+        if (moved := np.flatnonzero(oi.transposition(c, c) != np.arange(oi.r[(c, c)]))).size
+    )
+    values = {k: v.copy() for k, v in e.block_values.items()}
+    values[c][moved[0]] += 1
+    bad = CPIdem(e.label, e.degree, e.multiplicity, values, e.denominator)
+    with pytest.raises(ReconciliationError) as exc:
+        algebra_times_idempotent_dim(bad, res)
+    assert exc.value.check == "cpi_symmetric"
 
 
 def test_merged_sum_is_idempotent(stages):
