@@ -3,15 +3,17 @@
 Idempotents of the stabilizer centralizer algebra are block-diagonal across
 conjugacy classes and constant on pair orbits, so each one is stored as one
 integer vector of numerators per diagonal block, over the common denominator
-2|G|.  Values come from coset sums over class transversals; membership in the
-closed algebra is a blockwise echelon reduction under both working primes.
+2|G|.  Values come from coset sums over class transversals.  Which sums of
+them lie in the closed algebra T is one null space per working prime: the
+sums in T are spanned by the indicators of a partition of the labels, whose
+singletons are the members and whose larger parts are the merged components.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
 
 import numpy as np
@@ -20,7 +22,7 @@ from .chars import CentralizerReport, char_table
 from .groups import ReconciliationError, SymmetricGroup, centralizer_elements, inversion_closed
 from .orbitals import OrbitalIndex
 from .partitions import SignedPartition
-from .switching import Block, ClosureResult, Word, chain_products, transpose_word
+from .switching import Block, ClosureResult, SwitchingClosure, Word, chain_products, transpose_word
 
 
 @dataclass
@@ -340,6 +342,35 @@ class WedderburnReport:
         return " (+) ".join(parts)
 
 
+def _idempotent_atoms(idems: list[CPIdem], closure: SwitchingClosure) -> list[tuple[int, ...]]:
+    """The atoms of V = {x : sum_k x_k e_k in T} under one prime: index tuples, smallest first.
+
+    T meets span{e_k} in a subalgebra of the commutative semisimple algebra
+    (+) Q e_k that holds the identity sum_k e_k (Terwilliger, J. Algebraic
+    Combin. 1992), so V is spanned by the 0/1 indicators of a partition of
+    the labels, and these are V's fully reduced rows for any one pivot per
+    atom.  T is a direct sum of blocks and each e_k lies in the diagonal
+    ones, so x is in V exactly when sum_k x_k R_k = 0, R_k the residuals of
+    e_k on the diagonal blocks: one echelon pass over [R | I] leaves V's
+    rows as those pivoted in I, which must be such indicators (`non_member_partition`).
+    """
+    p, s, nc = closure.field.p, len(idems), closure.orbindex.n_classes
+    diag = [np.stack([e.block_vector_mod(c, p) for e in idems]) for c in range(nc)]
+    res = np.concatenate([closure.blocks[(c, c)].residual(x) for c, x in enumerate(diag)], axis=1)
+    f = res.shape[1]
+    span = Block(f + s, p)
+    span.insert_batch(np.concatenate([res, np.eye(s, dtype=np.int64)], axis=1))
+    kernel = span.rows[: span.rank][span.pivots[: span.rank] >= f, f:]
+    if not (np.isin(kernel, (0, 1)).all() and (kernel.sum(axis=0) == 1).all()):
+        raise ReconciliationError(
+            "non_member_partition",
+            f"the idempotent sums lying in the algebra mod {p} are not spanned by "
+            f"a partition of {[e.label.label() for e in idems]}",
+        )
+    atoms = [tuple(np.flatnonzero(row).tolist()) for row in kernel]
+    return sorted(atoms, key=lambda a: (len(a), a))
+
+
 def decompose_T(
     result: ClosureResult,
     centralizer: CentralizerReport,
@@ -347,14 +378,16 @@ def decompose_T(
 ) -> WedderburnReport:
     """Wedderburn components of the closed algebra from the centralizer's.
 
-    High-multiplicity characters transfer unchanged (the dimension-gap
-    corollary); remaining member idempotents are sized by dim(T*e); the
-    non-members are partitioned into minimal sums lying in T, each giving
-    one component.  Every e here is a centrally primitive idempotent of the
-    centralizer algebra, or a sum of them, hence central in an algebra that
-    contains T, so T*e = e*T, which is how `algebra_times_idempotent_dim`
-    computes it.  The squared sizes must add up to dim T.  A failed check
-    raises `ReconciliationError` naming it.
+    Which sums of the centralizer's idempotents lie in T is read off one
+    partition of their labels, the atoms of `_idempotent_atoms`, agreed under
+    both primes.  The singleton atoms are the members: high-multiplicity
+    characters transfer unchanged (the dimension-gap corollary), and the
+    other members are sized by dim(T*e).  Each larger atom is one merged
+    component, sized by dim(T*sum).  Every e here is a centrally primitive
+    idempotent of the centralizer algebra, or a sum of them, hence central
+    in an algebra that contains T, so T*e = e*T, which is how
+    `algebra_times_idempotent_dim` computes it.  The squared sizes must add
+    up to dim T.  A failed check raises `ReconciliationError` naming it.
     """
     dim_t = result.dim_t
     dim_tilde = centralizer.dim
@@ -365,38 +398,48 @@ def decompose_T(
             f"closed algebra dim {dim_t} exceeds its centralizer bound {dim_tilde}",
         )
 
-    members: list[SignedPartition] = []
-    non_members: list[SignedPartition] = []
+    comps = centralizer.components
+    idems = [cpis[sp] for sp, _ in comps]
+    found = [_idempotent_atoms(idems, closure) for closure in result.closures]
+    if found[0] != found[1]:
+        raise ReconciliationError(
+            "two_prime_agreement",
+            "membership of the idempotent sums disagrees between the working primes",
+        )
+    singles = {atom[0] for atom in found[0] if len(atom) == 1}
+    members = [sp for k, (sp, _) in enumerate(comps) if k in singles]
+    non_members = [sp for k, (sp, _) in enumerate(comps) if k not in singles]
     components: list[WedderburnComponent] = []
-    pending: list[tuple[SignedPartition, int]] = []
 
-    for sp, m in centralizer.components:
-        e = cpis[sp]
-        in_t = cpi_membership(e, result)
+    for k, (sp, m) in enumerate(comps):
         if 2 * m - 1 > delta:
             # the gap corollary forces T*e = centralizer block of e
-            if not in_t:
+            if k not in singles:
                 raise ReconciliationError(
                     "dimension_gap_membership",
                     f"{sp} must lie in T by the dimension-gap corollary",
                 )
-            members.append(sp)
             components.append(WedderburnComponent((sp,), m, m * m))
-        elif in_t:
-            members.append(sp)
-            d = algebra_times_idempotent_dim(e, result)
+        elif k in singles:
+            d = algebra_times_idempotent_dim(idems[k], result)
             if d == m * m:
                 components.append(WedderburnComponent((sp,), m, d))
             else:
                 # e splits inside the closed algebra; record the raw dimension
                 components.append(WedderburnComponent((sp,), None, d))
-        else:
-            non_members.append(sp)
-            pending.append((sp, m))
 
-    if pending:
-        merged = _merge_non_members(result, cpis, pending)
-        components.extend(merged)
+    # atoms run smallest first, so the merged components follow the singletons
+    for atom in found[0][len(singles) :]:
+        d = algebra_times_idempotent_dim(reduce(add_idempotents, [idems[k] for k in atom]), result)
+        ms = {comps[k][1] for k in atom}
+        size = isqrt(d)
+        if size * size != d or (len(ms) == 1 and d != comps[atom[0]][1] ** 2):
+            raise ReconciliationError(
+                "merged_component_dimension",
+                f"merged idempotent {[str(comps[k][0]) for k in atom]} has "
+                f"irregular dimension {d}",
+            )
+        components.append(WedderburnComponent(tuple(comps[k][0] for k in atom), size, d))
 
     report = WedderburnReport(
         components=components,
@@ -412,49 +455,3 @@ def decompose_T(
             f"{report.to_markdown()}"
         )
     return report
-
-
-def _merge_non_members(
-    result: ClosureResult,
-    cpis: dict[SignedPartition, CPIdem],
-    pending: list[tuple[SignedPartition, int]],
-) -> list[WedderburnComponent]:
-    """Minimal sums of non-member idempotents that land in the algebra.
-
-    Exhaustive search by subset size; accepted subsets must partition the
-    non-member set, and each sum acts as one component whose dimension is
-    checked against dim(T*sum).
-    """
-    out: list[WedderburnComponent] = []
-    remaining = list(range(len(pending)))
-    for size in range(2, len(pending) + 1):
-        if not remaining:
-            break
-        for combo in itertools.combinations(list(remaining), size):
-            if any(idx not in remaining for idx in combo):
-                continue
-            total = None
-            for idx in combo:
-                e = cpis[pending[idx][0]]
-                total = e if total is None else add_idempotents(total, e)
-            if not cpi_membership(total, result):
-                continue
-            d = algebra_times_idempotent_dim(total, result)
-            ms = {pending[idx][1] for idx in combo}
-            size_guess = isqrt(d)
-            if size_guess * size_guess != d or (len(ms) == 1 and d != pending[combo[0]][1] ** 2):
-                raise ReconciliationError(
-                    "merged_component_dimension",
-                    f"merged idempotent {[str(pending[i][0]) for i in combo]} has "
-                    f"irregular dimension {d}",
-                )
-            labels = tuple(pending[idx][0] for idx in combo)
-            out.append(WedderburnComponent(labels, size_guess, d))
-            remaining = [idx for idx in remaining if idx not in combo]
-    if remaining:
-        raise ReconciliationError(
-            "non_member_partition",
-            "non-member idempotents could not be partitioned into sums lying "
-            f"in the algebra: {[str(pending[i][0]) for i in remaining]}",
-        )
-    return out

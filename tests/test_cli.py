@@ -321,20 +321,22 @@ def test_corrupted_transposition_exits_1(capsys, monkeypatch):
 
 
 def test_asymmetric_idempotent_exits_1(capsys, monkeypatch):
-    membership = wed_mod.cpi_membership
+    t_times_e = wed_mod.algebra_times_idempotent_dim
 
-    def then_one_value_off(e, result):
-        # after the member test, so the replay of dim(T*e) meets it first
-        verdict = membership(e, result)
+    def one_value_off(e, result):
+        # the replay of dim(T*e) gets e one value off at an orbit that
+        # transposition moves
         oi = result.orbindex
-        for c, values in e.block_values.items():
-            moved = np.flatnonzero(oi.transposition(c, c) != np.arange(len(values)))
+        values = {c: v.copy() for c, v in e.block_values.items()}
+        for c, v in values.items():
+            moved = np.flatnonzero(oi.transposition(c, c) != np.arange(len(v)))
             if moved.size:
-                values[moved[0]] += 1
+                v[moved[0]] += 1
                 break
-        return verdict
+        bad = wed_mod.CPIdem(e.label, e.degree, e.multiplicity, values, e.denominator)
+        return t_times_e(bad, result)
 
-    monkeypatch.setattr(wed_mod, "cpi_membership", then_one_value_off)
+    monkeypatch.setattr(wed_mod, "algebra_times_idempotent_dim", one_value_off)
     # S6 is the least S_n whose transpositions move orbits of diagonal blocks
     code, out, err = run_cli(capsys, "wedderburn", "--group", "sym:6", "--quiet")
     assert code == 1
@@ -364,15 +366,16 @@ def test_prime_above_limit_is_usage_error(capsys, primes, message):
 
 def test_membership_prime_disagreement_exits_1(capsys, monkeypatch):
     p1, p2 = sample_primes(5, 2, avoid=48)
-    residual = sw_mod.Block.residual
+    atoms = wed_mod._idempotent_atoms
 
-    def residual_disagreeing(self, x):
-        # membership tests single vectors; under p2 none of them lies in T
-        if x.ndim == 1 and self.p == p2:
-            return np.ones_like(x)
-        return residual(self, x)
+    def merged_under_p2(idems, closure):
+        # every S4 idempotent is a member; under p2 the first two read as one sum
+        found = atoms(idems, closure)
+        if closure.field.p == p2:
+            found = [found[0] + found[1]] + found[2:]
+        return found
 
-    monkeypatch.setattr(sw_mod.Block, "residual", residual_disagreeing)
+    monkeypatch.setattr(wed_mod, "_idempotent_atoms", merged_under_p2)
     code, out, err = run_cli(
         capsys, "wedderburn", "--group", "sym:4",
         "--prime", str(p1), "--prime", str(p2), "--quiet",
@@ -418,6 +421,28 @@ def test_merged_component_dimension_exits_1(capsys, monkeypatch):
     assert out == ""
     assert "merged_component_dimension" in err
     assert "irregular dimension 2" in err
+
+
+@pytest.mark.parametrize("defect", ["entry_not_0_1", "label_in_two_atoms"])
+def test_non_member_partition_exits_1(capsys, monkeypatch, defect):
+    class DefectiveBlock(sw_mod.Block):
+        def insert_batch(self, residuals):
+            grown = super().insert_batch(residuals)
+            # the membership pass inserts [R | I]: the kernel rows pivot in I
+            f = self.r - len(residuals)
+            first, last = np.flatnonzero(self.pivots[: self.rank] >= f)[[0, -1]]
+            if defect == "entry_not_0_1":
+                self.rows[last, self.pivots[last]] = 2
+            else:
+                self.rows[first, self.pivots[last]] = 1
+            return grown
+
+    # the membership pass is the first fresh Block made in the wedderburn module
+    monkeypatch.setattr(wed_mod, "Block", DefectiveBlock)
+    code, out, err = run_cli(capsys, "wedderburn", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "non_member_partition" in err
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ import golden
 from conftest import completeness_defect, dense_rank_modp, idempotent_defect, per_orbit_products
 
 import terwilliger as tw
+from terwilliger import wedderburn as wed_mod
+from terwilliger.chars import centralizer_wedderburn
 from terwilliger.fieldla import modmul
 from terwilliger.groups import ReconciliationError, load_cayley_table
 from terwilliger.orbitals import OrbitalIndex
@@ -19,9 +21,11 @@ from terwilliger.partitions import (
 from terwilliger.wedderburn import (
     CPIdem,
     CpiBuilder,
+    _idempotent_atoms,
     add_idempotents,
     algebra_times_idempotent_dim,
     cpi_membership,
+    decompose_T,
     module_block_dims,
 )
 
@@ -205,6 +209,38 @@ def test_membership_s6_non_members(stages):
         sp.label() for sp, e in cpis.items() if not cpi_membership(e, res)
     }
     assert non_members == golden.S6_NON_MEMBERS
+
+
+def test_idempotent_atoms_are_the_merged_components(stages):
+    # the sums in T are spanned by a partition of the labels: members are
+    # singletons and the larger atoms the merged components, under both primes
+    merged = {4: set(), 5: set(), 6: golden.S6_MERGED_PAIRS, 7: {golden.S7_MERGED_PAIR}}
+    for n, want in merged.items():
+        cent = centralizer_wedderburn(stages.mults(n))
+        idems = [stages.cpis(n)[sp] for sp, _ in cent.components]
+        for closure in stages.closure(n).closures:
+            found = _idempotent_atoms(idems, closure)
+            atoms = [frozenset(idems[k].label.label() for k in a) for a in found]
+            assert {a for a in atoms if len(a) > 1} == want, (n, closure.field.p)
+            assert len(atoms) == len(idems) - sum(len(a) - 1 for a in want), (n, closure.field.p)
+
+
+def test_gap_member_pushed_out_of_t_fails(stages, monkeypatch):
+    # S6 has delta = 3, so [6]+ (m = 11) must lie in T by the gap corollary
+    atoms = wed_mod._idempotent_atoms
+
+    def first_two_merged(idems, closure):
+        found = atoms(idems, closure)
+        assert found[:2] == [(0,), (1,)]
+        return [(0, 1)] + found[2:]
+
+    monkeypatch.setattr(wed_mod, "_idempotent_atoms", first_two_merged)
+    cent = centralizer_wedderburn(stages.mults(6))
+    assert cent.components[0][0].label() == "[6]+"
+    with pytest.raises(ReconciliationError) as exc:
+        decompose_T(stages.closure(6), cent, stages.cpis(6))
+    assert exc.value.check == "dimension_gap_membership"
+    assert "[6]+" in str(exc.value)
 
 
 def test_wedderburn_s4(stages):
