@@ -14,8 +14,8 @@ from .partitions import Partition, class_size, partitions_of
 #: Hard cap for symmetric(n).  The group's rank table has n^(n-1) entries:
 #: 235 KB of uint16 at S7, 4.2 MB at S8, 172 MB of uint32 at S9.  The orbit
 #: index keeps n_classes * |G| labels (3.5 MB at S8); what outgrows memory
-#: first is the memoized generator tables, the one contraction behind both
-#: the closure and the dim(T*e) word replay, r(i,nu) * n_rel(nu,m) * r(i,m)
+#: first is the memoized generator tables, the one contraction behind every
+#: closure (of T and, seeded with e, of T*e), r(i,nu) * n_rel(nu,m) * r(i,m)
 #: counts per (target block, middle class): 5.3e8 of them over every key at
 #: S8 (0.53 GB as uint8, 1.06 GB as uint16), counted from 1.1e9 (target
 #: orbit, middle-class element) pairs.

@@ -8,8 +8,18 @@ representative pair per orbit, and ranks are tracked mod two independent
 primes below `fieldla.PRIME_HI`.  Every product has a length-1 generator as
 its right factor, so its contraction with the middle class is an integer
 table K on the orbital index, counted once per (target block, middle class)
-and shared by both primes, every level and the idempotent products (which
-replay the accepted words, see `wedderburn.algebra_times_idempotent_dim`).
+and shared by both primes, every level and every closure.
+
+A closure is seeded with one vector of the diagonal block (c, c) per class
+c of its support S.  Level 0 is one closure step from the seeds, each one
+standing for the empty word: every seed times the length-1 generators
+E_c* A_j E_k*.  Seeded with E_c*, the orbit-0 indicator, on every class, the
+closure is T (Terwilliger, J. Algebraic Combin. 1992: T is spanned by
+products of the E_i* A_j E_k*).  Seeded with the residues of an idempotent
+e that is central in an algebra containing T, it is e*T, which
+`wedderburn.algebra_times_idempotent_dim` sizes; e*T = e*T*e vanishes
+outside S x S, S = {c : e_c != 0}, so only the blocks inside S x S are kept
+and only the classes of S serve as middle classes.
 
 A span has one test, `Block.residual`: a vector's residual on the block's
 free columns, zero exactly when the vector lies in the span.  A closure
@@ -21,9 +31,10 @@ for the block's `raw` rows, so the accepted words are those a full product
 of every candidate would give.
 
 T is closed under transposition: E_i* is symmetric and A_j^T = A_j', j'
-the class of inverses (Terwilliger, J. Algebraic Combin. 1992).  So block
-(k, i) of every level is block (i, k) transposed, and only the blocks with
-i <= k are closed.  A lower block is derived, never stored: its rows are
+the class of inverses.  So is every level of e*T for a symmetric e central
+in an algebra containing T, as (e x)^T = x^T e = e x^T.  So block (k, i) of
+every level is block (i, k) transposed, and only the blocks with i <= k
+are closed.  A lower block is derived, never stored: its rows are
 the upper block's rows placed through the orbit permutation
 `OrbitalIndex.transposition`, its words the upper words reversed with
 inverse relations, its rank the upper rank.  A closure step therefore
@@ -143,24 +154,44 @@ class Block:
 class SwitchingClosure:
     """Switching basis of one prime: trackers of the blocks on and above the diagonal.
 
+    `seed` maps each class c of the support to a vector of block (c, c) mod
+    p; by default it is E_c*, the orbit-0 indicator, on every class, and the
+    closure is T.  Only the blocks (i, k) with i, k in the support exist.
     Block (k, i) of every level is block (i, k) transposed, so only blocks
     with i <= k keep a `Block`; `block_rows` derives a lower block's rows and
     words from its upper one.
     """
 
-    def __init__(self, scheme: ClassScheme, orbindex: OrbitalIndex, fieldctx: FieldCtx):
+    def __init__(
+        self,
+        scheme: ClassScheme,
+        orbindex: OrbitalIndex,
+        fieldctx: FieldCtx,
+        seed: dict[int, np.ndarray] | None = None,
+    ):
         self.scheme = scheme
         self.orbindex = orbindex
         self.field = fieldctx
         self.level = -1
-        nc = scheme.classes.n_classes
+        if seed is None:
+            seed = {
+                c: np.eye(1, orbindex.r[(c, c)], dtype=np.int64)[0]
+                for c in range(scheme.classes.n_classes)
+            }
+        self.support = sorted(seed)
         self.blocks: dict[tuple[int, int], Block] = {
             (i, k): Block(orbindex.r[(i, k)], fieldctx.p)
-            for i in range(nc)
-            for k in range(i, nc)
+            for i in self.support
+            for k in self.support
+            if i <= k
         }
-        #: (i, k), every block -> the raw rows and words it gained on the last level
-        self.frontier: dict[tuple[int, int], tuple[np.ndarray, list[Word]]] = {}
+        #: (i, k), every block -> the raw rows and words it gained on the last
+        #: level; before level 0, the seeds, each with the empty word
+        self.frontier: dict[tuple[int, int], tuple[np.ndarray | None, list[Word]]] = {
+            (i, k): (seed[i][None, :], [()]) if i == k else (None, [])
+            for i in self.support
+            for k in self.support
+        }
         self.history: list[BlockDimTable] = []
 
     @property
@@ -169,7 +200,9 @@ class SwitchingClosure:
 
     def block_dims(self) -> BlockDimTable:
         nc = self.scheme.classes.n_classes
-        dims = [[self.blocks[(min(i, k), max(i, k))].rank for k in range(nc)] for i in range(nc)]
+        dims = [[0] * nc for _ in range(nc)]
+        for (i, k), blk in self.blocks.items():
+            dims[i][k] = dims[k][i] = blk.rank
         return BlockDimTable(labels=self.scheme.classes.label_strings(), dims=dims)
 
     def block_rows(
@@ -194,48 +227,37 @@ class SwitchingClosure:
 
     def _advance(self, ranges: dict[tuple[int, int], range]) -> None:
         """Close a level: the new rows of every block, lower ones derived, are the frontier."""
-        nc = self.scheme.classes.n_classes
         self.frontier = {
             (i, k): self.block_rows((i, k), ranges[(min(i, k), max(i, k))])
-            for i in range(nc)
-            for k in range(nc)
+            for i in self.support
+            for k in self.support
         }
         self.level += 1
         self.history.append(self.block_dims())
 
     def generate_t0(self) -> None:
+        """Level 0: one closure step from the seeds, without progress lines."""
         if self.level >= 0:
             raise ClosureError("level 0 already generated")
-        for key in sorted(self.blocks, key=self._block_order):
-            # length-1 generators: the indicator rows of the block's relations
-            js = self.orbindex.block_relations[key]
-            rows = (js[:, None] == self.orbindex.block_rel[key]).astype(np.int64)
-            i, k = key
-            blk = self.blocks[key]
-            grown = blk.insert_batch(blk.residual(rows))
-            if len(grown) != len(js):
-                raise ReconciliationError(
-                    "t0_generators_independent",
-                    f"length-1 generators of block {key} are not independent",
-                )
-            blk.raw[: blk.rank] = rows
-            blk.words.extend(((i, int(js[idx]), k),) for idx in grown)
-        self._advance({key: range(blk.rank) for key, blk in self.blocks.items()})
+        self._step()
 
     def _block_order(self, key: tuple[int, int]):
         sizes = self.scheme.classes.sizes
         return (sizes[key[0]] * sizes[key[1]], key)
 
     def extend_level(self, progress=None) -> dict[tuple[int, int], int]:
+        """One closure step after level 0; returns the growth of every block."""
+        if self.level < 0:
+            raise ClosureError("generate level 0 first")
+        return self._step(progress)
+
+    def _step(self, progress=None) -> dict[tuple[int, int], int]:
         """One closure step: frontier rows times length-1 generators.
 
         Only the blocks (i, m) with i <= m are closed; a left factor (i, nu)
         with i > nu is derived from block (nu, i).  The returned growth has
         every block, a lower one mirroring its upper one.
         """
-        if self.level < 0:
-            raise ClosureError("generate level 0 first")
-        nc = self.scheme.classes.n_classes
         p = self.field.p
         labels = self.scheme.classes.label_strings()
         start = time.monotonic()
@@ -245,7 +267,7 @@ class SwitchingClosure:
             i, m = key
             blk = self.blocks[key]
             before = blk.rank
-            for nu in range(nc):
+            for nu in self.support:
                 if blk.rank == blk.r:
                     break
                 # the previous level's rows only, even if (i,nu) grew this level
@@ -361,8 +383,15 @@ class ClosureResult:
 def generate_T0(
     scheme: ClassScheme, orbindex: OrbitalIndex, fieldctx: FieldCtx
 ) -> SwitchingClosure:
+    """Level 0 of T, checked: one independent generator per relation, p_ij^k's count."""
     closure = SwitchingClosure(scheme, orbindex, fieldctx)
     closure.generate_t0()
+    for key, blk in closure.blocks.items():
+        if blk.rank != len(orbindex.block_relations[key]):
+            raise ReconciliationError(
+                "t0_generators_independent",
+                f"length-1 generators of block {key} are not independent",
+            )
     tensor_dim = dim_T0(intersection_numbers(scheme))
     if closure.total_dim != tensor_dim:
         raise ReconciliationError(

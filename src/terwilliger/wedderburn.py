@@ -7,6 +7,8 @@ integer vector of numerators per diagonal block, over the common denominator
 them lie in the closed algebra T is one null space per working prime: the
 sums in T are spanned by the indicators of a partition of the labels, whose
 singletons are the members and whose larger parts are the merged components.
+A component's dimension dim(T*e) is that of the switching closure seeded
+with e in place of the E_c*, on the classes where e is nonzero.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .chars import CentralizerReport, char_table
 from .groups import ReconciliationError, SymmetricGroup, centralizer_elements, inversion_closed
 from .orbitals import OrbitalIndex
 from .partitions import SignedPartition
-from .switching import Block, ClosureResult, SwitchingClosure, Word, chain_products, transpose_word
+from .switching import Block, ClosureResult, SwitchingClosure
 
 
 @dataclass
@@ -239,24 +241,16 @@ def cpi_membership(e: CPIdem, result: ClosureResult) -> bool:
 
 
 def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
-    """dim of (closed algebra) * e, blockwise, agreed under both primes.
+    """dim of (closed algebra) * e, agreed under both primes: the closure seeded with e.
 
     e is a sum of centrally primitive idempotents of the centralizer algebra,
-    which contains the closed algebra T, so T * e = e * T.  Block (i, m) of
-    e * T is spanned by e_i * w over the words w of block (i, m), e_i the
-    (i, i) block of e.  Every accepted word is a word of some block (i, nu),
-    or the empty word, times one length-1 generator of (nu, m), so
-    e_i * w = (e_i * prefix) * generator: the closure's own generator
-    products, replayed by word length from e_i, which stands in for the
-    empty word.
-
-    e is symmetric (checked: the characters of S_n are real), so block
-    (m, i) of e * T is block (i, m) transposed, and only the blocks with
-    i <= m are replayed, each off-diagonal rank counting twice, in the rows
-    with e_i != 0.  A prefix in a lower block (i, nu), nu < i, is the
-    transpose x^T of a word x of block (nu, i), and
-    e_i * x^T = (x * e)^T = (e_nu * x)^T: row nu's replay placed through
-    sigma_(nu,i), zero when e_nu = 0.
+    which contains the closed algebra T, so T * e = e * T = e * T * e.  T is
+    spanned by products of length-1 generators, so e * T is the right closure
+    of e * T0: the closure whose level 0 is each e_c, the (c, c) block of e,
+    times the length-1 generators, on the classes S = {c : e_c != 0}; no
+    block outside S x S can be nonzero.  e is symmetric (checked: the
+    characters of S_n are real) and central, so every level is closed under
+    transposition, as the closure's derived lower blocks need.
     """
     oi = result.orbindex
     for c, v in e.block_values.items():
@@ -264,44 +258,15 @@ def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
             raise ReconciliationError(
                 "cpi_symmetric", f"idempotent {e.label} is not symmetric at class {c}"
             )
-    inverse = result.scheme.classes.inverse_class
-    nc = oi.n_classes
     dims = []
     for closure in result.closures:
         p = closure.field.p
-        total = 0
-        # word of an upper block of a replayed row -> e_i * word mod p
-        times_e: dict[Word, np.ndarray] = {}
-        for i in range(nc):
-            e_i = e.block_vector_mod(i, p)
-            if not e_i.any():
-                continue
-            row = {m: closure.blocks[(i, m)] for m in range(i, nc)}
-            # (length, m, nu) -> the words of block (i, m) ending in a
-            # generator of (nu, m); shorter words first, so prefixes are ready
-            groups: dict[tuple[int, int, int], list[Word]] = {}
-            for m, blk in row.items():
-                for w in blk.words:
-                    groups.setdefault((len(w), m, w[-1][0]), []).append(w)
-            for (_, m, nu), words in sorted(groups.items()):
-                prefixes = [w[:-1] for w in words]
-                if nu >= i:
-                    left = np.stack([times_e[u] if u else e_i for u in prefixes])
-                else:
-                    left = np.zeros((len(words), oi.r[(i, nu)]), dtype=np.int64)
-                    if e.block_vector_mod(nu, p).any():
-                        left[:, oi.transposition(nu, i)] = np.stack(
-                            [times_e[transpose_word(u, inverse)] for u in prefixes]
-                        )
-                js = [w[-1][1] for w in words]
-                cols = np.searchsorted(oi.block_relations[(nu, m)], js)
-                prods = chain_products(oi, (i, m), nu, left, p)
-                times_e.update(zip(words, prods[np.arange(len(words)), cols]))
-            for m, blk in row.items():
-                span = Block(blk.r, p)
-                span.insert_batch(span.residual(np.stack([times_e[w] for w in blk.words])))
-                total += span.rank * (1 if m == i else 2)
-        dims.append(total)
+        seed = {c: v for c in e.block_values if (v := e.block_vector_mod(c, p)).any()}
+        times_e = SwitchingClosure(result.scheme, oi, closure.field, seed)
+        times_e.generate_t0()
+        while any(times_e.extend_level().values()):
+            pass
+        dims.append(times_e.total_dim)
     if dims[0] != dims[1]:
         raise ReconciliationError(
             "two_prime_agreement", f"dim(T*e) for {e.label} disagrees between primes"
@@ -385,9 +350,10 @@ def decompose_T(
     other members are sized by dim(T*e).  Each larger atom is one merged
     component, sized by dim(T*sum).  Every e here is a centrally primitive
     idempotent of the centralizer algebra, or a sum of them, hence central
-    in an algebra that contains T, so T*e = e*T, which is how
-    `algebra_times_idempotent_dim` computes it.  The squared sizes must add
-    up to dim T.  A failed check raises `ReconciliationError` naming it.
+    in an algebra that contains T, so T*e = e*T: the closure seeded with e,
+    which is how `algebra_times_idempotent_dim` computes it.  The squared
+    sizes must add up to dim T.  A failed check raises `ReconciliationError`
+    naming it.
     """
     dim_t = result.dim_t
     dim_tilde = centralizer.dim

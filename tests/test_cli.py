@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -324,7 +325,7 @@ def test_asymmetric_idempotent_exits_1(capsys, monkeypatch):
     t_times_e = wed_mod.algebra_times_idempotent_dim
 
     def one_value_off(e, result):
-        # the replay of dim(T*e) gets e one value off at an orbit that
+        # the closure seeded with e gets e one value off at an orbit that
         # transposition moves
         oi = result.orbindex
         values = {c: v.copy() for c, v in e.block_values.items()}
@@ -389,15 +390,14 @@ def test_membership_prime_disagreement_exits_1(capsys, monkeypatch):
 def test_t_times_e_prime_disagreement_exits_1(capsys, monkeypatch):
     p1, p2 = sample_primes(5, 2, avoid=1440)
 
-    class RankOffBlock(sw_mod.Block):
-        def insert_batch(self, residuals):
-            grown = super().insert_batch(residuals)
-            # under the second prime every rank reads one higher
-            self.rank += int(self.p == p2)
-            return grown
+    class RankOffClosure(sw_mod.SwitchingClosure):
+        @property
+        def total_dim(self):
+            # under the second prime every dimension reads one higher
+            return super().total_dim + int(self.field.p == p2)
 
-    # dim(T*e) ranks through fresh Blocks made in the wedderburn module
-    monkeypatch.setattr(wed_mod, "Block", RankOffBlock)
+    # dim(T*e) is the total of a closure seeded with e, made in the wedderburn module
+    monkeypatch.setattr(wed_mod, "SwitchingClosure", RankOffClosure)
     code, out, err = run_cli(
         capsys, "wedderburn", "--group", "sym:6",
         "--prime", str(p1), "--prime", str(p2), "--quiet",
@@ -437,7 +437,7 @@ def test_non_member_partition_exits_1(capsys, monkeypatch, defect):
                 self.rows[first, self.pivots[last]] = 1
             return grown
 
-    # the membership pass is the first fresh Block made in the wedderburn module
+    # the membership pass is the one Block made in the wedderburn module
     monkeypatch.setattr(wed_mod, "Block", DefectiveBlock)
     code, out, err = run_cli(capsys, "wedderburn", "--group", "sym:4", "--quiet")
     assert code == 1
@@ -513,6 +513,24 @@ def test_triple_regularity_exits_1(capsys, monkeypatch):
     assert "triple_regularity" in err
 
 
+def test_t0_generators_independent_exits_1(capsys, monkeypatch):
+    init = orb_mod.OrbitalIndex.__init__
+
+    def relation_listed_twice(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        # two length-1 generators of one relation in block (1, 2): level 0
+        # cannot grow the block's rank by both
+        js = self.block_relations[(1, 2)]
+        self.block_relations[(1, 2)] = np.concatenate([js[:1], js])
+
+    monkeypatch.setattr(orb_mod.OrbitalIndex, "__init__", relation_listed_twice)
+    code, out, err = run_cli(capsys, "report", "--group", "sym:4", "--quiet")
+    assert code == 1
+    assert out == ""
+    assert "t0_generators_independent" in err
+    assert "block (1, 2)" in err
+
+
 def test_t0_dimension_check_exits_1(capsys, monkeypatch):
     dim_t0 = sw_mod.dim_T0
     monkeypatch.setattr(sw_mod, "dim_T0", lambda t: dim_t0(t) + 1)
@@ -574,3 +592,17 @@ def test_progress_lines_on_stderr(capsys):
     assert quiet_code == 0
     assert quiet_out == out
     assert quiet_err == ""
+
+
+def test_report_progress_is_the_closure_progress(capsys):
+    # level 0 and the closures seeded with idempotents print nothing, so the
+    # report's progress lines are those of the closure of T alone
+    def progress(command):
+        code, _, err = run_cli(capsys, command, "--group", "sym:6")
+        assert code == 0
+        return [re.sub(r" elapsed=\S+$", "", line) for line in err.splitlines()]
+
+    report = progress("report")
+    assert report == progress("terwilliger")
+    line = re.compile(r"prime=\d+ level=[1-9]\d* block=\(\S+,\S+\) rank=\d+")
+    assert report and all(line.fullmatch(x) for x in report)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import dense_rank_modp, dihedral_table, generator_rows, per_orbit_products
+from conftest import (
+    bench_table_group,
+    dense_rank_modp,
+    dihedral_table,
+    generator_rows,
+    per_orbit_products,
+)
 from oracle import PrimeField, RationalField, run_matrix_closure
 from orbit_oracle import BlockOracle
 
@@ -41,6 +47,38 @@ def test_t0_block_dims_are_relation_counts(stages):
         for k in range(s.n_classes):
             want = sum(1 for j in range(s.n_classes) if t.p[i, j, k])
             assert table.dims[i][k] == want
+
+
+@pytest.mark.parametrize("group", ["sym:3", "sym:4", "sym:5", "sym:6", "sym:7",
+                                   "psl2_11", "psl2_13", "agl1_23"])
+def test_level0_is_the_relation_indicator_rows(stages, group):
+    # level 0 is one closure step from the seeds E_c*: the length-1 generators
+    # E_i* A_j E_k*, one relation-indicator row and one word ((i, j, k),) per
+    # relation of the block, derived lower blocks included
+    if group.startswith("sym:"):
+        n = int(group[4:])
+        s, oi = stages.scheme(n), stages.orbindex(n)
+    else:
+        s = tw.build_scheme(bench_table_group(group, 0))
+        oi = OrbitalIndex(s)
+    for p in sample_primes(0, 2, avoid=2 * s.group.order):
+        closure = SwitchingClosure(s, oi, FieldCtx(p))
+        closure.generate_t0()
+        dims = closure.block_dims().dims
+        for i, k in itertools.product(range(oi.n_classes), repeat=2):
+            raw, words = closure.block_rows((i, k))
+            js = oi.block_relations[(i, k)].tolist()
+            want = [((i, j, k),) for j in js]
+            assert dims[i][k] == len(words) == len(js), (group, p, i, k)
+            if i <= k:
+                assert words == want, (group, p, i, k)
+                assert np.array_equal(raw, generator_rows(oi, (i, k))), (group, p, i, k)
+            else:
+                # a derived block lists its words in its upper block's order
+                assert sorted(words) == want, (group, p, i, k)
+                rows = dict(zip(js, generator_rows(oi, (i, k))))
+                for (w,), row in zip(words, raw):
+                    assert np.array_equal(row, rows[w[1]]), (group, p, i, k)
 
 
 def test_closure_widths_and_dims(stages):

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from terwilliger.partitions import (
     parse_signed_partition,
     partitions_of,
 )
+from terwilliger.switching import SwitchingClosure
 from terwilliger.wedderburn import (
     CPIdem,
     CpiBuilder,
@@ -275,6 +277,50 @@ def test_algebra_times_idempotent_full_blocks(stages):
         assert d == e.multiplicity**2
 
 
+def test_closure_seeded_with_the_identity_is_t(stages):
+    # the sum of all idempotents is the identity of the centralizer algebra:
+    # its seed is E_c* on every class, and its closure is T itself
+    for n in (4, 5, 6, 7):
+        res, oi = stages.closure(n), stages.orbindex(n)
+        one = reduce(add_idempotents, stages.cpis(n).values())
+        for p in res.primes:
+            for c in range(oi.n_classes):
+                seed = np.eye(1, oi.r[(c, c)], dtype=np.int64)[0]
+                assert np.array_equal(one.block_vector_mod(c, p), seed), (n, p, c)
+        assert algebra_times_idempotent_dim(one, res) == res.dim_t, n
+
+
+def test_idempotent_closure_stays_in_its_support(stages, monkeypatch):
+    # e*T = e*T*e: the closure seeded with e keeps the blocks (i, k), i <= k,
+    # with e_i, e_k != 0, and no other
+    made = []
+
+    class Recorded(SwitchingClosure):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(wed_mod, "SwitchingClosure", Recorded)
+    res, oi = stages.closure(6), stages.orbindex(6)
+    nc = oi.n_classes
+    cpis = list(stages.cpis(6).values())
+    for e in cpis + [add_idempotents(cpis[0], cpis[-1])]:
+        made.clear()
+        d = algebra_times_idempotent_dim(e, res)
+        support = [c for c in range(nc) if e.block_values[c].any()]
+        assert support and [c.field.p for c in made] == list(res.primes)
+        for closure in made:
+            assert closure.support == support, e.label
+            assert set(closure.blocks) == {
+                (i, k) for i, k in itertools.product(support, repeat=2) if i <= k
+            }
+            dims = closure.block_dims().dims
+            for i, k in itertools.product(range(nc), repeat=2):
+                if i not in support or k not in support:
+                    assert dims[i][k] == 0
+            assert closure.total_dim == d
+
+
 def _right_times_e_dims(idems, res, oracle):
     """Per idempotent e, per prime: the sum over every block (i, k), the derived
     lower blocks included, of rank(T_ik rows * e_k), T*e from the right."""
@@ -297,8 +343,9 @@ def _right_times_e_dims(idems, res, oracle):
 
 
 def test_t_times_e_from_the_right_equals_replay(stages):
-    # e is central in the centralizer algebra, so T*e (right) = e*T (replayed
-    # words): every idempotent, member or not, and every sum of two
+    # e is central in the centralizer algebra, so T*e (right, through the
+    # reference contraction on every block) = e*T (the closure seeded with
+    # e): every idempotent, member or not, and every sum of two
     for n in (4, 5, 6):
         res, oracle = stages.closure(n), stages.oracle(n)
         cpis = list(stages.cpis(n).values())
@@ -307,8 +354,8 @@ def test_t_times_e_from_the_right_equals_replay(stages):
         right = _right_times_e_dims(idems, res, oracle)
         for e, d, got in zip(idems, replayed, right):
             assert got == [d, d], (n, e.label)
-        # the replay reads every upper word's prefix as a word of (i, nu),
-        # which block_rows derives when nu < i
+        # the provenance of T's closure: every upper word's prefix is a word
+        # of its block (i, nu), derived by block_rows when nu < i
         for closure in res.closures:
             for (i, m), blk in closure.blocks.items():
                 for w in blk.words:
@@ -321,8 +368,9 @@ def test_t_times_e_from_the_right_equals_replay(stages):
 
 
 def test_replay_rejects_an_asymmetric_idempotent(stages):
-    # the halved replay needs e symmetric: one value off at an orbit that
-    # transposition moves, and the check names itself
+    # the seeded closure derives its lower blocks by transposition, so it
+    # needs e symmetric: one value off at an orbit that transposition moves,
+    # and the check names itself
     res, oi = stages.closure(6), stages.orbindex(6)
     e = next(e for e in stages.cpis(6).values() if cpi_membership(e, res))
     c, moved = next(
