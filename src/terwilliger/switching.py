@@ -19,7 +19,13 @@ products of the E_i* A_j E_k*).  Seeded with the residues of an idempotent
 e that is central in an algebra containing T, it is e*T, which
 `wedderburn.algebra_times_idempotent_dim` sizes; e*T = e*T*e vanishes
 outside S x S, S = {c : e_c != 0}, so only the blocks inside S x S are kept
-and only the classes of S serve as middle classes.
+and only the classes of S serve as middle classes.  Given T's stationary
+closure under the same prime, block (i, m) of e*T steps only through the
+classes nu of S that end an accepted word of T's block (i, m): each such
+word is a word of block (i, nu) times a generator of (nu, m), and the
+accepted words span T mod that prime, so e*T's block (i, m) is spanned by
+its blocks (i, nu) times those generators.  The seeded closure thus reads
+only generator tables that T's closure counted.
 
 A span has one test, `Block.residual`: a vector's residual on the block's
 free columns, zero exactly when the vector lies in the span.  A closure
@@ -160,6 +166,10 @@ class SwitchingClosure:
     Block (k, i) of every level is block (i, k) transposed, so only blocks
     with i <= k keep a `Block`; `block_rows` derives a lower block's rows and
     words from its upper one.
+
+    `t_closure`, T's stationary closure under the same prime, restricts the
+    middle classes of block (i, m) to those ending an accepted word of T's
+    block (i, m), as the module docstring proves.
     """
 
     def __init__(
@@ -168,7 +178,17 @@ class SwitchingClosure:
         orbindex: OrbitalIndex,
         fieldctx: FieldCtx,
         seed: dict[int, np.ndarray] | None = None,
+        t_closure: SwitchingClosure | None = None,
     ):
+        if t_closure is not None:
+            # T's accepted words span T mod their own prime alone
+            if t_closure.field.p != fieldctx.p:
+                raise ClosureError(
+                    f"T closure under prime {t_closure.field.p} cannot restrict "
+                    f"a closure under prime {fieldctx.p}"
+                )
+            if len(t_closure.history) < 2 or t_closure.history[-1] != t_closure.history[-2]:
+                raise ClosureError("the T closure restricting the middle classes is not stationary")
         self.scheme = scheme
         self.orbindex = orbindex
         self.field = fieldctx
@@ -185,6 +205,12 @@ class SwitchingClosure:
             for k in self.support
             if i <= k
         }
+        #: (i, m), every upper block -> its middle classes nu, in support order
+        self.middle: dict[tuple[int, int], list[int]] = {key: self.support for key in self.blocks}
+        if t_closure is not None:
+            for key in self.blocks:
+                ends = {w[-1][0] for w in t_closure.blocks[key].words}
+                self.middle[key] = [nu for nu in self.support if nu in ends]
         #: (i, k), every block -> the raw rows and words it gained on the last
         #: level; before level 0, the seeds, each with the empty word
         self.frontier: dict[tuple[int, int], tuple[np.ndarray | None, list[Word]]] = {
@@ -235,11 +261,11 @@ class SwitchingClosure:
         self.level += 1
         self.history.append(self.block_dims())
 
-    def generate_t0(self) -> None:
-        """Level 0: one closure step from the seeds, without progress lines."""
+    def generate_t0(self) -> dict[tuple[int, int], int]:
+        """Level 0: one closure step from the seeds, without progress lines; returns its growth."""
         if self.level >= 0:
             raise ClosureError("level 0 already generated")
-        self._step()
+        return self._step()
 
     def _block_order(self, key: tuple[int, int]):
         sizes = self.scheme.classes.sizes
@@ -267,7 +293,7 @@ class SwitchingClosure:
             i, m = key
             blk = self.blocks[key]
             before = blk.rank
-            for nu in self.support:
+            for nu in self.middle[key]:
                 if blk.rank == blk.r:
                     break
                 # the previous level's rows only, even if (i,nu) grew this level

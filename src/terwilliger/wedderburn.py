@@ -248,9 +248,12 @@ def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
     spanned by products of length-1 generators, so e * T is the right closure
     of e * T0: the closure whose level 0 is each e_c, the (c, c) block of e,
     times the length-1 generators, on the classes S = {c : e_c != 0}; no
-    block outside S x S can be nonzero.  e is symmetric (checked: the
-    characters of S_n are real) and central, so every level is closed under
-    transposition, as the closure's derived lower blocks need.
+    block outside S x S can be nonzero.  Each prime's closure is restricted
+    by T's closure under that prime: block (i, m) steps only through the
+    classes ending an accepted word of T's block (i, m), since those words
+    span T, so no generator table beyond T's is counted.  e is symmetric
+    (checked: the characters of S_n are real) and central, so every level is
+    closed under transposition, as the closure's derived lower blocks need.
     """
     oi = result.orbindex
     for c, v in e.block_values.items():
@@ -262,7 +265,7 @@ def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
     for closure in result.closures:
         p = closure.field.p
         seed = {c: v for c in e.block_values if (v := e.block_vector_mod(c, p)).any()}
-        times_e = SwitchingClosure(result.scheme, oi, closure.field, seed)
+        times_e = SwitchingClosure(result.scheme, oi, closure.field, seed, t_closure=closure)
         times_e.generate_t0()
         while any(times_e.extend_level().values()):
             pass

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from conftest import bench_table_group, dihedral_table
+
 from terwilliger.groups import (
     CayleyTableError,
     ReconciliationError,
@@ -95,6 +97,21 @@ def test_mul_matches_composition(q8_path, c3_path, trivial_path):
         _assert_ops_match(
             load_cayley_table(path), lambda x, y: rows[x][y], lambda x: rows[x].index(0), rng
         )
+
+
+def test_cayley_inverse_array(tmp_path, q8_path):
+    # a Cayley group's inverses, read from one array built with the table:
+    # x x^-1 = 1 and (x^-1)^-1 = x for every x, intp in the input's shape
+    groups = [load_cayley_table(dihedral_table(tmp_path / "d5.txt", 5)), load_cayley_table(q8_path)]
+    groups += [bench_table_group(name, 0) for name in ("psl2_11", "psl2_13", "agl1_23")]
+    for g in groups:
+        every = np.arange(g.order)
+        inv = g.inv(every)
+        assert inv.dtype == np.intp and inv.shape == every.shape, g.name
+        assert (g.mul(every, inv) == 0).all() and (g.inv(inv) == every).all(), g.name
+        grid = every.reshape(2, -1)
+        assert np.array_equal(g.inv(grid), inv.reshape(2, -1)), g.name
+        assert g.inv(int(every[-1])) == inv[-1], g.name
 
 
 def test_mul_outer_matches_broadcast_mul(q8_path):

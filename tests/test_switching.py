@@ -29,6 +29,10 @@ from terwilliger.switching import (
 )
 
 
+#: S3-S7 and the benchmark's three Cayley-table groups
+GROUPS = ["sym:3", "sym:4", "sym:5", "sym:6", "sym:7", "psl2_11", "psl2_13", "agl1_23"]
+
+
 def test_generate_t0_totals(stages):
     for n, want in ((3, 11), (6, 447), (7, 1232)):
         closure = generate_T0(
@@ -49,18 +53,20 @@ def test_t0_block_dims_are_relation_counts(stages):
             assert table.dims[i][k] == want
 
 
-@pytest.mark.parametrize("group", ["sym:3", "sym:4", "sym:5", "sym:6", "sym:7",
-                                   "psl2_11", "psl2_13", "agl1_23"])
+def _scheme_and_index(stages, group):
+    if group.startswith("sym:"):
+        n = int(group[4:])
+        return stages.scheme(n), stages.orbindex(n)
+    s = tw.build_scheme(bench_table_group(group, 0))
+    return s, OrbitalIndex(s)
+
+
+@pytest.mark.parametrize("group", GROUPS)
 def test_level0_is_the_relation_indicator_rows(stages, group):
     # level 0 is one closure step from the seeds E_c*: the length-1 generators
     # E_i* A_j E_k*, one relation-indicator row and one word ((i, j, k),) per
     # relation of the block, derived lower blocks included
-    if group.startswith("sym:"):
-        n = int(group[4:])
-        s, oi = stages.scheme(n), stages.orbindex(n)
-    else:
-        s = tw.build_scheme(bench_table_group(group, 0))
-        oi = OrbitalIndex(s)
+    s, oi = _scheme_and_index(stages, group)
     for p in sample_primes(0, 2, avoid=2 * s.group.order):
         closure = SwitchingClosure(s, oi, FieldCtx(p))
         closure.generate_t0()
@@ -79,6 +85,22 @@ def test_level0_is_the_relation_indicator_rows(stages, group):
                 rows = dict(zip(js, generator_rows(oi, (i, k))))
                 for (w,), row in zip(words, raw):
                     assert np.array_equal(row, rows[w[1]]), (group, p, i, k)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_level_growth_sums_to_the_total(stages, group):
+    # the growth of every level, level 0 included, has every block, a lower
+    # one mirroring its upper one: it sums to that level's increase in total_dim
+    s, oi = _scheme_and_index(stages, group)
+    closure = SwitchingClosure(s, oi, FieldCtx(sample_primes(0, 1, avoid=2 * s.group.order)[0]))
+    growth = closure.generate_t0()
+    assert sum(growth.values()) == closure.total_dim > 0, group
+    while True:
+        before = closure.total_dim
+        growth = closure.extend_level()
+        assert sum(growth.values()) == closure.total_dim - before, (group, closure.level)
+        if not any(growth.values()):
+            break
 
 
 def test_closure_widths_and_dims(stages):

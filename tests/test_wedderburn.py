@@ -19,7 +19,7 @@ from terwilliger.partitions import (
     parse_signed_partition,
     partitions_of,
 )
-from terwilliger.switching import SwitchingClosure
+from terwilliger.switching import ClosureError, SwitchingClosure, run_to_stationary
 from terwilliger.wedderburn import (
     CPIdem,
     CpiBuilder,
@@ -296,8 +296,8 @@ def test_idempotent_closure_stays_in_its_support(stages, monkeypatch):
     made = []
 
     class Recorded(SwitchingClosure):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             made.append(self)
 
     monkeypatch.setattr(wed_mod, "SwitchingClosure", Recorded)
@@ -319,6 +319,58 @@ def test_idempotent_closure_stays_in_its_support(stages, monkeypatch):
                 if i not in support or k not in support:
                     assert dims[i][k] == 0
             assert closure.total_dim == d
+
+
+def _seeded_dim(e, closure, t_closure=None):
+    """Total of the closure seeded with e under closure's prime, restricted by t_closure or not."""
+    p = closure.field.p
+    seed = {c: v for c in e.block_values if (v := e.block_vector_mod(c, p)).any()}
+    times_e = SwitchingClosure(closure.scheme, closure.orbindex, closure.field, seed, t_closure)
+    times_e.generate_t0()
+    while any(times_e.extend_level().values()):
+        pass
+    return times_e.total_dim
+
+
+def test_middle_classes_of_t_span_t_times_e(stages):
+    # stepping block (i, m) only through the classes that end an accepted
+    # word of T's block (i, m) spans e*T as stepping through every class of
+    # the support does: every CPI on S4-S7 and every sum of two on S4-S6,
+    # under each prime
+    for n in (4, 5, 6, 7):
+        cpis = list(stages.cpis(n).values())
+        pairs = itertools.combinations(cpis, 2) if n < 7 else ()
+        idems = cpis + [add_idempotents(a, b) for a, b in pairs]
+        for closure in stages.closure(n).closures:
+            for e in idems:
+                want = _seeded_dim(e, closure)
+                assert _seeded_dim(e, closure, closure) == want, (n, closure.field.p, e.label)
+
+
+def test_decompose_t_counts_no_generator_table(stages):
+    # the seeded closures step only where T's closure accepted a word, so
+    # they read only generator tables that T's closure counted
+    for n in (5, 6, 7):
+        s = stages.scheme(n)
+        oi = OrbitalIndex(s)
+        res = run_to_stationary(s, oi, seed=0)
+        counted = len(oi._generator_tables)
+        decompose_T(res, centralizer_wedderburn(stages.mults(n)), stages.cpis(n))
+        assert len(oi._generator_tables) == counted, n
+
+
+def test_t_closure_restricts_only_its_own_prime(stages):
+    # T's accepted words span T mod their own prime, and only once stationary
+    res, oi = stages.closure(5), stages.orbindex(5)
+    e = next(iter(stages.cpis(5).values()))
+    own, other = res.closures
+    seed = {c: e.block_vector_mod(c, own.field.p) for c in e.block_values}
+    with pytest.raises(ClosureError):
+        SwitchingClosure(res.scheme, oi, own.field, seed, other)
+    level0 = SwitchingClosure(res.scheme, oi, own.field)
+    level0.generate_t0()
+    with pytest.raises(ClosureError):
+        SwitchingClosure(res.scheme, oi, own.field, seed, level0)
 
 
 def _right_times_e_dims(idems, res, oracle):
