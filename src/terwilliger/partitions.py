@@ -24,12 +24,6 @@ class Partition:
     def n(self) -> int:
         return sum(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
     # Class order used everywhere: ascending as tuples, so [1^n] comes
     # first and [n] last.
     def __lt__(self, other: "Partition") -> bool:

@@ -48,11 +48,14 @@ takes a left factor (i, nu) with i > nu from block (nu, i).  The progress
 lines name the closed blocks alone; the growth that `extend_level` returns
 has every block, a lower one mirroring its upper one.
 
-Rank mod p is at most rank over Q, so the words a prime accepts are
-independent over Q and every dimension found is an exact lower bound.  The
-upper bound is not proved: it rests on the two primes agreeing, since the
-Q-span of the accepted words could in principle fail to be closed while
-their span mod p is closed.
+`SwitchingClosure.close` extends level after level until one adds nothing,
+for T and for every seeded closure alike.  Rank mod p is at most rank over
+Q, so the words a prime accepts are independent over Q and every dimension
+found is an exact lower bound.  The upper bound is not proved: it rests on
+the two primes agreeing, since the Q-span of the accepted words could in
+principle fail to be closed while their span mod p is closed.  Every number
+read off the two closures (the level tables, membership, the atoms, dim(T*e))
+is compared in one place, `ClosureResult.agree`.
 """
 
 from __future__ import annotations
@@ -187,7 +190,7 @@ class SwitchingClosure:
                     f"T closure under prime {t_closure.field.p} cannot restrict "
                     f"a closure under prime {fieldctx.p}"
                 )
-            if len(t_closure.history) < 2 or t_closure.history[-1] != t_closure.history[-2]:
+            if not t_closure.stationary:
                 raise ClosureError("the T closure restricting the middle classes is not stationary")
         self.scheme = scheme
         self.orbindex = orbindex
@@ -219,6 +222,11 @@ class SwitchingClosure:
             for k in self.support
         }
         self.history: list[BlockDimTable] = []
+
+    @property
+    def stationary(self) -> bool:
+        """The last level added nothing, so no further level adds anything."""
+        return len(self.history) >= 2 and self.history[-1] == self.history[-2]
 
     @property
     def total_dim(self) -> int:
@@ -276,6 +284,20 @@ class SwitchingClosure:
         if self.level < 0:
             raise ClosureError("generate level 0 first")
         return self._step(progress)
+
+    def close(self, progress=None) -> int:
+        """Extend level after level until a level adds nothing; returns the width.
+
+        Level 0 is generated first unless it already is, and a stationary
+        closure is left as it is.  The width is the number of levels after
+        level 0 that grew.  The loop terminates: each level before the last
+        raises the total rank, which the orbit total bounds.
+        """
+        if self.level < 0:
+            self.generate_t0()
+        while not self.stationary:
+            self.extend_level(progress=progress)
+        return self.level - 1
 
     def _step(self, progress=None) -> dict[tuple[int, int], int]:
         """One closure step: frontier rows times length-1 generators.
@@ -405,6 +427,20 @@ class ClosureResult:
     def final_table(self) -> BlockDimTable:
         return self.tables[-1]
 
+    def agree(self, what: str, value):
+        """`value` of each prime's closure, the same under both, or a failed check.
+
+        Every number the two-prime closure confirms goes through here: a
+        disagreement raises `ReconciliationError` naming `what`.
+        """
+        first, second = (value(closure) for closure in self.closures)
+        if first != second:
+            raise ReconciliationError(
+                "two_prime_agreement",
+                f"{what}: the working primes {self.primes} disagree",
+            )
+        return first
+
 
 def generate_T0(
     scheme: ClassScheme, orbindex: OrbitalIndex, fieldctx: FieldCtx
@@ -427,20 +463,6 @@ def generate_T0(
     return closure
 
 
-def _run_once(
-    scheme: ClassScheme,
-    orbindex: OrbitalIndex,
-    fieldctx: FieldCtx,
-    progress,
-) -> tuple[SwitchingClosure, int]:
-    closure = generate_T0(scheme, orbindex, fieldctx)
-    # terminates: each level before the last raises the total rank, which the
-    # orbit total bounds
-    while any(closure.extend_level(progress=progress).values()):
-        pass
-    return closure, closure.level - 1
-
-
 def run_to_stationary(
     scheme: ClassScheme,
     orbindex: OrbitalIndex | None = None,
@@ -452,57 +474,53 @@ def run_to_stationary(
 ) -> ClosureResult:
     """Close the chain under two primes and cross-check every level.
 
-    Each prime extends level by level until a level adds nothing; each block
-    grows up to its own orbit count.  The two primes must agree on every
-    level's table, else a fresh sampled pair is tried once and a second
-    disagreement (or any disagreement under explicit primes) raises
-    `ReconciliationError("two_prime_agreement", ...)`.  `bounds`, if given,
-    is only checked, after the primes agree: a final block dimension above
-    its bound raises `ClosureError` naming the block.
+    Each prime's closure of T runs to stationarity (`SwitchingClosure.close`)
+    before the next prime's level 0.  The two primes must agree on every
+    level's table (`ClosureResult.agree`); sampled primes that disagree are
+    replaced once by a fresh pair, and a second disagreement, or any under
+    explicit primes, is raised.  `bounds`, if given, is only checked, after
+    the primes agree: a final block dimension above its bound raises
+    `ClosureError` naming the block.
     """
     if orbindex is None:
         orbindex = OrbitalIndex(scheme)
     avoid = 2 * scheme.group.order
-    attempts = 0
-    while True:
-        pair = primes if primes is not None else sample_primes(seed + attempts, 2, avoid)
+    for attempt in range(2):
+        pair = primes if primes is not None else sample_primes(seed + attempt, 2, avoid)
         if len(pair) != 2 or pair[0] == pair[1]:
             raise ValueError("need two distinct primes")
         # FieldCtx validates each prime (odd, below PRIME_HI) before the test
-        f1, f2 = FieldCtx(pair[0]), FieldCtx(pair[1])
+        fields = [FieldCtx(p) for p in pair]
         for p in pair:
             if avoid % p == 0:
                 raise ValueError(f"prime {p} divides twice the group order")
-        c1, w1 = _run_once(scheme, orbindex, f1, progress)
-        c2, w2 = _run_once(scheme, orbindex, f2, progress)
-        same = w1 == w2 and len(c1.history) == len(c2.history)
-        if same:
-            same = all(
-                t1.dims == t2.dims for t1, t2 in zip(c1.history, c2.history)
+        closures = []
+        for fieldctx in fields:
+            closures.append(generate_T0(scheme, orbindex, fieldctx))
+            # equal histories, checked below, make equal widths
+            width = closures[-1].close(progress)
+        result = ClosureResult(
+            scheme, orbindex, tuple(pair), tuple(closures), width, list(closures[0].history)
+        )
+        try:
+            result.agree("dimension tables", lambda closure: closure.history)
+        except ReconciliationError as err:
+            if primes is not None:
+                raise
+            if attempt:
+                raise ReconciliationError(
+                    err.check, f"{err}; a fresh prime pair also disagreed"
+                ) from err
+        else:
+            break
+    final = result.final_table
+    for (a, la), (b, lb) in itertools.product(enumerate(final.labels), repeat=2):
+        if bounds is not None and final.dims[a][b] > bounds.get(la, lb):
+            raise ClosureError(
+                f"block ({la},{lb}) has dimension {final.dims[a][b]} "
+                f"above its bound {bounds.get(la, lb)}"
             )
-        if same:
-            final = c1.history[-1]
-            for (a, la), (b, lb) in itertools.product(enumerate(final.labels), repeat=2):
-                if bounds is not None and final.dims[a][b] > bounds.get(la, lb):
-                    raise ClosureError(
-                        f"block ({la},{lb}) has dimension {final.dims[a][b]} "
-                        f"above its bound {bounds.get(la, lb)}"
-                    )
-            return ClosureResult(
-                scheme=scheme,
-                orbindex=orbindex,
-                primes=(pair[0], pair[1]),
-                closures=(c1, c2),
-                width=w1,
-                tables=list(c1.history),
-            )
-        attempts += 1
-        if primes is not None or attempts >= 2:
-            raise ReconciliationError(
-                "two_prime_agreement",
-                f"dimension tables disagree under primes {pair}"
-                + ("; a fresh prime pair also disagreed" if attempts >= 2 else "")
-            )
+    return result
 
 
 @dataclass(frozen=True)

@@ -225,19 +225,13 @@ def cpi_membership(e: CPIdem, result: ClosureResult) -> bool:
     supported on diagonal blocks, so membership decomposes blockwise.  Both
     primes must agree.
     """
-    verdicts = [
-        not any(
+    return result.agree(
+        f"membership of {e.label}",
+        lambda closure: not any(
             closure.blocks[(c, c)].residual(e.block_vector_mod(c, closure.field.p)).any()
             for c in e.block_values
-        )
-        for closure in result.closures
-    ]
-    if verdicts[0] != verdicts[1]:
-        raise ReconciliationError(
-            "two_prime_agreement",
-            f"membership of {e.label} disagrees between the working primes",
-        )
-    return verdicts[0]
+        ),
+    )
 
 
 def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
@@ -261,20 +255,15 @@ def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
             raise ReconciliationError(
                 "cpi_symmetric", f"idempotent {e.label} is not symmetric at class {c}"
             )
-    dims = []
-    for closure in result.closures:
+
+    def dim_times_e(closure: SwitchingClosure) -> int:
         p = closure.field.p
         seed = {c: v for c in e.block_values if (v := e.block_vector_mod(c, p)).any()}
         times_e = SwitchingClosure(result.scheme, oi, closure.field, seed, t_closure=closure)
-        times_e.generate_t0()
-        while any(times_e.extend_level().values()):
-            pass
-        dims.append(times_e.total_dim)
-    if dims[0] != dims[1]:
-        raise ReconciliationError(
-            "two_prime_agreement", f"dim(T*e) for {e.label} disagrees between primes"
-        )
-    return dims[0]
+        times_e.close()
+        return times_e.total_dim
+
+    return result.agree(f"dim(T*e) for {e.label}", dim_times_e)
 
 
 @dataclass
@@ -348,15 +337,15 @@ def decompose_T(
 
     Which sums of the centralizer's idempotents lie in T is read off one
     partition of their labels, the atoms of `_idempotent_atoms`, agreed under
-    both primes.  The singleton atoms are the members: high-multiplicity
-    characters transfer unchanged (the dimension-gap corollary), and the
-    other members are sized by dim(T*e).  Each larger atom is one merged
-    component, sized by dim(T*sum).  Every e here is a centrally primitive
-    idempotent of the centralizer algebra, or a sum of them, hence central
-    in an algebra that contains T, so T*e = e*T: the closure seeded with e,
-    which is how `algebra_times_idempotent_dim` computes it.  The squared
-    sizes must add up to dim T.  A failed check raises `ReconciliationError`
-    naming it.
+    both primes.  The singleton atoms are the members and each larger atom is
+    one merged component.  One pass over the atoms, singletons first in
+    label order, sizes every component: a high-multiplicity member transfers
+    unchanged (the dimension-gap corollary) and may not be merged; any other
+    atom is sized by dim(T*e), e the sum of its idempotents, and a merged
+    atom of irregular dimension fails.  Every such e is central in an algebra
+    that contains T, so T*e = e*T: the closure seeded with e, which is how
+    `algebra_times_idempotent_dim` computes it.  The squared sizes must add
+    up to dim T.  A failed check raises `ReconciliationError` naming it.
     """
     dim_t = result.dim_t
     dim_tilde = centralizer.dim
@@ -369,46 +358,41 @@ def decompose_T(
 
     comps = centralizer.components
     idems = [cpis[sp] for sp, _ in comps]
-    found = [_idempotent_atoms(idems, closure) for closure in result.closures]
-    if found[0] != found[1]:
-        raise ReconciliationError(
-            "two_prime_agreement",
-            "membership of the idempotent sums disagrees between the working primes",
-        )
-    singles = {atom[0] for atom in found[0] if len(atom) == 1}
+    atoms = result.agree(
+        "membership of the idempotent sums", lambda closure: _idempotent_atoms(idems, closure)
+    )
+    singles = {atom[0] for atom in atoms if len(atom) == 1}
     members = [sp for k, (sp, _) in enumerate(comps) if k in singles]
     non_members = [sp for k, (sp, _) in enumerate(comps) if k not in singles]
     components: list[WedderburnComponent] = []
 
-    for k, (sp, m) in enumerate(comps):
-        if 2 * m - 1 > delta:
-            # the gap corollary forces T*e = centralizer block of e
-            if k not in singles:
-                raise ReconciliationError(
-                    "dimension_gap_membership",
-                    f"{sp} must lie in T by the dimension-gap corollary",
-                )
-            components.append(WedderburnComponent((sp,), m, m * m))
-        elif k in singles:
-            d = algebra_times_idempotent_dim(idems[k], result)
-            if d == m * m:
-                components.append(WedderburnComponent((sp,), m, d))
-            else:
-                # e splits inside the closed algebra; record the raw dimension
-                components.append(WedderburnComponent((sp,), None, d))
-
-    # atoms run smallest first, so the merged components follow the singletons
-    for atom in found[0][len(singles) :]:
-        d = algebra_times_idempotent_dim(reduce(add_idempotents, [idems[k] for k in atom]), result)
+    # singletons first, in label order, then the merged atoms
+    for atom in atoms:
+        labels = tuple(comps[k][0] for k in atom)
         ms = {comps[k][1] for k in atom}
+        gap = [comps[k][0] for k in atom if 2 * comps[k][1] - 1 > delta]
+        if gap and len(atom) > 1:
+            raise ReconciliationError(
+                "dimension_gap_membership",
+                f"{gap[0]} must lie in T by the dimension-gap corollary",
+            )
+        if gap:
+            # the gap corollary forces T*e = centralizer block of e
+            (m,) = ms
+            components.append(WedderburnComponent(labels, m, m * m))
+            continue
+        d = algebra_times_idempotent_dim(reduce(add_idempotents, [idems[k] for k in atom]), result)
         size = isqrt(d)
-        if size * size != d or (len(ms) == 1 and d != comps[atom[0]][1] ** 2):
+        if size * size == d and (len(ms) > 1 or d == comps[atom[0]][1] ** 2):
+            components.append(WedderburnComponent(labels, size, d))
+        elif len(atom) == 1:
+            # e splits inside the closed algebra; record the raw dimension
+            components.append(WedderburnComponent(labels, None, d))
+        else:
             raise ReconciliationError(
                 "merged_component_dimension",
-                f"merged idempotent {[str(comps[k][0]) for k in atom]} has "
-                f"irregular dimension {d}",
+                f"merged idempotent {[str(sp) for sp in labels]} has irregular dimension {d}",
             )
-        components.append(WedderburnComponent(tuple(comps[k][0] for k in atom), size, d))
 
     report = WedderburnReport(
         components=components,

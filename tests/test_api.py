@@ -5,14 +5,16 @@ from pathlib import Path
 
 import terwilliger as tw
 from terwilliger import (
-    chars, cli, fieldla, groups, orbitals, scheme, switching, tables, wedderburn,
+    chars, cli, fieldla, groups, orbitals, partitions, scheme, switching, tables, wedderburn,
 )
 
 # names removed from the library: nothing in it used them, the ambient
 # reference engine is a test oracle (tests/oracle.py), a run is set by flags
 # alone, a failed two-prime check is a ReconciliationError, the report's
 # JSON is built in the CLI alone, the tensor is one array, the character
-# table is memoized in `chars` and a span is tested by `Block.residual` alone
+# table is memoized in `chars`, a span is tested by `Block.residual` alone,
+# a closure runs to stationarity in `SwitchingClosure.close` alone and a
+# partition is read through its parts
 REMOVED = (
     (groups, "Permutation"),
     (orbitals, "orbital_table"),
@@ -34,6 +36,9 @@ REMOVED = (
     (cli.Pipeline, "chartable"),
     (switching.Block, "kernel"),
     (switching.Block, "reduce"),
+    (switching, "_run_once"),
+    (partitions.Partition, "__iter__"),
+    (partitions.Partition, "__len__"),
 )
 
 # parameters removed because no caller set them, or because the value they
@@ -61,6 +66,14 @@ def test_public_api():
 def test_removed_parameters():
     for fn, name in REMOVED_PARAMETERS:
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
+
+
+def test_two_prime_agreement_raised_in_one_place():
+    # every number confirmed by the two primes is compared in ClosureResult.agree
+    src = Path(__file__).resolve().parent.parent / "src" / "terwilliger"
+    check = "two_prime_agreement"
+    assert sum(path.read_text().count(check) for path in src.glob("*.py")) == 1
+    assert inspect.getsource(switching.ClosureResult.agree).count(check) == 1
 
 
 def test_char_table_built_once_per_report(capsys):

@@ -67,6 +67,21 @@ def test_characters_rejects_cayley(capsys, q8_path):
     assert "symmetric" in err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("wedderburn", "the Wedderburn pipeline needs a symmetric group (>= 3)"),
+        ("thinness", "thinness reports need a symmetric group (>= 3)"),
+        ("conjecture", "the conjecture check needs a symmetric group of degree >= 3"),
+    ],
+)
+def test_symmetric_group_commands_reject_cayley(capsys, c3_path, command, message):
+    code, out, err = run_cli(capsys, command, "--group", f"file:{c3_path}", "--quiet")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_centralizer_command(capsys):
     code, out, _ = run_cli(capsys, "centralizer", "--group", "sym:4", "--quiet")
     assert code == 0

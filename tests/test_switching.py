@@ -301,6 +301,72 @@ def test_prime_disagreement_names_check(monkeypatch, stages):
     assert exc.value.check == "two_prime_agreement"
 
 
+def _block_dims_off_under(primes):
+    """`SwitchingClosure.block_dims` with one entry one higher under the given primes."""
+    block_dims = SwitchingClosure.block_dims
+
+    def patched(self):
+        table = block_dims(self)
+        if self.field.p in primes:
+            table.dims[0][0] += 1
+        return table
+
+    return patched
+
+
+def test_fresh_pair_replaces_a_disagreeing_sampled_pair(monkeypatch, stages):
+    s, oi = stages.scheme(4), stages.orbindex(4)
+    first, fresh = sample_primes(23, 2, avoid=48), sample_primes(24, 2, avoid=48)
+    assert not set(first) & set(fresh)
+    monkeypatch.setattr(SwitchingClosure, "block_dims", _block_dims_off_under({first[1]}))
+    res = run_to_stationary(s, oi, seed=23)
+    assert res.primes == fresh
+    assert (res.dim_t0, res.dim_t, res.width) == (
+        golden.DIMS[4]["t0"], golden.DIMS[4]["t"], golden.DIMS[4]["width"]
+    )
+
+
+def test_fresh_pair_disagreeing_too_names_check(monkeypatch, stages):
+    s, oi = stages.scheme(4), stages.orbindex(4)
+    first, fresh = sample_primes(23, 2, avoid=48), sample_primes(24, 2, avoid=48)
+    patched = _block_dims_off_under({first[1], fresh[1]})
+    monkeypatch.setattr(SwitchingClosure, "block_dims", patched)
+    with pytest.raises(ReconciliationError, match="a fresh prime pair also disagreed") as exc:
+        run_to_stationary(s, oi, seed=23)
+    assert exc.value.check == "two_prime_agreement"
+
+
+def test_close_leaves_a_stationary_closure_as_it_is(stages):
+    p = sample_primes(0, 1, avoid=48)[0]
+    closure = SwitchingClosure(stages.scheme(4), stages.orbindex(4), FieldCtx(p))
+    assert closure.close() == golden.DIMS[4]["width"]
+    history = list(closure.history)
+    assert closure.close() == golden.DIMS[4]["width"]
+    assert closure.history == history
+
+
+def test_closure_levels_out_of_order_raise(stages):
+    closure = SwitchingClosure(stages.scheme(3), stages.orbindex(3), FieldCtx(101))
+    with pytest.raises(ClosureError, match="level 0 first"):
+        closure.extend_level()
+    closure.generate_t0()
+    with pytest.raises(ClosureError, match="already generated"):
+        closure.generate_t0()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda oi: Block(oi.r[(0, 0)], PRIME_HI),
+        lambda oi: chain_products(oi, (0, 0), 0, np.eye(1, oi.r[(0, 0)], dtype=np.int64), PRIME_HI),
+    ],
+    ids=["Block", "chain_products"],
+)
+def test_int64_kernels_reject_prime_hi(stages, make):
+    with pytest.raises(ValueError, match="not below"):
+        make(stages.orbindex(3))
+
+
 def test_two_prime_runs_agree(stages):
     res = stages.closure(5)
     c1, c2 = res.closures

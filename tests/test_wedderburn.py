@@ -38,6 +38,12 @@ def test_builder_rejects_non_symmetric(q8_path):
         CpiBuilder(OrbitalIndex(s))
 
 
+def test_builder_rejects_classes_not_inversion_closed(c3_path):
+    s = tw.build_scheme(load_cayley_table(c3_path))
+    with pytest.raises(ValueError, match="inversion-closed"):
+        CpiBuilder(OrbitalIndex(s))
+
+
 def test_zero_idempotent_rejected(stages):
     builder = CpiBuilder(stages.orbindex(4))
     with pytest.raises(ValueError):
@@ -447,6 +453,19 @@ def test_merged_sum_is_idempotent(stages):
     s = add_idempotents(a, b)
     assert s.multiplicity == 2
     assert idempotent_defect(s, None, oi, stages.oracle(6), p) == 0
+
+
+def test_sum_of_idempotents_on_other_blocks_rejected(stages):
+    a = stages.cpis(4)[parse_signed_partition("[4]+")]
+    b = CPIdem(
+        label=a.label,
+        degree=a.degree,
+        multiplicity=a.multiplicity,
+        block_values={c: v for c, v in a.block_values.items() if c},
+        denominator=a.denominator,
+    )
+    with pytest.raises(ValueError, match="mismatched"):
+        add_idempotents(a, b)
 
 
 def test_pigeonhole_guard(stages):
