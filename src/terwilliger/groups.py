@@ -18,9 +18,11 @@ from .partitions import Partition, class_size, partitions_of
 #: closure (of T and, seeded with e, of T*e), r(i,nu) * n_rel(nu,m) * r(i,m)
 #: counts per (target block, middle class): 5.3e8 of them over every key at
 #: S8 (0.53 GB as uint8, 1.06 GB as uint16), counted from 1.1e9 (target
-#: orbit, middle-class element) pairs.  T's closure counts 1,806 of the keys
-#: at S8 (133 MB), and the seeded closures of T*e step only through the
-#: middle classes of T's accepted words, so they count no table beyond T's.
+#: orbit, middle-class element) pairs through a key -> class table of n^(n-1)
+#: entries (2 MB at S8).  T's closure, visiting the richest middle classes
+#: first, counts 754 of the keys at S8 (121 MiB; 1,806 and 133 MiB in class
+#: order), and the seeded closures of T*e step only through the middle
+#: classes of T's accepted words, so they count no table beyond T's.
 MAX_SYMMETRIC_N = 8
 
 
@@ -74,6 +76,22 @@ class GroupTable:
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
 
+    def lookup_table(self, values: np.ndarray) -> np.ndarray:
+        """Per-element `values` in the form `outer_lookup` reads them."""
+        return values
+
+    def right_factors(self, b) -> np.ndarray:
+        """Elements b in the form `outer_lookup` takes as right factors."""
+        return np.asarray(b)
+
+    def outer_lookup(self, a, right: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """values[a[s] * b[t]] on the outer grid, table = lookup_table(values).
+
+        `right` is right_factors(b): a caller that multiplies many left
+        factors by one b, or reads one table often, prepares each once.
+        """
+        return table[self.mul(np.asarray(a)[:, None], right[None, :])]
+
     def generators(self) -> list[int]:
         """A small generating set, found greedily in index order."""
         return subgroup_generators(self, np.arange(self.order))
@@ -85,9 +103,11 @@ class GroupTable:
         frontier = np.zeros(1, dtype=np.intp)
         right = np.asarray(gens, dtype=np.intp)
         while frontier.size:
-            found = np.unique(self.mul(frontier[:, None], right[None, :]))
-            frontier = found[~reached[found]]
-            reached[frontier] = True
+            found = np.zeros(self.order, dtype=bool)
+            found[self.mul(frontier[:, None], right[None, :])] = True
+            found &= ~reached
+            frontier = found.nonzero()[0]
+            reached |= found
         return reached
 
 
@@ -136,13 +156,35 @@ class SymmetricGroup(GroupTable):
     def inv(self, a) -> np.ndarray:
         return self._rank_of(self.elements[a].argsort(axis=-1))
 
+    def conjugate(self, g, x) -> np.ndarray:
+        # g x g^-1 maps g(u) to g(x(u)): x's images read through g^-1, then
+        # mapped by g, one rank; arrays of g keep the product form
+        if np.ndim(g):
+            return super().conjugate(g, x)
+        images = self.elements[g]
+        return self._rank_of(images[self.elements[x][..., images.argsort()]])
+
     def mul_outer(self, a, b) -> np.ndarray:
-        # key(a*b) = sum_v a(b(v)) w[v] = sum_u a(u) w[b^-1(u)]: one integer
-        # matmul in place of the (len(a), len(b), n) gather of images, exact
-        # in int32 since every key is below n^(n-1) <= 8^7
-        a_images = self.elements[np.asarray(a)].astype(np.int32)
-        b_weights = self._weights[self.elements[np.asarray(b)].argsort(axis=-1)]
-        return self._rank[a_images @ b_weights.T].astype(np.intp)
+        return self.outer_lookup(a, self.right_factors(b), self._rank).astype(np.intp)
+
+    def lookup_table(self, values: np.ndarray) -> np.ndarray:
+        # indexed by image key, as the rank is; keys of no permutation read
+        # the identity's value and are never looked up
+        return values[self._rank]
+
+    def right_factors(self, b) -> np.ndarray:
+        # key(a*b) = sum_v a(b(v)) w[v] = sum_u a(u) w[b^-1(u)]: row u holds
+        # w[b^-1(u)] for every b
+        return self._weights[self.elements[np.asarray(b)].argsort(axis=-1)].T.copy()
+
+    def outer_lookup(self, a, right: np.ndarray, table: np.ndarray) -> np.ndarray:
+        # n outer products in place of the (len(a), len(b), n) gather of
+        # images, exact in int32 since every key is below n^(n-1) <= 8^7
+        images = self.elements[np.asarray(a)].T.astype(np.int32)
+        keys = np.multiply.outer(images[0], right[0])
+        for u in range(1, self.n):
+            keys += np.multiply.outer(images[u], right[u])
+        return table.take(keys)
 
     def generators(self) -> list[int]:
         """A transposition and an n-cycle; they coincide in S2."""

@@ -98,6 +98,10 @@ class OrbitalIndex:
         self.block_rel: dict[tuple[int, int], np.ndarray] = {}
         self.r: dict[tuple[int, int], int] = {}
         self._generator_tables: dict[tuple[tuple[int, int], int], np.ndarray] = {}
+        #: the class of each element's inverse, in the group's lookup form,
+        #: and every class as right factors: built by the first table
+        self._inverse_classes: np.ndarray | None = None
+        self._right_factors: list[np.ndarray] = []
         self._transpositions: dict[tuple[int, int], np.ndarray] = {}
 
         # rel_rows[i, y] = relation of (x_i, y) = class of x_i^-1 y
@@ -129,8 +133,13 @@ class OrbitalIndex:
         #: (i, k) -> the relations met in block (i, k), increasing: the order of
         #: its length-1 generators and of the relation axis of generator tables
         self.block_relations: dict[tuple[int, int], np.ndarray] = {
-            key: np.unique(rel) for key, rel in self.block_rel.items()
+            key: np.flatnonzero(np.bincount(rel)).astype(rel.dtype)
+            for key, rel in self.block_rel.items()
         }
+        #: n_relations[nu, m]: the number of length-1 generators of block (nu, m)
+        self.n_relations = np.zeros((nc, nc), dtype=np.int64)
+        for (nu, m), js in self.block_relations.items():
+            self.n_relations[nu, m] = len(js)
 
     def generator_table(self, target: tuple[int, int], nu: int) -> np.ndarray:
         """Block (i, nu) contracted with the length-1 generators of block (nu, m).
@@ -152,16 +161,23 @@ class OrbitalIndex:
         i, m = target
         js = self.block_relations[(nu, m)]
         ra, n_rel, rt = self.r[(i, nu)], len(js), self.r[target]
-        y = self.class_elems[m][self.block_reps[target]]
-        # every relation of a pair in block (nu, m) is in js
-        rel_index = np.zeros(self.n_classes, dtype=np.int64)
-        rel_index[js] = np.arange(n_rel)
-        # c[t, z]: the relation of (z, y_t), the class of z^-1 y_t, which is
-        # the inverse of the class of y_t^-1 z: one grid of products
         cls, g = self.scheme.classes, self.scheme.group
-        quotients = g.mul_outer(g.inv(y), self.class_elems[nu])
-        c = rel_index[cls.inverse_class][cls.class_of[quotients]]
-        bins = (self.block_labels[(i, nu)] * n_rel + c) * rt + np.arange(rt)[:, None]
+        if self._inverse_classes is None:
+            inverse = np.asarray(cls.inverse_class, dtype=np.min_scalar_type(self.n_classes))
+            self._inverse_classes = g.lookup_table(inverse[cls.class_of])
+            self._right_factors = [g.right_factors(elems) for elems in self.class_elems]
+        # bin (a, c, t) = (a * n_rel + c) * rt + t, below the table's size;
+        # every relation of a pair in block (nu, m) is in js
+        itype = np.int32 if ra * n_rel * rt < 1 << 31 else np.int64
+        rel_bins = np.zeros(self.n_classes, dtype=itype)
+        rel_bins[js] = np.arange(0, n_rel * rt, rt, dtype=itype)
+        # the relation of (z, y_t) is the class of z^-1 y_t, the inverse of
+        # the class of y_t^-1 z: one lookup per product of the grid
+        y = self.class_elems[m][self.block_reps[target]]
+        classes = g.outer_lookup(g.inv(y), self._right_factors[nu], self._inverse_classes)
+        bins = rel_bins.take(classes)
+        bins += np.multiply(self.block_labels[(i, nu)], n_rel * rt, dtype=itype)
+        bins += np.arange(rt, dtype=itype)[:, None]
         counts = np.bincount(bins.ravel(), minlength=ra * n_rel * rt)
         return counts.astype(np.min_scalar_type(counts.max())).reshape(ra, n_rel, rt)
 

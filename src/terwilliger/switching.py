@@ -25,7 +25,8 @@ classes nu of S that end an accepted word of T's block (i, m): each such
 word is a word of block (i, nu) times a generator of (nu, m), and the
 accepted words span T mod that prime, so e*T's block (i, m) is spanned by
 its blocks (i, nu) times those generators.  The seeded closure thus reads
-only generator tables that T's closure counted.
+only generator tables that T's closure counted; T's closure records those
+classes per block as it accepts words (`SwitchingClosure.word_ends`).
 
 A span has one test, `Block.residual`: a vector's residual on the block's
 free columns, zero exactly when the vector lies in the span.  A closure
@@ -35,6 +36,19 @@ costs fewer multiply-adds, and eliminates within the batch on the free
 columns alone.  Only the accepted candidates are then multiplied in full,
 for the block's `raw` rows, so the accepted words are those a full product
 of every candidate would give.
+
+Within a step, a block visits its middle classes nu richest first: in
+decreasing order of the candidates nu offers, the frontier rows of (i, nu)
+times the generators of (nu, m), ties to the lower class
+(`SwitchingClosure.middle_order`).  Every order spans the same level and
+so gives the same dimensions: level L is level L-1 plus level L-1 times
+the generators, and the frontier rows that any order accepted complete
+level L-2 to level L-1.  The richest classes fill a block in the fewest
+batches, and a full block counts no further generator table.
+`Block.insert_batch` eliminates a batch on its live rows alone and updates
+the stored rows once per batch, in one `modmul`: a delayed update, as in
+the blocked rank-profile elimination of Jeannerod, Pernet and Storjohann
+(J. Symbolic Comput. 2013).
 
 T is closed under transposition: E_i* is symmetric and A_j^T = A_j', j'
 the class of inverses.  So is every level of e*T for a symmetric e central
@@ -125,38 +139,53 @@ class Block:
         """Insert rows, given by their residuals, in order; return the indices that grew rank.
 
         `residuals` is (n, r - rank), taken by `residual` against the current
-        rows, and is reduced in place.  A row grows the rank exactly when it
-        lies outside the span of the rows before it, and elimination within
-        the batch runs over the free columns alone.
+        rows.  A row grows the rank exactly when it lies outside the span of
+        the rows before it, and a batch with no such row returns at once.
+        Elimination within the batch runs over the free columns and the live
+        rows alone, those outside the span so far: a row leaves the batch
+        when it reduces to zero.  The new rows are then back-substituted to
+        reduced form, and the stored rows lose the new pivot columns in one
+        product, so rows, pivots and rank are those of inserting the rows
+        one at a time.
         """
-        # live[s]: row s is outside the span of the rows so far, so the loop
-        # visits the rows that grow the rank and no others
-        live = residuals.any(axis=1)
-        grown: list[int] = []
+        idx = residuals.any(axis=1).nonzero()[0]
+        if not idx.size:
+            return []
         p, free = self.p, self.is_free.nonzero()[0]
-        n = residuals.shape[0]
-        idx = -1
-        while idx + 1 < n:
-            idx += 1 + int(live[idx + 1 :].argmax())
-            if not live[idx]:
-                break
-            v = residuals[idx]
+        rest = residuals[idx]
+        grown: list[int] = []
+        new: list[np.ndarray] = []
+        cols: list[int] = []
+        # every row of `rest` is live, so its first one grows the rank; once
+        # every free column is a pivot, no row is left live
+        while idx.size and len(cols) < free.size:
+            v = rest[0]
             j = int(v.nonzero()[0][0])
             v = v * pow(int(v[j]), -1, p) % p
-            k, piv = self.rank, int(free[j])
-            self.rows[k, free] = v
-            col = self.rows[:k, piv]
+            grown.append(int(idx[0]))
+            new.append(v)
+            cols.append(j)
+            rest = rest[1:] - rest[1:, j, None] * v
+            rest %= p
+            live = rest.any(axis=1)
+            idx = idx[1:][live]
+            if idx.size < live.size:
+                rest = rest[live]
+        # row t of `new` is zero on the pivot columns before its own; clear
+        # those after it, last row first
+        new_rows = np.array(new)
+        for t in range(len(cols) - 1, 0, -1):
+            col = new_rows[:t, cols[t]]
             if col.any():
-                self.rows[:k] = (self.rows[:k] - col[:, None] * self.rows[k]) % p
-            self.pivots[k] = piv
-            self.is_free[piv] = False
-            self.rank = k + 1
-            grown.append(idx)
-            below = idx + 1 + residuals[idx + 1 :, j].nonzero()[0]
-            if below.size:
-                rest = (residuals[below] - residuals[below, j, None] * v) % p
-                residuals[below] = rest
-                live[below] = rest.any(axis=1)
+                new_rows[:t] = (new_rows[:t] - col[:, None] * new_rows[t]) % p
+        k, g, piv = self.rank, len(cols), free[cols]
+        coef = self.rows[:k, piv]
+        if coef.any():
+            self.rows[:k, free] = (self.rows[:k, free] - modmul(coef, new_rows, p)) % p
+        self.rows[k : k + g, free] = new_rows
+        self.pivots[k : k + g] = piv
+        self.is_free[piv] = False
+        self.rank = k + g
         return grown
 
 
@@ -172,7 +201,8 @@ class SwitchingClosure:
 
     `t_closure`, T's stationary closure under the same prime, restricts the
     middle classes of block (i, m) to those ending an accepted word of T's
-    block (i, m), as the module docstring proves.
+    block (i, m), as the module docstring proves; every closure records
+    those classes in `word_ends` as it accepts words.
     """
 
     def __init__(
@@ -208,19 +238,24 @@ class SwitchingClosure:
             for k in self.support
             if i <= k
         }
+        #: (i, m), every upper block -> the classes nu ending its accepted words
+        self.word_ends: dict[tuple[int, int], set[int]] = {key: set() for key in self.blocks}
+        support = np.array(self.support, dtype=np.intp)
         #: (i, m), every upper block -> its middle classes nu, in support order
-        self.middle: dict[tuple[int, int], list[int]] = {key: self.support for key in self.blocks}
+        self.middle: dict[tuple[int, int], np.ndarray] = {key: support for key in self.blocks}
         if t_closure is not None:
             for key in self.blocks:
-                ends = {w[-1][0] for w in t_closure.blocks[key].words}
-                self.middle[key] = [nu for nu in self.support if nu in ends]
-        #: (i, k), every block -> the raw rows and words it gained on the last
-        #: level; before level 0, the seeds, each with the empty word
-        self.frontier: dict[tuple[int, int], tuple[np.ndarray | None, list[Word]]] = {
-            (i, k): (seed[i][None, :], [()]) if i == k else (None, [])
-            for i in self.support
-            for k in self.support
+                ends = t_closure.word_ends[key]
+                self.middle[key] = support[[nu in ends for nu in self.support]]
+        #: (i, k), every block that gained rows on the last level -> those raw
+        #: rows and their words; before level 0, the seeds, each with the
+        #: empty word
+        self.frontier: dict[tuple[int, int], tuple[np.ndarray, list[Word]]] = {
+            (c, c): (seed[c][None, :], [()]) for c in self.support
         }
+        #: frontier_rows[i, k]: the number of rows of frontier[(i, k)]
+        self.frontier_rows = np.zeros((scheme.classes.n_classes,) * 2, dtype=np.int64)
+        self.frontier_rows[self.support, self.support] = 1
         self.history: list[BlockDimTable] = []
 
     @property
@@ -260,12 +295,14 @@ class SwitchingClosure:
         return placed, [transpose_word(w, inverse) for w in words]
 
     def _advance(self, ranges: dict[tuple[int, int], range]) -> None:
-        """Close a level: the new rows of every block, lower ones derived, are the frontier."""
-        self.frontier = {
-            (i, k): self.block_rows((i, k), ranges[(min(i, k), max(i, k))])
-            for i in self.support
-            for k in self.support
-        }
+        """Close a level: the frontier becomes the blocks' new rows, lower ones derived."""
+        self.frontier = {}
+        for (i, k), rows in ranges.items():
+            self.frontier_rows[i, k] = self.frontier_rows[k, i] = len(rows)
+            if rows:
+                self.frontier[(i, k)] = self.block_rows((i, k), rows)
+                if i < k:
+                    self.frontier[(k, i)] = self.block_rows((k, i), rows)
         self.level += 1
         self.history.append(self.block_dims())
 
@@ -278,6 +315,19 @@ class SwitchingClosure:
     def _block_order(self, key: tuple[int, int]):
         sizes = self.scheme.classes.sizes
         return (sizes[key[0]] * sizes[key[1]], key)
+
+    def middle_order(self, key: tuple[int, int]) -> list[int]:
+        """The middle classes nu that offer block (i, m) candidates this step, most first.
+
+        Class nu offers the frontier rows of (i, nu) times the generators of
+        (nu, m); ties go to the lower class.  Every order spans the same
+        level, and the richest classes fill a block in the fewest batches.
+        """
+        i, m = key
+        middle = self.middle[key]
+        offered = self.frontier_rows[i, middle] * self.orbindex.n_relations[middle, m]
+        offering = offered.nonzero()[0]
+        return middle[offering[(-offered[offering]).argsort(kind="stable")]].tolist()
 
     def extend_level(self, progress=None) -> dict[tuple[int, int], int]:
         """One closure step after level 0; returns the growth of every block."""
@@ -315,13 +365,11 @@ class SwitchingClosure:
             i, m = key
             blk = self.blocks[key]
             before = blk.rank
-            for nu in self.middle[key]:
+            for nu in self.middle_order(key):
                 if blk.rank == blk.r:
                     break
                 # the previous level's rows only, even if (i,nu) grew this level
                 left, words = self.frontier[(i, nu)]
-                if not words:
-                    continue
                 js = self.orbindex.block_relations[(nu, m)]
                 table = self.orbindex.generator_table(key, nu).astype(np.int64)
                 ra, n2, r = table.shape
@@ -343,13 +391,16 @@ class SwitchingClosure:
                 # test only their left rows are multiplied, times every generator
                 a, c = np.divmod(grown, n2)
                 if prods is None:
-                    uniq = np.unique(a)
-                    prods = chain_products(self.orbindex, key, nu, left[uniq], p, table=table)
-                    blk.raw[k : blk.rank] = prods[uniq.searchsorted(a), c]
+                    # a is nondecreasing: its first occurrences are its distinct values
+                    first = np.ones(a.size, dtype=bool)
+                    first[1:] = a[1:] != a[:-1]
+                    prods = chain_products(self.orbindex, key, nu, left[a[first]], p, table=table)
+                    blk.raw[k : blk.rank] = prods[first.cumsum() - 1, c]
                 else:
                     blk.raw[k : blk.rank] = prods[a, c]
                 for ai, ci in zip(a.tolist(), c.tolist()):
                     blk.words.append(words[ai] + ((nu, int(js[ci]), m),))
+                self.word_ends[key].add(nu)
             growth[key] = growth[(m, i)] = blk.rank - before
             ranges[key] = range(before, blk.rank)
             if progress is not None and growth[key]:

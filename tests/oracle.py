@@ -5,6 +5,9 @@ built on sparse vectors, sparse matrices and an incremental echelon tracker
 over Z/p or Q.  It shares nothing with the library's orbit-coordinate engine
 but the scheme and the block dimension table, so the tests use it as an
 independent oracle for small groups.
+
+`row_by_row_insert` is the orbit engine's `Block.insert_batch` in its first,
+row-by-row form, kept as the oracle of the batched one.
 """
 
 from __future__ import annotations
@@ -319,3 +322,33 @@ def word_product(scheme: ClassScheme, word, field: PrimeField | RationalField) -
     for a, j, b in rest:
         out = spmm(out, restrict_block(scheme, a, j, b), field)
     return out
+
+
+def row_by_row_insert(blk, residuals: np.ndarray) -> list[int]:
+    """`Block.insert_batch`, one row at a time: every accepted row is reduced
+    into the stored rows at once, and clears its pivot column from the rows
+    after it in the batch.  `residuals` is reduced in place."""
+    live = residuals.any(axis=1)
+    grown: list[int] = []
+    p, free = blk.p, blk.is_free.nonzero()[0]
+    for idx in range(residuals.shape[0]):
+        if not live[idx]:
+            continue
+        v = residuals[idx]
+        j = int(v.nonzero()[0][0])
+        v = v * pow(int(v[j]), -1, p) % p
+        k, piv = blk.rank, int(free[j])
+        blk.rows[k, free] = v
+        col = blk.rows[:k, piv]
+        if col.any():
+            blk.rows[:k] = (blk.rows[:k] - col[:, None] * blk.rows[k]) % p
+        blk.pivots[k] = piv
+        blk.is_free[piv] = False
+        blk.rank = k + 1
+        grown.append(idx)
+        below = idx + 1 + residuals[idx + 1 :, j].nonzero()[0]
+        if below.size:
+            rest = (residuals[below] - residuals[below, j, None] * v) % p
+            residuals[below] = rest
+            live[below] = rest.any(axis=1)
+    return grown

@@ -595,6 +595,18 @@ def test_console_script_runs():
     assert "dim_t0: 11" in proc.stdout
 
 
+def test_report_does_not_import_numpy_ma():
+    # under numpy 2 a plain np.unique imports numpy.ma, about 13 ms a process;
+    # the library forms its sorted distinct values from masks instead
+    code = (
+        "import sys; from terwilliger.cli import main; "
+        "rc = main(['report', '--group', 'sym:5', '--quiet']); "
+        "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.stderr.splitlines()[-1] == "0 False"
+
+
 def test_progress_lines_on_stderr(capsys):
     argv = ("terwilliger", "--group", "sym:4", "--format", "json")
     code, out, err = run_cli(capsys, *argv)

@@ -129,6 +129,41 @@ def test_mul_outer_matches_broadcast_mul(q8_path):
             assert (got == g.mul(left[:, None], right[None, :])).all(), g.name
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_conjugate_matches_product_form(n):
+    # one gather and one rank for a single g; arrays of g broadcast as mul does
+    g = SymmetricGroup(n)
+    every = np.arange(g.order)
+    rng = np.random.default_rng(n)
+    for c in [0, 1, g.order - 1, *rng.integers(0, g.order, size=3).tolist()]:
+        for x in (every, every.reshape(2, -1), int(rng.integers(g.order))):
+            got = g.conjugate(c, x)
+            want = g.mul(g.mul(c, x), g.inv(c))
+            assert got.dtype == np.intp and np.shape(got) == np.shape(want), (n, c)
+            assert np.array_equal(got, want), (n, c)
+        assert np.array_equal(g.conjugate(np.intp(c), every), g.conjugate(c, every)), (n, c)
+    cs = rng.integers(0, g.order, size=4)
+    want = g.mul(g.mul(cs[:, None], every), g.inv(cs)[:, None])
+    assert np.array_equal(g.conjugate(cs[:, None], every), want), n
+
+
+def test_outer_lookup_matches_mul_outer(q8_path):
+    # values read at every product of the grid, through each group's lookup
+    # form, equal values[mul_outer]
+    rng = np.random.default_rng(4)
+    groups = [SymmetricGroup(n) for n in range(1, 9)] + [load_cayley_table(q8_path)]
+    groups += [bench_table_group("agl1_23", 0)]
+    for g in groups:
+        values = rng.integers(0, 23, size=g.order).astype(np.uint8)
+        table = g.lookup_table(values)
+        a = rng.integers(0, g.order, size=30)
+        b = rng.integers(0, g.order, size=20)
+        for left, right in ((a, b), (a[:1], b), (a, b[:0])):
+            got = g.outer_lookup(left, g.right_factors(right), table)
+            assert got.shape == (len(left), len(right)), g.name
+            assert np.array_equal(got, values[g.mul_outer(left, right)]), g.name
+
+
 def test_conjugacy_classes_s4():
     g = SymmetricGroup(4)
     cls = conjugacy_classes(g)

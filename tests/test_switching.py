@@ -11,7 +11,7 @@ from conftest import (
     generator_rows,
     per_orbit_products,
 )
-from oracle import PrimeField, RationalField, run_matrix_closure
+from oracle import PrimeField, RationalField, row_by_row_insert, run_matrix_closure
 from orbit_oracle import BlockOracle
 
 import terwilliger as tw
@@ -474,6 +474,38 @@ def test_block_echelon_invariants():
     _assert_residual(blk, np.vstack(batches), seen)
 
 
+@pytest.mark.parametrize("r", [1, 6, 13])
+def test_insert_batch_matches_row_by_row_oracle(r):
+    # the batched elimination against the row-by-row oracle, batch after
+    # batch into one block: the same accepted indices, rows, pivots and rank
+    rng = np.random.default_rng(r)
+    for p in (7, sample_primes(41, 1)[0]):
+        base = rng.integers(0, p, size=(max(1, r // 2), r))
+        mixed = rng.integers(0, p, size=(9, len(base))) @ base % p
+        batches = [
+            np.zeros((0, r), dtype=np.int64),
+            np.zeros((4, r), dtype=np.int64),
+            np.vstack([base[:1], base[:1], mixed[:2], np.zeros((1, r), dtype=np.int64)]),
+            np.vstack([mixed[2:], base, base[::-1]]),
+            rng.integers(0, p, size=(2 * r + 3, r)),
+            rng.integers(0, p, size=(3, r)),
+        ]
+        blk, ref = Block(r, p), Block(r, p)
+        for cands in batches:
+            res = blk.residual(cands)
+            assert np.array_equal(res, ref.residual(cands))
+            grown = blk.insert_batch(res.copy())
+            assert grown == row_by_row_insert(ref, res.copy()), (r, p)
+            assert blk.rank == ref.rank == dense_rank_modp(
+                np.vstack([ref.rows[: ref.rank], cands]).tolist(), r, p
+            )
+            assert np.array_equal(blk.pivots, ref.pivots)
+            assert np.array_equal(blk.is_free, ref.is_free)
+            assert np.array_equal(blk.rows, ref.rows)
+        # the random batches fill the block, and a full block grows nothing
+        assert blk.rank == r and grown == []
+
+
 def _largest_prime_below(hi):
     q = hi - 1
     while not is_prime(q):
@@ -551,7 +583,8 @@ class _FullProductClosure(SwitchingClosure):
     """The closure step without the residual chain: every frontier row times
     every generator is multiplied in full, and the residuals of the whole batch
     go to insert_batch.  Like the closure, it closes the blocks (i, m) with
-    i <= m alone, a lower left factor derived from its upper block."""
+    i <= m alone, a lower left factor derived from its upper block, and visits
+    the middle classes in the closure's order."""
 
     def extend_level(self, progress=None):
         growth, ranges = {}, {}
@@ -559,9 +592,9 @@ class _FullProductClosure(SwitchingClosure):
             i, m = key
             blk = self.blocks[key]
             before = blk.rank
-            for nu in range(self.scheme.n_classes):
+            for nu in self.middle_order(key):
                 left, words = self.frontier[(i, nu)]
-                if blk.rank == blk.r or not words:
+                if blk.rank == blk.r:
                     continue
                 js = self.orbindex.block_relations[(nu, m)].tolist()
                 cands = chain_products(self.orbindex, key, nu, left, self.field.p)
@@ -575,6 +608,49 @@ class _FullProductClosure(SwitchingClosure):
             ranges[key] = range(before, blk.rank)
         self._advance(ranges)
         return growth
+
+
+class _ClassOrderClosure(SwitchingClosure):
+    """The closure visiting the middle classes that offer candidates in class order."""
+
+    def middle_order(self, key):
+        return [nu for nu in self.middle[key].tolist() if self.frontier_rows[key[0], nu]]
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_richest_first_keeps_the_level_histories(stages, group):
+    # every visiting order spans the same level; richest first fills blocks
+    # sooner, so it counts no more generator tables than class order
+    s, _ = _scheme_and_index(stages, group)
+    p = sample_primes(3, 1, avoid=2 * s.group.order)[0]
+    histories, tables = [], []
+    for cls in (SwitchingClosure, _ClassOrderClosure):
+        oi = OrbitalIndex(s)
+        closure = cls(s, oi, FieldCtx(p))
+        closure.close()
+        histories.append([t.dims for t in closure.history])
+        tables.append(len(oi._generator_tables))
+    assert histories[0] == histories[1], group
+    assert tables[0] <= tables[1], group
+
+
+def test_s7_closure_counts_few_generator_tables(stages):
+    # richest first: 277 generator tables at S7 (seed 1), 575 in class order
+    s = stages.scheme(7)
+    oi = OrbitalIndex(s)
+    res = run_to_stationary(s, oi, seed=1)
+    dims = golden.DIMS[7]
+    assert res.dims_per_level == [dims["t0"], dims["t1"], dims["t"], dims["t"]]
+    assert len(oi._generator_tables) <= 300
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_word_ends_record_the_last_middle_classes(stages, n):
+    # the classes a closure records as it accepts words, which restrict the
+    # seeded closures, are those its words end in
+    for closure in stages.closure(n).closures:
+        for key, blk in closure.blocks.items():
+            assert closure.word_ends[key] == {w[-1][0] for w in blk.words}, (n, key)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
