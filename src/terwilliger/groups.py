@@ -338,8 +338,8 @@ class ConjugacyData:
     labels: list[Partition] | None
     #: per element, a t with t * rep(class_of[x]) * t^-1 = x
     transversal: np.ndarray
-    #: per class, its elements in increasing order
-    elements: list[list[int]]
+    #: per class, its elements as an increasing int array
+    elements: list[np.ndarray]
     #: per element, its position inside its class list
     pos_in_class: np.ndarray
 
@@ -404,7 +404,7 @@ def conjugacy_classes(g: GroupTable) -> ConjugacyData:
         inverse_class=class_of[g.inv(representatives)].tolist(),
         labels=labels,
         transversal=transversal,
-        elements=[part.tolist() for part in np.split(by_class, np.cumsum(sizes)[:-1])],
+        elements=np.split(by_class, np.cumsum(sizes)[:-1]),
         pos_in_class=pos_in_class,
     )
 
@@ -448,6 +448,6 @@ def fixed_point_counts(
 
 
 def centralizer_elements(g: GroupTable, x: int) -> np.ndarray:
-    """All w in G with wx = xw, in increasing order."""
+    """All w in G with wx = xw, in increasing order: the w with x w x^-1 = w."""
     every = np.arange(g.order)
-    return np.flatnonzero(g.mul(every, x) == g.mul(x, every))
+    return np.flatnonzero(g.conjugate(x, every) == every)

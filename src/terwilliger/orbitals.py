@@ -52,19 +52,17 @@ def _block_orbits(perms: list[np.ndarray], m: int) -> np.ndarray:
             return labels
 
 
-def _stabilizer_perms(scheme: ClassScheme, x: int) -> list[np.ndarray]:
+def _stabilizer_perms(scheme: ClassScheme, x: int, centralizer: np.ndarray) -> list[np.ndarray]:
     """Permutations of G generating Stab_H(x), with their inverses.
 
-    Conjugation by generators of the centralizer C_G(x), and, when the
-    classes are inversion-closed, y -> h0 y^-1 h0^-1 with h0 x^-1 h0^-1 = x.
+    Conjugation by generators of the centralizer C_G(x), given by its
+    increasing elements, and, when the classes are inversion-closed,
+    y -> h0 y^-1 h0^-1 with h0 x^-1 h0^-1 = x.
     """
     g = scheme.group
     cls = scheme.classes
     every = np.arange(g.order)
-    perms = [
-        g.conjugate(c, every)
-        for c in subgroup_generators(g, centralizer_elements(g, x))
-    ]
+    perms = [g.conjugate(c, every) for c in subgroup_generators(g, centralizer)]
     if inversion_closed(cls):
         h0 = g.inv(cls.transversal[g.inv(x)])
         perms.append(g.conjugate(h0, g.inv(every)))
@@ -76,7 +74,7 @@ class OrbitalIndex:
 
     Orbits of block (i, k) are numbered by their least position in the
     anchored row, and block_reps[(i, k)][t] is that position: orbit t is
-    represented by the pair (x_i, class_elems[k][block_reps[(i, k)][t]]).
+    represented by the pair (x_i, classes.elements[k][block_reps[(i, k)][t]]).
     The class representatives are the least elements of their classes, so
     orbit 0 of a diagonal block (c, c) is that of (x_c, x_c): the diagonal.
     """
@@ -89,7 +87,9 @@ class OrbitalIndex:
         cls = scheme.classes
         nc = cls.n_classes
         self.n_classes = nc
-        self.class_elems = [np.array(e, dtype=np.int64) for e in cls.elements]
+        #: per class, the centralizer of its representative, increasing: read
+        #: by the stabilizers here and by the idempotents' coset sums
+        self.centralizers = [centralizer_elements(g, x) for x in cls.representatives]
 
         #: (i, k) -> orbit label of (x_i, y) for each y in C_k, by position
         self.block_labels: dict[tuple[int, int], np.ndarray] = {}
@@ -99,18 +99,19 @@ class OrbitalIndex:
         self.r: dict[tuple[int, int], int] = {}
         self._generator_tables: dict[tuple[tuple[int, int], int], np.ndarray] = {}
         #: the class of each element's inverse, in the group's lookup form,
-        #: and every class as right factors: built by the first table
-        self._inverse_classes: np.ndarray | None = None
-        self._right_factors: list[np.ndarray] = []
+        #: and every class as right factors: read by every generator table
+        inverse = np.asarray(cls.inverse_class, dtype=np.min_scalar_type(nc))
+        self._inverse_classes = g.lookup_table(inverse[cls.class_of])
+        self._right_factors = [g.right_factors(elems) for elems in cls.elements]
         self._transpositions: dict[tuple[int, int], np.ndarray] = {}
 
         # rel_rows[i, y] = relation of (x_i, y) = class of x_i^-1 y
         rel_rows = cls.class_of[g.mul_outer(g.inv(cls.representatives), np.arange(g.order))]
         for i, x in enumerate(cls.representatives):
-            labels = _block_orbits(_stabilizer_perms(scheme, x), g.order)
+            labels = _block_orbits(_stabilizer_perms(scheme, x, self.centralizers[i]), g.order)
             rel_row = rel_rows[i]
             for k in range(nc):
-                elems = self.class_elems[k]
+                elems = cls.elements[k]
                 uniq, local, counts = np.unique(
                     labels[elems], return_inverse=True, return_counts=True
                 )
@@ -162,10 +163,6 @@ class OrbitalIndex:
         js = self.block_relations[(nu, m)]
         ra, n_rel, rt = self.r[(i, nu)], len(js), self.r[target]
         cls, g = self.scheme.classes, self.scheme.group
-        if self._inverse_classes is None:
-            inverse = np.asarray(cls.inverse_class, dtype=np.min_scalar_type(self.n_classes))
-            self._inverse_classes = g.lookup_table(inverse[cls.class_of])
-            self._right_factors = [g.right_factors(elems) for elems in self.class_elems]
         # bin (a, c, t) = (a * n_rel + c) * rt + t, below the table's size;
         # every relation of a pair in block (nu, m) is in js
         itype = np.int32 if ra * n_rel * rt < 1 << 31 else np.int64
@@ -173,7 +170,7 @@ class OrbitalIndex:
         rel_bins[js] = np.arange(0, n_rel * rt, rt, dtype=itype)
         # the relation of (z, y_t) is the class of z^-1 y_t, the inverse of
         # the class of y_t^-1 z: one lookup per product of the grid
-        y = self.class_elems[m][self.block_reps[target]]
+        y = cls.elements[m][self.block_reps[target]]
         classes = g.outer_lookup(g.inv(y), self._right_factors[nu], self._inverse_classes)
         bins = rel_bins.take(classes)
         bins += np.multiply(self.block_labels[(i, nu)], n_rel * rt, dtype=itype)
@@ -214,7 +211,7 @@ class OrbitalIndex:
 
     def _count_transposition(self, i: int, k: int) -> np.ndarray:
         g, cls = self.scheme.group, self.scheme.classes
-        s = cls.transversal[self.class_elems[k][self.block_reps[(i, k)]]]
+        s = cls.transversal[cls.elements[k][self.block_reps[(i, k)]]]
         z = g.conjugate(g.inv(s), cls.representatives[i])
         return self.block_labels[(k, i)][cls.pos_in_class[z]].astype(np.intp)
 

@@ -107,15 +107,6 @@ def parse_partition(text: str) -> Partition:
     return Partition(tuple(sorted(parts, reverse=True)))
 
 
-def parse_signed_partition(text: str) -> SignedPartition:
-    s = text.strip()
-    if s.endswith("+"):
-        return SignedPartition(parse_partition(s[:-1]), 1)
-    if s.endswith("-"):
-        return SignedPartition(parse_partition(s[:-1]), -1)
-    raise ValueError(f"signed partition must end with '+' or '-': {text!r}")
-
-
 def class_size(lam: Partition) -> int:
     """Number of permutations of cycle type lam: n! / prod(i^m_i * m_i!)."""
     n = lam.n

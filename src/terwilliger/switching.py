@@ -192,12 +192,13 @@ class Block:
 class SwitchingClosure:
     """Switching basis of one prime: trackers of the blocks on and above the diagonal.
 
-    `seed` maps each class c of the support to a vector of block (c, c) mod
-    p; by default it is E_c*, the orbit-0 indicator, on every class, and the
-    closure is T.  Only the blocks (i, k) with i, k in the support exist.
-    Block (k, i) of every level is block (i, k) transposed, so only blocks
-    with i <= k keep a `Block`; `block_rows` derives a lower block's rows and
-    words from its upper one.
+    The scheme is the one `orbindex` was built from.  `seed` maps each class
+    c of the support to a vector of block (c, c) mod p; by default it is
+    E_c*, the orbit-0 indicator, on every class, and the closure is T.  Only
+    the blocks (i, k) with i, k in the support exist.  Block (k, i) of every
+    level is block (i, k) transposed, so only blocks with i <= k keep a
+    `Block`; `block_rows` derives a lower block's rows and words from its
+    upper one.
 
     `t_closure`, T's stationary closure under the same prime, restricts the
     middle classes of block (i, m) to those ending an accepted word of T's
@@ -207,7 +208,6 @@ class SwitchingClosure:
 
     def __init__(
         self,
-        scheme: ClassScheme,
         orbindex: OrbitalIndex,
         fieldctx: FieldCtx,
         seed: dict[int, np.ndarray] | None = None,
@@ -222,15 +222,12 @@ class SwitchingClosure:
                 )
             if not t_closure.stationary:
                 raise ClosureError("the T closure restricting the middle classes is not stationary")
-        self.scheme = scheme
         self.orbindex = orbindex
         self.field = fieldctx
         self.level = -1
+        nc = orbindex.n_classes
         if seed is None:
-            seed = {
-                c: np.eye(1, orbindex.r[(c, c)], dtype=np.int64)[0]
-                for c in range(scheme.classes.n_classes)
-            }
+            seed = {c: np.eye(1, orbindex.r[(c, c)], dtype=np.int64)[0] for c in range(nc)}
         self.support = sorted(seed)
         self.blocks: dict[tuple[int, int], Block] = {
             (i, k): Block(orbindex.r[(i, k)], fieldctx.p)
@@ -254,7 +251,7 @@ class SwitchingClosure:
             (c, c): (seed[c][None, :], [()]) for c in self.support
         }
         #: frontier_rows[i, k]: the number of rows of frontier[(i, k)]
-        self.frontier_rows = np.zeros((scheme.classes.n_classes,) * 2, dtype=np.int64)
+        self.frontier_rows = np.zeros((nc, nc), dtype=np.int64)
         self.frontier_rows[self.support, self.support] = 1
         self.history: list[BlockDimTable] = []
 
@@ -268,11 +265,11 @@ class SwitchingClosure:
         return sum(b.rank * (1 if i == k else 2) for (i, k), b in self.blocks.items())
 
     def block_dims(self) -> BlockDimTable:
-        nc = self.scheme.classes.n_classes
+        nc = self.orbindex.n_classes
         dims = [[0] * nc for _ in range(nc)]
         for (i, k), blk in self.blocks.items():
             dims[i][k] = dims[k][i] = blk.rank
-        return BlockDimTable(labels=self.scheme.classes.label_strings(), dims=dims)
+        return BlockDimTable(labels=self.orbindex.scheme.classes.label_strings(), dims=dims)
 
     def block_rows(
         self, key: tuple[int, int], rows: range | None = None
@@ -291,7 +288,7 @@ class SwitchingClosure:
             return raw, words
         placed = np.empty_like(raw)
         placed[:, self.orbindex.transposition(k, i)] = raw
-        inverse = self.scheme.classes.inverse_class
+        inverse = self.orbindex.scheme.classes.inverse_class
         return placed, [transpose_word(w, inverse) for w in words]
 
     def _advance(self, ranges: dict[tuple[int, int], range]) -> None:
@@ -313,7 +310,7 @@ class SwitchingClosure:
         return self._step()
 
     def _block_order(self, key: tuple[int, int]):
-        sizes = self.scheme.classes.sizes
+        sizes = self.orbindex.scheme.classes.sizes
         return (sizes[key[0]] * sizes[key[1]], key)
 
     def middle_order(self, key: tuple[int, int]) -> list[int]:
@@ -357,7 +354,7 @@ class SwitchingClosure:
         every block, a lower one mirroring its upper one.
         """
         p = self.field.p
-        labels = self.scheme.classes.label_strings()
+        labels = self.orbindex.scheme.classes.label_strings()
         start = time.monotonic()
         growth: dict[tuple[int, int], int] = {}
         ranges: dict[tuple[int, int], range] = {}
@@ -493,11 +490,9 @@ class ClosureResult:
         return first
 
 
-def generate_T0(
-    scheme: ClassScheme, orbindex: OrbitalIndex, fieldctx: FieldCtx
-) -> SwitchingClosure:
+def generate_T0(orbindex: OrbitalIndex, fieldctx: FieldCtx) -> SwitchingClosure:
     """Level 0 of T, checked: one independent generator per relation, p_ij^k's count."""
-    closure = SwitchingClosure(scheme, orbindex, fieldctx)
+    closure = SwitchingClosure(orbindex, fieldctx)
     closure.generate_t0()
     for key, blk in closure.blocks.items():
         if blk.rank != len(orbindex.block_relations[key]):
@@ -505,7 +500,7 @@ def generate_T0(
                 "t0_generators_independent",
                 f"length-1 generators of block {key} are not independent",
             )
-    tensor_dim = dim_T0(intersection_numbers(scheme))
+    tensor_dim = dim_T0(intersection_numbers(orbindex.scheme))
     if closure.total_dim != tensor_dim:
         raise ReconciliationError(
             "t0_dimension_matches_tensor",
@@ -531,10 +526,13 @@ def run_to_stationary(
     replaced once by a fresh pair, and a second disagreement, or any under
     explicit primes, is raised.  `bounds`, if given, is only checked, after
     the primes agree: a final block dimension above its bound raises
-    `ClosureError` naming the block.
+    `ClosureError` naming the block.  The closures read the scheme off the
+    orbit index, so a given `orbindex` must be built from `scheme`.
     """
     if orbindex is None:
         orbindex = OrbitalIndex(scheme)
+    elif orbindex.scheme is not scheme:
+        raise ValueError("the orbit index was built from another scheme")
     avoid = 2 * scheme.group.order
     for attempt in range(2):
         pair = primes if primes is not None else sample_primes(seed + attempt, 2, avoid)
@@ -547,7 +545,7 @@ def run_to_stationary(
                 raise ValueError(f"prime {p} divides twice the group order")
         closures = []
         for fieldctx in fields:
-            closures.append(generate_T0(scheme, orbindex, fieldctx))
+            closures.append(generate_T0(orbindex, fieldctx))
             # equal histories, checked below, make equal widths
             width = closures[-1].close(progress)
         result = ClosureResult(
@@ -564,13 +562,14 @@ def run_to_stationary(
                 ) from err
         else:
             break
-    final = result.final_table
-    for (a, la), (b, lb) in itertools.product(enumerate(final.labels), repeat=2):
-        if bounds is not None and final.dims[a][b] > bounds.get(la, lb):
-            raise ClosureError(
-                f"block ({la},{lb}) has dimension {final.dims[a][b]} "
-                f"above its bound {bounds.get(la, lb)}"
-            )
+    if bounds is not None:
+        final = result.final_table
+        for (a, la), (b, lb) in itertools.product(enumerate(final.labels), repeat=2):
+            if final.dims[a][b] > bounds.get(la, lb):
+                raise ClosureError(
+                    f"block ({la},{lb}) has dimension {final.dims[a][b]} "
+                    f"above its bound {bounds.get(la, lb)}"
+                )
     return result
 
 

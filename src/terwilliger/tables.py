@@ -23,12 +23,6 @@ class BlockDimTable:
     def get(self, row_label: str, col_label: str) -> int:
         return self.dims[self.labels.index(row_label)][self.labels.index(col_label)]
 
-    def is_symmetric(self) -> bool:
-        n = len(self.labels)
-        return all(
-            self.dims[a][b] == self.dims[b][a] for a in range(n) for b in range(n)
-        )
-
     def to_csv(self) -> str:
         lines = ["row_label,col_label,dim"]
         for a, la in enumerate(self.labels):

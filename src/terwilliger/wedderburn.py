@@ -21,7 +21,7 @@ from math import isqrt
 import numpy as np
 
 from .chars import CentralizerReport, char_table
-from .groups import ReconciliationError, SymmetricGroup, centralizer_elements, inversion_closed
+from .groups import ReconciliationError, SymmetricGroup, inversion_closed
 from .orbitals import OrbitalIndex
 from .partitions import SignedPartition
 from .switching import Block, ClosureResult, SwitchingClosure
@@ -88,44 +88,35 @@ class CpiBuilder:
         self.group = g
         self.classes = cls
         self.table = char_table(g.n)
-        self.centralizers = [
-            centralizer_elements(g, rep) for rep in cls.representatives
+        #: per class c, the class histograms of its diagonal orbits' cosets
+        self.histograms = [
+            self._coset_histograms(c, z) for c, z in enumerate(orbindex.centralizers)
         ]
-        self._hists: list[np.ndarray] | None = None
 
     def _char_by_class(self, sp: SignedPartition) -> np.ndarray:
-        return np.array(
-            [self.table.value(sp.base, mu) for mu in self.table.col_labels],
-            dtype=np.int64,
-        )
+        return np.array(self.table.values[self.table.row_labels.index(sp.base)], dtype=np.int64)
 
-    def _coset_histograms(self) -> list[np.ndarray]:
-        """Per class c, the class histograms of its diagonal orbits' cosets.
+    def _coset_histograms(self, c: int, z: np.ndarray) -> np.ndarray:
+        """The class histograms of the cosets of C_c x C_c's orbits, z = C(x).
 
-        Entry [0, t] of the array for class c counts, class by class, the
-        elements of {g : g x g^-1 = y}, and entry [1, t] those of
-        {g : g x^-1 g^-1 = y}, where (x, y) represents orbit t of C_c x C_c:
-        x is the class representative.  Each coset is ty * C(x) * tx^-1, so
-        one scan of the centralizer serves every character.
+        Entry [0, t] counts, class by class, the elements of
+        {g : g x g^-1 = y}, and entry [1, t] those of {g : g x^-1 g^-1 = y},
+        where (x, y) represents orbit t of C_c x C_c: x is the class
+        representative.  Each coset is ty * C(x) * tx^-1, so one scan of the
+        centralizer serves every character.
         """
-        if self._hists is None:
-            g = self.group
-            cls = self.classes
-            nc = cls.n_classes
-            self._hists = []
-            for c, z in enumerate(self.centralizers):
-                py = self.orbindex.block_reps[(c, c)]
-                ty = cls.transversal[self.orbindex.class_elems[c][py]][:, None]
-                rep = cls.representatives[c]
-                ids = []
-                for x in (rep, g.inv(rep)):
-                    tx_inv = g.inv(cls.transversal[x])
-                    ids.append(cls.class_of[g.mul(g.mul(ty, z), tx_inv)])
-                # bin (inverted, t) * nc + class, over all (inverted, t, w)
-                bins = np.arange(2 * len(py)).reshape(2, -1, 1) * nc + np.stack(ids)
-                flat = np.bincount(bins.ravel(), minlength=2 * len(py) * nc)
-                self._hists.append(flat.reshape(2, len(py), nc))
-        return self._hists
+        g, cls, nc = self.group, self.classes, self.classes.n_classes
+        py = self.orbindex.block_reps[(c, c)]
+        ty = cls.transversal[cls.elements[c][py]][:, None]
+        rep = cls.representatives[c]
+        ids = []
+        for x in (rep, g.inv(rep)):
+            tx_inv = g.inv(cls.transversal[x])
+            ids.append(cls.class_of[g.mul(g.mul(ty, z), tx_inv)])
+        # bin (inverted, t) * nc + class, over all (inverted, t, w)
+        bins = np.arange(2 * len(py)).reshape(2, -1, 1) * nc + np.stack(ids)
+        flat = np.bincount(bins.ravel(), minlength=2 * len(py) * nc)
+        return flat.reshape(2, len(py), nc)
 
     def build(self, sp: SignedPartition) -> CPIdem:
         """Idempotent for one signed character; raises if it is zero."""
@@ -134,7 +125,7 @@ class CpiBuilder:
         f = int(chi[0])
         order2 = 2 * self.group.order
         values: dict[int, np.ndarray] = {}
-        for c, hists in enumerate(self._coset_histograms()):
+        for c, hists in enumerate(self.histograms):
             plus, minus = hists @ chi
             values[c] = f * (plus + sp.sign * minus)
         e = CPIdem(label=sp, degree=f, multiplicity=0, block_values=values, denominator=order2)
@@ -259,7 +250,7 @@ def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
     def dim_times_e(closure: SwitchingClosure) -> int:
         p = closure.field.p
         seed = {c: v for c in e.block_values if (v := e.block_vector_mod(c, p)).any()}
-        times_e = SwitchingClosure(result.scheme, oi, closure.field, seed, t_closure=closure)
+        times_e = SwitchingClosure(oi, closure.field, seed, t_closure=closure)
         times_e.close()
         return times_e.total_dim
 

@@ -7,7 +7,9 @@ but the scheme and the block dimension table, so the tests use it as an
 independent oracle for small groups.
 
 `row_by_row_insert` is the orbit engine's `Block.insert_batch` in its first,
-row-by-row form, kept as the oracle of the batched one.
+row-by-row form, kept as the oracle of the batched one.  `relation_of`,
+`is_symmetric` and `parse_signed_partition` are reference forms that only
+the tests read.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from terwilliger.fieldla import FieldCtx
+from terwilliger.partitions import SignedPartition, parse_partition
 from terwilliger.scheme import ClassScheme, intersection_numbers
 from terwilliger.switching import ClosureError
 from terwilliger.tables import BlockDimTable
@@ -352,3 +355,29 @@ def row_by_row_insert(blk, residuals: np.ndarray) -> list[int]:
             residuals[below] = rest
             live[below] = rest.any(axis=1)
     return grown
+
+
+def relation_of(s: ClassScheme, x, y):
+    """Relation of (x, y) in the scheme s: ints or broadcasting integer arrays.
+
+    The library reads relation grids through `GroupTable.mul_outer` instead;
+    this form is the reference the tests compare them with.
+    """
+    g = s.group
+    return s.classes.class_of[g.mul(g.inv(x), y)]
+
+
+def is_symmetric(table: BlockDimTable) -> bool:
+    """Whether every block dimension equals that of its transposed block."""
+    n = len(table.labels)
+    return all(table.dims[a][b] == table.dims[b][a] for a in range(n) for b in range(n))
+
+
+def parse_signed_partition(text: str) -> SignedPartition:
+    """Parse labels like "[2,1]-" or "3,1+"."""
+    s = text.strip()
+    if s.endswith("+"):
+        return SignedPartition(parse_partition(s[:-1]), 1)
+    if s.endswith("-"):
+        return SignedPartition(parse_partition(s[:-1]), -1)
+    raise ValueError(f"signed partition must end with '+' or '-': {text!r}")

@@ -13,8 +13,9 @@ from terwilliger import (
 # alone, a failed two-prime check is a ReconciliationError, the report's
 # JSON is built in the CLI alone, the tensor is one array, the character
 # table is memoized in `chars`, a span is tested by `Block.residual` alone,
-# a closure runs to stationarity in `SwitchingClosure.close` alone and a
-# partition is read through its parts
+# a closure runs to stationarity in `SwitchingClosure.close` alone, a
+# partition is read through its parts and the references only the tests
+# read live in tests/oracle.py
 REMOVED = (
     (groups, "Permutation"),
     (orbitals, "orbital_table"),
@@ -39,10 +40,14 @@ REMOVED = (
     (switching, "_run_once"),
     (partitions.Partition, "__iter__"),
     (partitions.Partition, "__len__"),
+    (scheme.ClassScheme, "relation_of"),
+    (tables.BlockDimTable, "is_symmetric"),
+    (partitions, "parse_signed_partition"),
 )
 
-# parameters removed because no caller set them, or because the value they
-# passed along is memoized where it is built
+# parameters removed because no caller set them, because the value they
+# passed along is memoized where it is built, or because it is read off
+# another argument (a closure's scheme is its orbit index's)
 REMOVED_PARAMETERS = (
     (switching.run_to_stationary, "max_width"),
     (groups.conjugacy_classes, "gens"),
@@ -50,6 +55,8 @@ REMOVED_PARAMETERS = (
     (fieldla.sample_primes, "lo"),
     (fieldla.sample_primes, "hi"),
     (wedderburn.CpiBuilder, "table"),
+    (switching.SwitchingClosure, "scheme"),
+    (switching.generate_T0, "scheme"),
 )
 
 
@@ -81,6 +88,26 @@ def test_char_table_built_once_per_report(capsys):
     assert cli.main(["report", "--group", "sym:6", "--quiet"]) == 0
     capsys.readouterr()
     assert chars.char_table.cache_info().misses == 1
+
+
+def test_centralizers_computed_once_per_report(capsys, monkeypatch):
+    # the orbit index computes each class representative's centralizer once,
+    # for its stabilizers and for the idempotents' coset sums
+    original = groups.centralizer_elements
+    calls = []
+
+    def counted(g, x):
+        calls.append(int(x))
+        return original(g, x)
+
+    for name, module in list(sys.modules.items()):
+        if name == "terwilliger" or name.startswith("terwilliger."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert cli.main(["report", "--group", "sym:6", "--quiet"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == 11
 
 
 def _scan_imports(path: Path) -> tuple[list[str], set[str]]:

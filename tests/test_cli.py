@@ -282,11 +282,11 @@ def test_orbit_sizes_ledger_exits_1(capsys, monkeypatch):
 def test_orbit_refinement_check_exits_1(capsys, monkeypatch):
     perms = orb_mod._stabilizer_perms
 
-    def all_conjugations(scheme, x):
+    def all_conjugations(scheme, x, centralizer):
         # conjugation by the whole group moves x: orbits then cross relations
         g = scheme.group
         every = np.arange(g.order)
-        return perms(scheme, x) + [g.conjugate(s, every) for s in g.generators()]
+        return perms(scheme, x, centralizer) + [g.conjugate(s, every) for s in g.generators()]
 
     monkeypatch.setattr(orb_mod, "_stabilizer_perms", all_conjugations)
     code, out, err = run_cli(capsys, "centralizer", "--group", "sym:4", "--quiet")

@@ -246,11 +246,18 @@ def test_q8_classes(q8_path):
 
 
 def test_centralizer_elements():
-    g = SymmetricGroup(4)
-    cls = conjugacy_classes(g)
-    for c, rep in enumerate(cls.representatives):
-        z = centralizer_elements(g, rep)
-        assert len(z) == g.order // cls.sizes[c]
+    # the one-conjugation form against the definition wx = xw, on S4 and the
+    # benchmark's three Cayley tables
+    groups = [SymmetricGroup(4)] + [
+        bench_table_group(name, 0) for name in ("psl2_11", "psl2_13", "agl1_23")
+    ]
+    for g in groups:
+        cls = conjugacy_classes(g)
+        every = np.arange(g.order)
+        for c, rep in enumerate(cls.representatives):
+            z = centralizer_elements(g, rep)
+            assert len(z) == g.order // cls.sizes[c], (g.name, c)
+            assert np.array_equal(z, np.flatnonzero(g.mul(every, rep) == g.mul(rep, every)))
 
 
 def test_cayley_errors(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 import golden
 import terwilliger as tw
 from conftest import bench_table_group, dihedral_table
+from oracle import is_symmetric, relation_of
 from orbit_oracle import BlockOracle, build_h1_action, element_orbit_count
 from terwilliger.groups import ReconciliationError, load_cayley_table
 from terwilliger.orbitals import OrbitalIndex, burnside_orbital_count
@@ -33,7 +34,7 @@ def test_orbital_total_s7(stages):
 
 def test_orbital_table_symmetric(stages):
     for n in (4, 5, 6):
-        assert stages.orbindex(n).table().is_symmetric()
+        assert is_symmetric(stages.orbindex(n).table())
 
 
 def test_identity_row_and_column(stages):
@@ -144,7 +145,7 @@ def test_anchored_index_matches_block_oracle(stages, q8_path, c3_path, tmp_path)
     for s in schemes:
         oi = OrbitalIndex(s)
         oracle = BlockOracle(s)
-        ei = oi.class_elems
+        ei = s.classes.elements
         for (i, k), row in oi.block_labels.items():
             want = oracle.block(i, k)
             where = (s.group.name, i, k)
@@ -154,7 +155,7 @@ def test_anchored_index_matches_block_oracle(stages, q8_path, c3_path, tmp_path)
             assert np.array_equal(oi.block_reps[(i, k)], want.reps[1]), where
             assert np.array_equal(oi.block_counts[(i, k)], want.counts), where
             assert np.array_equal(row, want.labels[0]), where
-            rel = s.relation_of(ei[i][want.reps[0]], ei[k][want.reps[1]])
+            rel = relation_of(s, ei[i][want.reps[0]], ei[k][want.reps[1]])
             assert np.array_equal(oi.block_rel[(i, k)], rel), where
         for c in range(oi.n_classes):
             # the diagonal of C_c x C_c is orbit 0, the one block_trace reads
@@ -163,13 +164,13 @@ def test_anchored_index_matches_block_oracle(stages, q8_path, c3_path, tmp_path)
 
 def _counted_generator_table(s, oracle, i, nu, m):
     """K[a, c, t] from oracle orbits and the relations of (z, y_t), z over C_nu."""
-    ei = [np.array(e, dtype=np.int64) for e in s.classes.elements]
-    js = sorted({int(j) for j in s.relation_of(ei[nu][0], ei[m])})
+    ei = s.classes.elements
+    js = sorted({int(j) for j in relation_of(s, ei[nu][0], ei[m])})
     py = oracle.block(i, m).reps[1]
     a = oracle.labels(i, nu)[0]
     out = np.zeros((a.max() + 1, len(js), len(py)), dtype=np.int64)
     for t, y in enumerate(ei[m][py]):
-        c = [js.index(j) for j in s.relation_of(ei[nu], y).tolist()]
+        c = [js.index(j) for j in relation_of(s, ei[nu], y).tolist()]
         np.add.at(out, (a, c, t), 1)
     return out
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import parse_signed_partition
 from terwilliger.partitions import (
     Partition,
     SignedPartition,
     class_size,
     parse_partition,
-    parse_signed_partition,
     partitions_of,
 )
 

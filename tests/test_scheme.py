@@ -5,6 +5,7 @@ import numpy as np
 
 import terwilliger as tw
 from conftest import bench_table_group
+from oracle import relation_of
 from terwilliger.groups import fixed_point_counts, load_cayley_table
 from terwilliger.orbitals import burnside_orbital_count
 from terwilliger.scheme import (
@@ -19,7 +20,7 @@ from terwilliger.scheme import (
 def test_relation_zero_is_diagonal(stages):
     s = stages.scheme(4)
     for x in range(s.group.order):
-        assert s.relation_of(x, x) == 0
+        assert relation_of(s, x, x) == 0
 
 
 def test_relation_counts(stages):
@@ -75,7 +76,7 @@ def test_converse_symmetry_sampled(stages):
     rng = random.Random(7)
     for _ in range(300):
         x, y = rng.randrange(s.group.order), rng.randrange(s.group.order)
-        assert s.relation_of(y, x) == cls.inverse_class[s.relation_of(x, y)]
+        assert relation_of(s, y, x) == cls.inverse_class[relation_of(s, x, y)]
 
 
 def all_pairs_axioms_ok(s) -> bool:
@@ -91,21 +92,21 @@ def all_pairs_axioms_ok(s) -> bool:
     for k, y in enumerate(cls.representatives):
         for i, members in enumerate(cls.elements):
             for z in members:
-                key = (i, s.relation_of(z, y), k)
+                key = (i, relation_of(s, z, y), k)
                 p[key] = p.get(key, 0) + 1
     if any(p.get((0, j, k), 0) != (j == k) for j in range(nc) for k in range(nc)):
         return False
-    if any(s.relation_of(x, x) != 0 for x in range(g.order)):
+    if any(relation_of(s, x, x) != 0 for x in range(g.order)):
         return False
     for x in range(g.order):
         for y in range(g.order):
-            k = s.relation_of(x, y)
-            if s.relation_of(y, x) != cls.inverse_class[k]:
+            k = relation_of(s, x, y)
+            if relation_of(s, y, x) != cls.inverse_class[k]:
                 return False
             counts = {}
             for i, members in enumerate(cls.elements):
                 for c in members:
-                    key = (i, s.relation_of(g.mul(x, c), y))
+                    key = (i, relation_of(s, g.mul(x, c), y))
                     counts[key] = counts.get(key, 0) + 1
             if counts != {(i, j): v for (i, j, kk), v in p.items() if kk == k}:
                 return False
@@ -121,7 +122,7 @@ def merged_classes(s, a, b):
         return np.where(c == b, a, c - (c > b))
 
     cls.class_of = relabel(cls.class_of)
-    cls.elements[a] = sorted(cls.elements[a] + cls.elements.pop(b))
+    cls.elements[a] = np.sort(np.concatenate([cls.elements[a], cls.elements.pop(b)]))
     cls.sizes[a] += cls.sizes.pop(b)
     del cls.representatives[b], cls.inverse_class[b]
     cls.inverse_class = relabel(np.array(cls.inverse_class)).tolist()
@@ -135,8 +136,8 @@ def split_class(s, a, part):
     s = copy.deepcopy(s)
     g, cls = s.group, s.classes
     new, rep = cls.n_classes, min(part)
-    cls.elements[a] = [x for x in cls.elements[a] if x not in part]
-    cls.elements.append(sorted(part))
+    cls.elements[a] = cls.elements[a][~np.isin(cls.elements[a], part)]
+    cls.elements.append(np.sort(part))
     cls.sizes[a] -= len(part)
     cls.sizes.append(len(part))
     cls.representatives.append(rep)
@@ -216,12 +217,12 @@ def test_representative_independence(stages):
         for _ in range(5):
             x = rng.randrange(g.order)
             y = g.mul(x, y0)  # (x, y) lies in relation k
-            assert s.relation_of(x, y) == k
+            assert relation_of(s, x, y) == k
             counts = {}
             for i, members in enumerate(cls.elements):
                 for c in members:
                     z = g.mul(x, c)
-                    j = s.relation_of(z, y)
+                    j = relation_of(s, z, y)
                     counts[(i, j)] = counts.get((i, j), 0) + 1
             for (i, j), v in counts.items():
                 assert t.p[i, j, k] == v
@@ -236,8 +237,8 @@ def _relation_counted_tensor(s, rng):
     for k, rep in enumerate(cls.representatives):
         x = rng.randrange(1, g.order)
         y = g.mul(x, rep)
-        assert s.relation_of(x, y) == k
-        np.add.at(p[:, :, k], (s.relation_of(x, every), s.relation_of(every, y)), 1)
+        assert relation_of(s, x, y) == k
+        np.add.at(p[:, :, k], (relation_of(s, x, every), relation_of(s, every, y)), 1)
     return p
 
 

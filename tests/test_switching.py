@@ -11,7 +11,13 @@ from conftest import (
     generator_rows,
     per_orbit_products,
 )
-from oracle import PrimeField, RationalField, row_by_row_insert, run_matrix_closure
+from oracle import (
+    PrimeField,
+    RationalField,
+    is_symmetric,
+    row_by_row_insert,
+    run_matrix_closure,
+)
 from orbit_oracle import BlockOracle
 
 import terwilliger as tw
@@ -35,16 +41,14 @@ GROUPS = ["sym:3", "sym:4", "sym:5", "sym:6", "sym:7", "psl2_11", "psl2_13", "ag
 
 def test_generate_t0_totals(stages):
     for n, want in ((3, 11), (6, 447), (7, 1232)):
-        closure = generate_T0(
-            stages.scheme(n), stages.orbindex(n), FieldCtx(sample_primes(1, 1)[0])
-        )
+        closure = generate_T0(stages.orbindex(n), FieldCtx(sample_primes(1, 1)[0]))
         assert closure.total_dim == want
 
 
 def test_t0_block_dims_are_relation_counts(stages):
     s = stages.scheme(5)
     t = stages.tensor(5)
-    closure = generate_T0(s, stages.orbindex(5), FieldCtx(sample_primes(2, 1)[0]))
+    closure = generate_T0(stages.orbindex(5), FieldCtx(sample_primes(2, 1)[0]))
     table = closure.block_dims()
     assert table.dims == golden.S5_T0_TABLE
     for i in range(s.n_classes):
@@ -68,7 +72,7 @@ def test_level0_is_the_relation_indicator_rows(stages, group):
     # relation of the block, derived lower blocks included
     s, oi = _scheme_and_index(stages, group)
     for p in sample_primes(0, 2, avoid=2 * s.group.order):
-        closure = SwitchingClosure(s, oi, FieldCtx(p))
+        closure = SwitchingClosure(oi, FieldCtx(p))
         closure.generate_t0()
         dims = closure.block_dims().dims
         for i, k in itertools.product(range(oi.n_classes), repeat=2):
@@ -92,7 +96,7 @@ def test_level_growth_sums_to_the_total(stages, group):
     # the growth of every level, level 0 included, has every block, a lower
     # one mirroring its upper one: it sums to that level's increase in total_dim
     s, oi = _scheme_and_index(stages, group)
-    closure = SwitchingClosure(s, oi, FieldCtx(sample_primes(0, 1, avoid=2 * s.group.order)[0]))
+    closure = SwitchingClosure(oi, FieldCtx(sample_primes(0, 1, avoid=2 * s.group.order)[0]))
     growth = closure.generate_t0()
     assert sum(growth.values()) == closure.total_dim > 0, group
     while True:
@@ -161,7 +165,7 @@ def test_monotonicity_and_symmetry(stages, q8_path, c3_path):
         assert all(x < y for x, y in zip(totals[:-2], totals[1:-1]))
         assert totals[-1] == totals[-2]
         # every level, not only the last: transposing a word reverses it
-        assert all(t.is_symmetric() for t in res.tables), res.scheme.group.name
+        assert all(is_symmetric(t) for t in res.tables), res.scheme.group.name
 
 
 def test_identity_row_column(stages):
@@ -281,7 +285,10 @@ def test_explicit_primes_and_determinism(stages):
         with pytest.raises(ValueError, match="not below"):
             run_to_stationary(s, oi, primes=pair)
     with pytest.raises(ValueError, match="not below"):
-        generate_T0(s, oi, FieldCtx(2**31 - 1))
+        generate_T0(oi, FieldCtx(2**31 - 1))
+    # the closures read the scheme off the orbit index
+    with pytest.raises(ValueError, match="another scheme"):
+        run_to_stationary(stages.scheme(5), oi, primes=primes)
 
 
 def test_prime_disagreement_names_check(monkeypatch, stages):
@@ -338,7 +345,7 @@ def test_fresh_pair_disagreeing_too_names_check(monkeypatch, stages):
 
 def test_close_leaves_a_stationary_closure_as_it_is(stages):
     p = sample_primes(0, 1, avoid=48)[0]
-    closure = SwitchingClosure(stages.scheme(4), stages.orbindex(4), FieldCtx(p))
+    closure = SwitchingClosure(stages.orbindex(4), FieldCtx(p))
     assert closure.close() == golden.DIMS[4]["width"]
     history = list(closure.history)
     assert closure.close() == golden.DIMS[4]["width"]
@@ -346,7 +353,7 @@ def test_close_leaves_a_stationary_closure_as_it_is(stages):
 
 
 def test_closure_levels_out_of_order_raise(stages):
-    closure = SwitchingClosure(stages.scheme(3), stages.orbindex(3), FieldCtx(101))
+    closure = SwitchingClosure(stages.orbindex(3), FieldCtx(101))
     with pytest.raises(ClosureError, match="level 0 first"):
         closure.extend_level()
     closure.generate_t0()
@@ -626,7 +633,7 @@ def test_richest_first_keeps_the_level_histories(stages, group):
     histories, tables = [], []
     for cls in (SwitchingClosure, _ClassOrderClosure):
         oi = OrbitalIndex(s)
-        closure = cls(s, oi, FieldCtx(p))
+        closure = cls(oi, FieldCtx(p))
         closure.close()
         histories.append([t.dims for t in closure.history])
         tables.append(len(oi._generator_tables))
@@ -658,7 +665,7 @@ def test_kernel_test_keeps_accepted_words(stages, n):
     # same words and raw rows, block by block, as multiplying every candidate
     s, oi = stages.scheme(n), stages.orbindex(n)
     for p in sample_primes(31, 2, avoid=2 * s.group.order):
-        closures = [cls(s, oi, FieldCtx(p)) for cls in (SwitchingClosure, _FullProductClosure)]
+        closures = [cls(oi, FieldCtx(p)) for cls in (SwitchingClosure, _FullProductClosure)]
         for closure in closures:
             closure.generate_t0()
             while any(closure.extend_level().values()):

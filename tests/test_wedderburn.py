@@ -7,6 +7,7 @@ import pytest
 
 import golden
 from conftest import completeness_defect, dense_rank_modp, idempotent_defect, per_orbit_products
+from oracle import parse_signed_partition
 
 import terwilliger as tw
 from terwilliger import wedderburn as wed_mod
@@ -14,11 +15,7 @@ from terwilliger.chars import centralizer_wedderburn
 from terwilliger.fieldla import modmul
 from terwilliger.groups import ReconciliationError, load_cayley_table
 from terwilliger.orbitals import OrbitalIndex
-from terwilliger.partitions import (
-    SignedPartition,
-    parse_signed_partition,
-    partitions_of,
-)
+from terwilliger.partitions import SignedPartition, partitions_of
 from terwilliger.switching import ClosureError, SwitchingClosure, run_to_stationary
 from terwilliger.wedderburn import (
     CPIdem,
@@ -60,7 +57,7 @@ def _coset_sum_values(builder, sp):
         ty = cls.transversal[y]
         tx_inv = g.inv(cls.transversal[x])
         return sum(
-            chi[cls.class_of[g.mul(g.mul(ty, w), tx_inv)]] for w in builder.centralizers[c]
+            chi[cls.class_of[g.mul(g.mul(ty, w), tx_inv)]] for w in oi.centralizers[c]
         )
 
     values = {}
@@ -331,7 +328,7 @@ def _seeded_dim(e, closure, t_closure=None):
     """Total of the closure seeded with e under closure's prime, restricted by t_closure or not."""
     p = closure.field.p
     seed = {c: v for c in e.block_values if (v := e.block_vector_mod(c, p)).any()}
-    times_e = SwitchingClosure(closure.scheme, closure.orbindex, closure.field, seed, t_closure)
+    times_e = SwitchingClosure(closure.orbindex, closure.field, seed, t_closure)
     times_e.generate_t0()
     while any(times_e.extend_level().values()):
         pass
@@ -372,11 +369,11 @@ def test_t_closure_restricts_only_its_own_prime(stages):
     own, other = res.closures
     seed = {c: e.block_vector_mod(c, own.field.p) for c in e.block_values}
     with pytest.raises(ClosureError):
-        SwitchingClosure(res.scheme, oi, own.field, seed, other)
-    level0 = SwitchingClosure(res.scheme, oi, own.field)
+        SwitchingClosure(oi, own.field, seed, other)
+    level0 = SwitchingClosure(oi, own.field)
     level0.generate_t0()
     with pytest.raises(ClosureError):
-        SwitchingClosure(res.scheme, oi, own.field, seed, level0)
+        SwitchingClosure(oi, own.field, seed, level0)
 
 
 def _right_times_e_dims(idems, res, oracle):
