@@ -87,26 +87,6 @@ def partitions_of(n: int) -> list[Partition]:
     return [Partition(p) for p in parts]
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse labels like "[3,2,1^2]" or "3,2,1,1"."""
-    s = text.strip()
-    if s.startswith("[") and s.endswith("]"):
-        s = s[1:-1]
-    parts: list[int] = []
-    for tok in s.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if "^" in tok:
-            base, _, exp = tok.partition("^")
-            parts.extend([int(base)] * int(exp))
-        else:
-            parts.append(int(tok))
-    if not parts:
-        raise ValueError(f"empty partition: {text!r}")
-    return Partition(tuple(sorted(parts, reverse=True)))
-
-
 def class_size(lam: Partition) -> int:
     """Number of permutations of cycle type lam: n! / prod(i^m_i * m_i!)."""
     n = lam.n

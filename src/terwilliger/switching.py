@@ -452,7 +452,6 @@ def chain_products(
 class ClosureResult:
     """Two-prime stationary closure with its full level history."""
 
-    scheme: ClassScheme
     orbindex: OrbitalIndex
     primes: tuple[int, int]
     closures: tuple[SwitchingClosure, SwitchingClosure]
@@ -549,7 +548,7 @@ def run_to_stationary(
             # equal histories, checked below, make equal widths
             width = closures[-1].close(progress)
         result = ClosureResult(
-            scheme, orbindex, tuple(pair), tuple(closures), width, list(closures[0].history)
+            orbindex, tuple(pair), tuple(closures), width, list(closures[0].history)
         )
         try:
             result.agree("dimension tables", lambda closure: closure.history)
@@ -581,7 +580,7 @@ class TripleRegularity:
 
 def triple_regularity(result: ClosureResult) -> TripleRegularity:
     """T0 = T, and additionally T0 = conjugation centralizer."""
-    centr = conj_centralizer_dim(result.scheme)
+    centr = conj_centralizer_dim(result.orbindex.scheme)
     regular = result.dim_t0 == result.dim_t
     transitive = result.dim_t0 == centr
     if transitive and not regular:

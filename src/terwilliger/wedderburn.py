@@ -7,15 +7,15 @@ integer vector of numerators per diagonal block, over the common denominator
 them lie in the closed algebra T is one null space per working prime: the
 sums in T are spanned by the indicators of a partition of the labels, whose
 singletons are the members and whose larger parts are the merged components.
-A component's dimension dim(T*e) is that of the switching closure seeded
-with e in place of the E_c*, on the classes where e is nonzero.
+A component's dimension dim(T*e), e the sum of its atom's idempotents, is
+that of the switching closure seeded with e in place of the E_c*, on the
+classes where e is nonzero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import isqrt
 
 import numpy as np
@@ -41,36 +41,14 @@ class CPIdem:
     multiplicity: int
     block_values: dict[int, np.ndarray]
     denominator: int
-    #: (c, p) -> block_vector_mod(c, p), shared by membership and dim(T*e)
-    _residues: dict[tuple[int, int], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def block_vector_mod(self, c: int, p: int) -> np.ndarray:
-        vec = self._residues.get((c, p))
-        if vec is None:
-            vec = self.block_values[c] % p * pow(self.denominator, -1, p) % p
-            self._residues[(c, p)] = vec
-        return vec
+        return self.block_values[c] % p * pow(self.denominator, -1, p) % p
 
     def block_trace(self, orbindex: OrbitalIndex, c: int) -> Fraction:
         # the diagonal of C_c x C_c is orbit 0, that of (x_c, x_c)
         size = orbindex.scheme.classes.sizes[c]
         return Fraction(int(self.block_values[c][0]) * size, self.denominator)
-
-
-def add_idempotents(label_a: CPIdem, label_b: CPIdem) -> CPIdem:
-    """Sum of two idempotents (orthogonal by construction)."""
-    if set(label_a.block_values) != set(label_b.block_values):
-        raise ValueError("mismatched block structure")
-    values = {c: v + label_b.block_values[c] for c, v in label_a.block_values.items()}
-    return CPIdem(
-        label=label_a.label,
-        degree=label_a.degree,
-        multiplicity=label_a.multiplicity + label_b.multiplicity,
-        block_values=values,
-        denominator=label_a.denominator,
-    )
 
 
 class CpiBuilder:
@@ -225,8 +203,8 @@ def cpi_membership(e: CPIdem, result: ClosureResult) -> bool:
     )
 
 
-def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
-    """dim of (closed algebra) * e, agreed under both primes: the closure seeded with e.
+def algebra_times_idempotent_dim(idems: list[CPIdem], result: ClosureResult) -> int:
+    """dim of (closed algebra) * e, agreed under both primes, e the sum of `idems`.
 
     e is a sum of centrally primitive idempotents of the centralizer algebra,
     which contains the closed algebra T, so T * e = e * T = e * T * e.  T is
@@ -239,22 +217,26 @@ def algebra_times_idempotent_dim(e: CPIdem, result: ClosureResult) -> int:
     span T, so no generator table beyond T's is counted.  e is symmetric
     (checked: the characters of S_n are real) and central, so every level is
     closed under transposition, as the closure's derived lower blocks need.
+    e's numerators over 2|G| sum those of `idems`; a failed check names each label.
     """
     oi = result.orbindex
-    for c, v in e.block_values.items():
+    labels = " + ".join(str(e.label) for e in idems)
+    values = {c: sum(e.block_values[c] for e in idems) for c in idems[0].block_values}
+    for c, v in values.items():
         if not np.array_equal(v[oi.transposition(c, c)], v):
             raise ReconciliationError(
-                "cpi_symmetric", f"idempotent {e.label} is not symmetric at class {c}"
+                "cpi_symmetric", f"idempotent {labels} is not symmetric at class {c}"
             )
 
     def dim_times_e(closure: SwitchingClosure) -> int:
         p = closure.field.p
-        seed = {c: v for c in e.block_values if (v := e.block_vector_mod(c, p)).any()}
+        scale = pow(idems[0].denominator, -1, p)
+        seed = {c: r for c, v in values.items() if (r := v % p * scale % p).any()}
         times_e = SwitchingClosure(oi, closure.field, seed, t_closure=closure)
         times_e.close()
         return times_e.total_dim
 
-    return result.agree(f"dim(T*e) for {e.label}", dim_times_e)
+    return result.agree(f"dim(T*e) for {labels}", dim_times_e)
 
 
 @dataclass
@@ -332,11 +314,11 @@ def decompose_T(
     one merged component.  One pass over the atoms, singletons first in
     label order, sizes every component: a high-multiplicity member transfers
     unchanged (the dimension-gap corollary) and may not be merged; any other
-    atom is sized by dim(T*e), e the sum of its idempotents, and a merged
-    atom of irregular dimension fails.  Every such e is central in an algebra
-    that contains T, so T*e = e*T: the closure seeded with e, which is how
-    `algebra_times_idempotent_dim` computes it.  The squared sizes must add
-    up to dim T.  A failed check raises `ReconciliationError` naming it.
+    atom is sized by dim(T*e), e the sum of the idempotents it hands to
+    `algebra_times_idempotent_dim`, and a merged atom of irregular dimension
+    fails.  Every such e is central in an algebra that contains T, so
+    T*e = e*T: the closure seeded with e.  The squared sizes must add up to
+    dim T.  A failed check raises `ReconciliationError` naming it.
     """
     dim_t = result.dim_t
     dim_tilde = centralizer.dim
@@ -372,7 +354,7 @@ def decompose_T(
             (m,) = ms
             components.append(WedderburnComponent(labels, m, m * m))
             continue
-        d = algebra_times_idempotent_dim(reduce(add_idempotents, [idems[k] for k in atom]), result)
+        d = algebra_times_idempotent_dim([idems[k] for k in atom], result)
         size = isqrt(d)
         if size * size == d and (len(ms) > 1 or d == comps[atom[0]][1] ** 2):
             components.append(WedderburnComponent(labels, size, d))

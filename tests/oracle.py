@@ -8,8 +8,8 @@ independent oracle for small groups.
 
 `row_by_row_insert` is the orbit engine's `Block.insert_batch` in its first,
 row-by-row form, kept as the oracle of the batched one.  `relation_of`,
-`is_symmetric` and `parse_signed_partition` are reference forms that only
-the tests read.
+`is_symmetric`, `parse_partition`, `parse_signed_partition` and
+`idempotent_sum` are reference forms that only the tests read.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from fractions import Fraction
 import numpy as np
 
 from terwilliger.fieldla import FieldCtx
-from terwilliger.partitions import SignedPartition, parse_partition
+from terwilliger.partitions import Partition, SignedPartition
 from terwilliger.scheme import ClassScheme, intersection_numbers
 from terwilliger.switching import ClosureError
 from terwilliger.tables import BlockDimTable
+from terwilliger.wedderburn import CPIdem
 
 
 class PrimeField(FieldCtx):
@@ -373,6 +374,26 @@ def is_symmetric(table: BlockDimTable) -> bool:
     return all(table.dims[a][b] == table.dims[b][a] for a in range(n) for b in range(n))
 
 
+def parse_partition(text: str) -> Partition:
+    """Parse labels like "[3,2,1^2]" or "3,2,1,1"."""
+    s = text.strip()
+    if s.startswith("[") and s.endswith("]"):
+        s = s[1:-1]
+    parts: list[int] = []
+    for tok in s.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        if "^" in tok:
+            base, _, exp = tok.partition("^")
+            parts.extend([int(base)] * int(exp))
+        else:
+            parts.append(int(tok))
+    if not parts:
+        raise ValueError(f"empty partition: {text!r}")
+    return Partition(tuple(sorted(parts, reverse=True)))
+
+
 def parse_signed_partition(text: str) -> SignedPartition:
     """Parse labels like "[2,1]-" or "3,1+"."""
     s = text.strip()
@@ -381,3 +402,15 @@ def parse_signed_partition(text: str) -> SignedPartition:
     if s.endswith("-"):
         return SignedPartition(parse_partition(s[:-1]), -1)
     raise ValueError(f"signed partition must end with '+' or '-': {text!r}")
+
+
+def idempotent_sum(*idems: CPIdem) -> CPIdem:
+    """The sum of orthogonal idempotents as one: numerators summed class by class.
+
+    It carries the first summand's label and degree; the library sizes a sum
+    from the list of its summands instead (`algebra_times_idempotent_dim`).
+    """
+    first = idems[0]
+    values = {c: sum(e.block_values[c] for e in idems) for c in first.block_values}
+    mult = sum(e.multiplicity for e in idems)
+    return CPIdem(first.label, first.degree, mult, values, first.denominator)

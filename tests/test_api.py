@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import sys
 from pathlib import Path
@@ -14,8 +15,8 @@ from terwilliger import (
 # JSON is built in the CLI alone, the tensor is one array, the character
 # table is memoized in `chars`, a span is tested by `Block.residual` alone,
 # a closure runs to stationarity in `SwitchingClosure.close` alone, a
-# partition is read through its parts and the references only the tests
-# read live in tests/oracle.py
+# partition is read through its parts, the references only the tests read
+# live in tests/oracle.py and an atom is sized from its own idempotents
 REMOVED = (
     (groups, "Permutation"),
     (orbitals, "orbital_table"),
@@ -43,6 +44,17 @@ REMOVED = (
     (scheme.ClassScheme, "relation_of"),
     (tables.BlockDimTable, "is_symmetric"),
     (partitions, "parse_signed_partition"),
+    (partitions, "parse_partition"),
+    (wedderburn, "add_idempotents"),
+)
+
+# dataclass fields removed: `hasattr` on the class misses a field without a
+# plain default, so these are checked against `dataclasses.fields`.  A
+# closure result's scheme is its orbit index's, and an idempotent's residues
+# are computed where they are read
+REMOVED_FIELDS = (
+    (switching.ClosureResult, "scheme"),
+    (wedderburn.CPIdem, "_residues"),
 )
 
 # parameters removed because no caller set them, because the value they
@@ -68,6 +80,11 @@ def test_public_api():
         assert name not in tw.__all__
         assert not hasattr(tw, name), name
         assert not hasattr(owner, name), name
+
+
+def test_removed_fields():
+    for cls, name in REMOVED_FIELDS:
+        assert name not in {f.name for f in dataclasses.fields(cls)}, (cls.__name__, name)
 
 
 def test_removed_parameters():

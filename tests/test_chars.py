@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 import golden
+from oracle import parse_partition
 from terwilliger import chars as chars_mod
 from terwilliger.chars import (
     CharTable,
@@ -16,12 +17,7 @@ from terwilliger.chars import (
     scheme_eigenmatrix,
 )
 from terwilliger.groups import ReconciliationError, load_cayley_table
-from terwilliger.partitions import (
-    Partition,
-    class_size,
-    parse_partition,
-    partitions_of,
-)
+from terwilliger.partitions import Partition, class_size, partitions_of
 
 
 def P(text):

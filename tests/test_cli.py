@@ -339,10 +339,10 @@ def test_corrupted_transposition_exits_1(capsys, monkeypatch):
 def test_asymmetric_idempotent_exits_1(capsys, monkeypatch):
     t_times_e = wed_mod.algebra_times_idempotent_dim
 
-    def one_value_off(e, result):
-        # the closure seeded with e gets e one value off at an orbit that
-        # transposition moves
-        oi = result.orbindex
+    def one_value_off(idems, result):
+        # the closure seeded with the atom's sum gets its first idempotent
+        # one value off at an orbit that transposition moves
+        e, oi = idems[0], result.orbindex
         values = {c: v.copy() for c, v in e.block_values.items()}
         for c, v in values.items():
             moved = np.flatnonzero(oi.transposition(c, c) != np.arange(len(v)))
@@ -350,7 +350,7 @@ def test_asymmetric_idempotent_exits_1(capsys, monkeypatch):
                 v[moved[0]] += 1
                 break
         bad = wed_mod.CPIdem(e.label, e.degree, e.multiplicity, values, e.denominator)
-        return t_times_e(bad, result)
+        return t_times_e([bad, *idems[1:]], result)
 
     monkeypatch.setattr(wed_mod, "algebra_times_idempotent_dim", one_value_off)
     # S6 is the least S_n whose transpositions move orbits of diagonal blocks
@@ -358,6 +358,8 @@ def test_asymmetric_idempotent_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "cpi_symmetric" in err
+    # the first atom sized at S6 is a merged pair, and the message names both
+    assert "idempotent [4,1^2]+ + [2,1^4]- is not symmetric" in err
 
 
 @pytest.mark.parametrize(
@@ -426,9 +428,9 @@ def test_t_times_e_prime_disagreement_exits_1(capsys, monkeypatch):
 def test_merged_component_dimension_exits_1(capsys, monkeypatch):
     t_times_e = wed_mod.algebra_times_idempotent_dim
 
-    def one_too_many(e, result):
-        # at S6 only the three merged non-member sums are sized, each dim 1
-        return t_times_e(e, result) + 1
+    def one_too_many(idems, result):
+        # at S6 only the three merged non-member atoms are sized, each dim 1
+        return t_times_e(idems, result) + 1
 
     monkeypatch.setattr(wed_mod, "algebra_times_idempotent_dim", one_too_many)
     code, out, err = run_cli(capsys, "wedderburn", "--group", "sym:6", "--quiet")

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import parse_signed_partition
-from terwilliger.partitions import (
-    Partition,
-    SignedPartition,
-    class_size,
-    parse_partition,
-    partitions_of,
-)
+from oracle import parse_partition, parse_signed_partition
+from terwilliger.partitions import Partition, SignedPartition, class_size, partitions_of
 
 
 def test_partitions_of_3_exhaustive():

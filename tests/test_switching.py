@@ -165,7 +165,7 @@ def test_monotonicity_and_symmetry(stages, q8_path, c3_path):
         assert all(x < y for x, y in zip(totals[:-2], totals[1:-1]))
         assert totals[-1] == totals[-2]
         # every level, not only the last: transposing a word reverses it
-        assert all(is_symmetric(t) for t in res.tables), res.scheme.group.name
+        assert all(is_symmetric(t) for t in res.tables), res.orbindex.scheme.group.name
 
 
 def test_identity_row_column(stages):
@@ -190,7 +190,7 @@ def test_block_support_reachability(stages):
     n = 5
     res = stages.closure(n)
     t = stages.tensor(n)
-    nc = res.scheme.n_classes
+    nc = res.orbindex.scheme.n_classes
     # edges (i -> k) whenever some length-1 element lives in block (i,k)
     adj = {
         i: {k for k in range(nc) if any(t.p[i, j, k] for j in range(nc))}

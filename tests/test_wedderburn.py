@@ -1,13 +1,12 @@
 import itertools
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 import pytest
 
 import golden
 from conftest import completeness_defect, dense_rank_modp, idempotent_defect, per_orbit_products
-from oracle import parse_signed_partition
+from oracle import idempotent_sum, parse_signed_partition
 
 import terwilliger as tw
 from terwilliger import wedderburn as wed_mod
@@ -21,7 +20,6 @@ from terwilliger.wedderburn import (
     CPIdem,
     CpiBuilder,
     _idempotent_atoms,
-    add_idempotents,
     algebra_times_idempotent_dim,
     cpi_membership,
     decompose_T,
@@ -276,7 +274,7 @@ def test_algebra_times_idempotent_full_blocks(stages):
     res = stages.closure(4)
     cpis = stages.cpis(4)
     for sp, e in cpis.items():
-        d = algebra_times_idempotent_dim(e, res)
+        d = algebra_times_idempotent_dim([e], res)
         assert d == e.multiplicity**2
 
 
@@ -285,12 +283,13 @@ def test_closure_seeded_with_the_identity_is_t(stages):
     # its seed is E_c* on every class, and its closure is T itself
     for n in (4, 5, 6, 7):
         res, oi = stages.closure(n), stages.orbindex(n)
-        one = reduce(add_idempotents, stages.cpis(n).values())
+        every = list(stages.cpis(n).values())
+        one = idempotent_sum(*every)
         for p in res.primes:
             for c in range(oi.n_classes):
                 seed = np.eye(1, oi.r[(c, c)], dtype=np.int64)[0]
                 assert np.array_equal(one.block_vector_mod(c, p), seed), (n, p, c)
-        assert algebra_times_idempotent_dim(one, res) == res.dim_t, n
+        assert algebra_times_idempotent_dim(every, res) == res.dim_t, n
 
 
 def test_idempotent_closure_stays_in_its_support(stages, monkeypatch):
@@ -307,9 +306,10 @@ def test_idempotent_closure_stays_in_its_support(stages, monkeypatch):
     res, oi = stages.closure(6), stages.orbindex(6)
     nc = oi.n_classes
     cpis = list(stages.cpis(6).values())
-    for e in cpis + [add_idempotents(cpis[0], cpis[-1])]:
+    for atom in [[e] for e in cpis] + [[cpis[0], cpis[-1]]]:
         made.clear()
-        d = algebra_times_idempotent_dim(e, res)
+        d = algebra_times_idempotent_dim(atom, res)
+        e = idempotent_sum(*atom)
         support = [c for c in range(nc) if e.block_values[c].any()]
         assert support and [c.field.p for c in made] == list(res.primes)
         for closure in made:
@@ -343,7 +343,7 @@ def test_middle_classes_of_t_span_t_times_e(stages):
     for n in (4, 5, 6, 7):
         cpis = list(stages.cpis(n).values())
         pairs = itertools.combinations(cpis, 2) if n < 7 else ()
-        idems = cpis + [add_idempotents(a, b) for a, b in pairs]
+        idems = cpis + [idempotent_sum(a, b) for a, b in pairs]
         for closure in stages.closure(n).closures:
             for e in idems:
                 want = _seeded_dim(e, closure)
@@ -404,8 +404,9 @@ def test_t_times_e_from_the_right_equals_replay(stages):
     for n in (4, 5, 6):
         res, oracle = stages.closure(n), stages.oracle(n)
         cpis = list(stages.cpis(n).values())
-        idems = cpis + [add_idempotents(a, b) for a, b in itertools.combinations(cpis, 2)]
-        replayed = [algebra_times_idempotent_dim(e, res) for e in idems]
+        atoms = [[e] for e in cpis] + [list(pair) for pair in itertools.combinations(cpis, 2)]
+        replayed = [algebra_times_idempotent_dim(atom, res) for atom in atoms]
+        idems = [idempotent_sum(*atom) for atom in atoms]
         right = _right_times_e_dims(idems, res, oracle)
         for e, d, got in zip(idems, replayed, right):
             assert got == [d, d], (n, e.label)
@@ -422,12 +423,8 @@ def test_t_times_e_from_the_right_equals_replay(stages):
                         assert w[:-1] in closure.block_rows((i, nu))[1], (n, w)
 
 
-def test_replay_rejects_an_asymmetric_idempotent(stages):
-    # the seeded closure derives its lower blocks by transposition, so it
-    # needs e symmetric: one value off at an orbit that transposition moves,
-    # and the check names itself
-    res, oi = stages.closure(6), stages.orbindex(6)
-    e = next(e for e in stages.cpis(6).values() if cpi_membership(e, res))
+def _one_value_off(e, oi):
+    """e with one value off at the first orbit that transposition moves."""
     c, moved = next(
         (c, moved)
         for c in range(oi.n_classes)
@@ -435,10 +432,29 @@ def test_replay_rejects_an_asymmetric_idempotent(stages):
     )
     values = {k: v.copy() for k, v in e.block_values.items()}
     values[c][moved[0]] += 1
-    bad = CPIdem(e.label, e.degree, e.multiplicity, values, e.denominator)
+    return CPIdem(e.label, e.degree, e.multiplicity, values, e.denominator)
+
+
+def test_replay_rejects_an_asymmetric_idempotent(stages):
+    # the seeded closure derives its lower blocks by transposition, so it
+    # needs e symmetric: one value off at an orbit that transposition moves,
+    # and the check names itself
+    res, oi = stages.closure(6), stages.orbindex(6)
+    e = next(e for e in stages.cpis(6).values() if cpi_membership(e, res))
     with pytest.raises(ReconciliationError) as exc:
-        algebra_times_idempotent_dim(bad, res)
+        algebra_times_idempotent_dim([_one_value_off(e, oi)], res)
     assert exc.value.check == "cpi_symmetric"
+
+
+def test_asymmetric_merged_atom_names_every_label(stages):
+    # an atom is sized from its own idempotents, so a failed check on a
+    # merged atom names each of its labels, not the first summand's alone
+    res, oi, cpis = stages.closure(6), stages.orbindex(6), stages.cpis(6)
+    a, b = (cpis[parse_signed_partition(t)] for t in ("[3^2]-", "[3,1^3]+"))
+    with pytest.raises(ReconciliationError) as exc:
+        algebra_times_idempotent_dim([_one_value_off(a, oi), b], res)
+    assert exc.value.check == "cpi_symmetric"
+    assert "[3^2]-" in str(exc.value) and "[3,1^3]+" in str(exc.value)
 
 
 def test_merged_sum_is_idempotent(stages):
@@ -447,22 +463,9 @@ def test_merged_sum_is_idempotent(stages):
     p = stages.closure(6).primes[0]
     a = cpis[parse_signed_partition("[1^6]+")]
     b = cpis[parse_signed_partition("[2^2,1^2]+")]
-    s = add_idempotents(a, b)
+    s = idempotent_sum(a, b)
     assert s.multiplicity == 2
     assert idempotent_defect(s, None, oi, stages.oracle(6), p) == 0
-
-
-def test_sum_of_idempotents_on_other_blocks_rejected(stages):
-    a = stages.cpis(4)[parse_signed_partition("[4]+")]
-    b = CPIdem(
-        label=a.label,
-        degree=a.degree,
-        multiplicity=a.multiplicity,
-        block_values={c: v for c, v in a.block_values.items() if c},
-        denominator=a.denominator,
-    )
-    with pytest.raises(ValueError, match="mismatched"):
-        add_idempotents(a, b)
 
 
 def test_pigeonhole_guard(stages):
