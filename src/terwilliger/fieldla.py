@@ -1,8 +1,13 @@
 """Prime fields for the closure: sampling, the field context, exact matmul mod p.
 
 Every dimension reported by the library is a rank mod p computed by the
-orbit-coordinate engine in `switching` with `modmul`; reported ranks are
-always confirmed under two independently sampled primes.
+orbit-coordinate engine in `switching`; reported ranks are always confirmed
+under two independently sampled primes.  A product of two arrays of
+residues is `modmul`, in int64, as its dot products reach inner * (p - 1)^2,
+past what float64 holds exactly.  A product of residues by a table of
+counts, `switching.chain_products`, is one float64 matmul through BLAS:
+exact while every dot product stays below FLOAT64_EXACT, a bound the orbit
+index checks for each table as it counts it (`ProductBoundError`).
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import numpy as np
 PRIME_LO = 1 << 27
 PRIME_HI = 1 << 28
 _MODMUL_CHUNK = 128
+#: float64 holds every integer below 2^53 exactly
+FLOAT64_EXACT = 1 << 53
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -57,6 +64,10 @@ def sample_primes(seed: int, count: int = 2, avoid: int = 1) -> tuple[int, ...]:
             continue
         out.append(c)
     return tuple(out)
+
+
+class ProductBoundError(ValueError):
+    """A count table whose float64 products with residues could be inexact."""
 
 
 @dataclass(frozen=True)

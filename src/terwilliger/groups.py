@@ -140,14 +140,18 @@ class SymmetricGroup(GroupTable):
         # row a holds the images of element a
         self.elements = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
         # rank of an image tuple, looked up by the base-n key of its first
-        # n-1 images (the last one is fixed by them)
-        self._weights = np.zeros(n, dtype=np.int32)
+        # n-1 images (the last one is fixed by them); a key is one float64
+        # product through BLAS, exact since every key is below n^(n-1) <= 8^7
+        self._weights = np.zeros(n, dtype=np.float64)
         self._weights[:-1] = n ** np.arange(n - 2, -1, -1)
         self._rank = np.zeros(n ** (n - 1), dtype=np.min_scalar_type(self.order - 1))
-        self._rank[self.elements @ self._weights] = np.arange(self.order)
+        self._rank[self._keys(self.elements)] = np.arange(self.order)
+
+    def _keys(self, images: np.ndarray) -> np.ndarray:
+        return (images @ self._weights).astype(np.intp)
 
     def _rank_of(self, images: np.ndarray) -> np.ndarray:
-        return self._rank[images @ self._weights].astype(np.intp)
+        return self._rank[self._keys(images)].astype(np.intp)
 
     def mul(self, a, b) -> np.ndarray:
         # (a*b)(i) = a(b(i)): take a's images along b's
@@ -174,17 +178,16 @@ class SymmetricGroup(GroupTable):
 
     def right_factors(self, b) -> np.ndarray:
         # key(a*b) = sum_v a(b(v)) w[v] = sum_u a(u) w[b^-1(u)]: row u holds
-        # w[b^-1(u)] for every b
+        # w[b^-1(u)] for every b, in float64 and C order: with a transposed
+        # right factor OpenBLAS ran even S7's small key products on a second
+        # thread, whose spinning afterwards cost more CPU time than they did
         return self._weights[self.elements[np.asarray(b)].argsort(axis=-1)].T.copy()
 
     def outer_lookup(self, a, right: np.ndarray, table: np.ndarray) -> np.ndarray:
-        # n outer products in place of the (len(a), len(b), n) gather of
-        # images, exact in int32 since every key is below n^(n-1) <= 8^7
-        images = self.elements[np.asarray(a)].T.astype(np.int32)
-        keys = np.multiply.outer(images[0], right[0])
-        for u in range(1, self.n):
-            keys += np.multiply.outer(images[u], right[u])
-        return table.take(keys)
+        # the keys of the whole grid are one float64 product, a's images
+        # times `right`, in place of the (len(a), len(b), n) gather of images
+        keys = self.elements[np.asarray(a)] @ right
+        return table.take(keys.astype(np.intp))
 
     def generators(self) -> list[int]:
         """A transposition and an n-cycle; they coincide in S2."""

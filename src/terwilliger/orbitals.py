@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fieldla import FLOAT64_EXACT, PRIME_HI, ProductBoundError
 from .groups import (
     ReconciliationError,
     centralizer_elements,
@@ -150,6 +151,8 @@ class OrbitalIndex:
         orbit t: structure constants of the coherent configuration (Higman,
         1975).  They depend on neither the prime nor the closure level, so the
         table is memoized, in the narrowest unsigned dtype holding its maximum.
+        A table with r(i, nu) * max(K) * (PRIME_HI - 1) >= 2^53, past exact
+        float64 products with residues, raises `ProductBoundError`.
         """
         key = (target, nu)
         table = self._generator_tables.get(key)
@@ -176,7 +179,13 @@ class OrbitalIndex:
         bins += np.multiply(self.block_labels[(i, nu)], n_rel * rt, dtype=itype)
         bins += np.arange(rt, dtype=itype)[:, None]
         counts = np.bincount(bins.ravel(), minlength=ra * n_rel * rt)
-        return counts.astype(np.min_scalar_type(counts.max())).reshape(ra, n_rel, rt)
+        top = int(counts.max())
+        if ra * top * (PRIME_HI - 1) >= FLOAT64_EXACT:
+            raise ProductBoundError(
+                f"generator table of block ({i},{m}) through class {nu}: {ra} orbits "
+                f"times counts up to {top} exceed exact float64 products mod p"
+            )
+        return counts.astype(np.min_scalar_type(top)).reshape(ra, n_rel, rt)
 
     def transposition(self, i: int, k: int) -> np.ndarray:
         """sigma_(i,k), i <= k: orbit t of block (i, k) -> the orbit of its transposed pairs.

@@ -35,7 +35,9 @@ class) at once, as left @ residual(K) or as residual(left @ K), whichever
 costs fewer multiply-adds, and eliminates within the batch on the free
 columns alone.  Only the accepted candidates are then multiplied in full,
 for the block's `raw` rows, so the accepted words are those a full product
-of every candidate would give.
+of every candidate would give.  A product of residues by the counts K,
+left @ K, is one exact float64 matmul (`chain_products`); a product of two
+residue arrays, left @ residual(K) and each residual, is int64 `modmul`.
 
 Within a step, a block visits its middle classes nu richest first: in
 decreasing order of the candidates nu offers, the frontier rows of (i, nu)
@@ -45,7 +47,8 @@ so gives the same dimensions: level L is level L-1 plus level L-1 times
 the generators, and the frontier rows that any order accepted complete
 level L-2 to level L-1.  The richest classes fill a block in the fewest
 batches, and a full block counts no further generator table.
-`Block.insert_batch` eliminates a batch on its live rows alone and updates
+`Block.insert_batch` eliminates a batch in one Gauss-Jordan pass, reducing
+mod p only as often as the int64 bound in its docstring needs, and updates
 the stored rows once per batch, in one `modmul`: a delayed update, as in
 the blocked rank-profile elimination of Jeannerod, Pernet and Storjohann
 (J. Symbolic Comput. 2013).
@@ -89,6 +92,9 @@ from .tables import BlockDimTable
 
 Word = tuple[tuple[int, int, int], ...]
 
+#: updates of `Block.insert_batch`'s working array between its reductions mod p
+REDUCE_EVERY = 64
+
 
 class ClosureError(RuntimeError):
     pass
@@ -130,7 +136,7 @@ class Block:
         a product chain may be taken at either end of it.
         """
         k, free = self.rank, self.is_free.nonzero()[0]
-        out = x[..., free]
+        out = x[..., free].astype(np.int64, copy=False)
         if k:
             out = out - modmul(x[..., self.pivots[:k]], self.rows[:k][:, free], self.p)
         return out % self.p
@@ -141,44 +147,55 @@ class Block:
         `residuals` is (n, r - rank), taken by `residual` against the current
         rows.  A row grows the rank exactly when it lies outside the span of
         the rows before it, and a batch with no such row returns at once.
-        Elimination within the batch runs over the free columns and the live
-        rows alone, those outside the span so far: a row leaves the batch
-        when it reduces to zero.  The new rows are then back-substituted to
-        reduced form, and the stored rows lose the new pivot columns in one
-        product, so rows, pivots and rank are those of inserting the rows
-        one at a time.
+        The batch is eliminated in one Gauss-Jordan pass over the free
+        columns: the accepted rows stay at the top of a working array, the
+        next row is the head, and each pivot clears its column from every
+        other row at once, so the new rows end in reduced form.  The stored
+        rows then lose the new pivot columns in one product, so rows, pivots
+        and rank are those of inserting the rows one at a time.
+
+        Reduction mod p is delayed.  A pivot reduces only the head row,
+        which it normalizes, and its own column; every other entry only
+        loses a product of two residues, at most (p - 1)^2, per update.  The
+        whole array is reduced every REDUCE_EVERY = 64 updates, and when the
+        head row reduces to zero; then the dead rows, those in the span, are
+        dropped.  Entries start in [0, p), so between reductions they stay in
+        [-64 (p - 1)^2, p), and 64 (p - 1)^2 + p < 64 * 2^56 = 2^62 < 2^63 for
+        p < PRIME_HI = 2^28: int64 never overflows.
         """
         idx = residuals.any(axis=1).nonzero()[0]
         if not idx.size:
             return []
         p, free = self.p, self.is_free.nonzero()[0]
-        rest = residuals[idx]
+        work = residuals[idx]
         grown: list[int] = []
-        new: list[np.ndarray] = []
         cols: list[int] = []
-        # every row of `rest` is live, so its first one grows the rank; once
-        # every free column is a pivot, no row is left live
-        while idx.size and len(cols) < free.size:
-            v = rest[0]
-            j = int(v.nonzero()[0][0])
-            v = v * pow(int(v[j]), -1, p) % p
-            grown.append(int(idx[0]))
-            new.append(v)
+        # rows [0, g) of `work` are accepted, each 1 on its pivot column, so a
+        # reduction keeps them; once every free column is a pivot, no row is
+        # left live
+        g = updates = 0
+        while g < len(work) and g < free.size:
+            head = work[g] % p
+            nonzero = head.nonzero()[0]
+            if updates == REDUCE_EVERY or not nonzero.size:
+                work %= p
+                live = work.any(axis=1)
+                work, idx = work[live], idx[live]
+                updates = 0
+                continue
+            # head is zero on the pivot columns so far, so j is a new one
+            j = int(nonzero[0])
+            v = head * pow(int(head[j]), -1, p) % p
+            # the head row takes part and is then replaced by v
+            col = work[:, j] % p
+            work[:, j:] -= col[:, None] * v[j:]
+            work[g] = v
+            grown.append(int(idx[g]))
             cols.append(j)
-            rest = rest[1:] - rest[1:, j, None] * v
-            rest %= p
-            live = rest.any(axis=1)
-            idx = idx[1:][live]
-            if idx.size < live.size:
-                rest = rest[live]
-        # row t of `new` is zero on the pivot columns before its own; clear
-        # those after it, last row first
-        new_rows = np.array(new)
-        for t in range(len(cols) - 1, 0, -1):
-            col = new_rows[:t, cols[t]]
-            if col.any():
-                new_rows[:t] = (new_rows[:t] - col[:, None] * new_rows[t]) % p
-        k, g, piv = self.rank, len(cols), free[cols]
+            g += 1
+            updates += 1
+        new_rows = work[:g] % p
+        k, piv = self.rank, free[cols]
         coef = self.rows[:k, piv]
         if coef.any():
             self.rows[:k, free] = (self.rows[:k, free] - modmul(coef, new_rows, p)) % p
@@ -368,8 +385,8 @@ class SwitchingClosure:
                 # the previous level's rows only, even if (i,nu) grew this level
                 left, words = self.frontier[(i, nu)]
                 js = self.orbindex.block_relations[(nu, m)]
-                table = self.orbindex.generator_table(key, nu).astype(np.int64)
-                ra, n2, r = table.shape
+                counts = self.orbindex.generator_table(key, nu)
+                ra, n2, r = counts.shape
                 n, k, f = len(left), blk.rank, r - blk.rank
                 # candidate (a, c) is left[a] @ K[:, c, :] and the residual is
                 # linear, so the n * n2 residuals are left @ residual(K) as
@@ -377,9 +394,9 @@ class SwitchingClosure:
                 # way needs fewer multiply-adds per generator
                 if ra * f * (k + n) < n * (ra * r + k * f):
                     prods = None
-                    res = modmul(left, blk.residual(table).reshape(ra, n2 * f), p)
+                    res = modmul(left, blk.residual(counts).reshape(ra, n2 * f), p)
                 else:
-                    prods = chain_products(self.orbindex, key, nu, left, p, table=table)
+                    prods = chain_products(self.orbindex, key, nu, left, p)
                     res = blk.residual(prods)
                 grown = blk.insert_batch(res.reshape(n * n2, f))
                 if not grown:
@@ -391,7 +408,7 @@ class SwitchingClosure:
                     # a is nondecreasing: its first occurrences are its distinct values
                     first = np.ones(a.size, dtype=bool)
                     first[1:] = a[1:] != a[:-1]
-                    prods = chain_products(self.orbindex, key, nu, left[a[first]], p, table=table)
+                    prods = chain_products(self.orbindex, key, nu, left[a[first]], p)
                     blk.raw[k : blk.rank] = prods[first.cumsum() - 1, c]
                 else:
                     blk.raw[k : blk.rank] = prods[a, c]
@@ -423,29 +440,30 @@ def chain_products(
     nu: int,
     left: np.ndarray,
     p: int,
-    table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Products of orbit-constant blocks: (left in (i,nu)) x (generators of (nu,m)).
 
     The right factors are the length-1 generators of block (nu, m), in the
     order of `orbindex.block_relations[(nu, m)]`.  The product at target
     orbit t is the sum over z in C_nu of L(x_i, z) * A_j(z, y_t), at the
-    orbit's representative pair (x_i, y_t): `left` times the counts
-    K[a, j, t] of `OrbitalIndex.generator_table`, in one matmul.  The counts
-    are exact integers memoized across primes, levels and callers and are
-    not reduced mod p: each is at most |C_nu| < PRIME_HI, so `modmul`'s int64
-    bound holds as it does for residues, and it reduces the product.
-    A caller that already holds the table as int64 passes it as `table`.
-    Returns an (n_left, n_generators, r_target) array mod p.
+    orbit's representative pair (x_i, y_t): `left`, reduced mod p, times the
+    counts K[a, j, t] of `OrbitalIndex.generator_table`, memoized across
+    primes, levels and callers, in one float64 matmul through BLAS, reduced
+    mod p after it.  It is exact: each dot product sums r(i, nu) nonnegative
+    integers to at most r(i, nu) * max(K) * (p - 1), below 2^53 as the orbit
+    index checked for every p < PRIME_HI when it counted the table, so every
+    partial sum, in any order and with or without fused multiply-adds, is an
+    integer float64 holds exactly.  The table is converted to float64 once
+    per call.  Returns an (n_left, n_generators, r_target) int64 array mod p.
     """
     if p >= fieldla.PRIME_HI:
-        raise ValueError(f"prime {p} is not below {fieldla.PRIME_HI}: int64 products overflow")
-    if table is None:
-        table = orbindex.generator_table(target, nu).astype(np.int64)
+        raise ValueError(f"prime {p} is not below {fieldla.PRIME_HI}: float64 products are inexact")
+    table = orbindex.generator_table(target, nu)
     ra, n2, rt = table.shape
-    return modmul(left % p, table.reshape(ra, n2 * rt), p).reshape(
-        left.shape[0], n2, rt
-    )
+    prods = (left % p).astype(np.float64) @ table.reshape(ra, n2 * rt).astype(np.float64)
+    out = prods.astype(np.int64)
+    out %= p
+    return out.reshape(left.shape[0], n2, rt)
 
 
 @dataclass

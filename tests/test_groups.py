@@ -164,6 +164,27 @@ def test_outer_lookup_matches_mul_outer(q8_path):
             assert np.array_equal(got, values[g.mul_outer(left, right)]), g.name
 
 
+def test_s8_grid_products_match_composed_images():
+    # S8's keys reach 8^7 - 1 (the reversal's images 7, 6, ..., 0), the
+    # largest the float64 key product must hold exactly: every product of a
+    # random grid, with the identity and the reversal on both sides, read
+    # back as images is the composition a(b(i)), and mul_outer, outer_lookup
+    # and elementwise mul agree on it
+    g = SymmetricGroup(8)
+    rng = np.random.default_rng(8)
+    ends = [0, g.order - 1]
+    a = np.concatenate([ends, rng.integers(0, g.order, size=300)])
+    b = np.concatenate([ends, rng.integers(0, g.order, size=200)])
+    assert g.elements[g.order - 1].tolist() == list(range(7, -1, -1))
+    grid = g.mul_outer(a, b)
+    composed = g.elements[a][np.arange(len(a))[:, None, None], g.elements[b][None, :, :]]
+    assert np.array_equal(g.elements[grid], composed)
+    assert np.array_equal(grid, g.mul(a[:, None], b[None, :]))
+    values = rng.integers(0, 1 << 16, size=g.order).astype(np.uint16)
+    got = g.outer_lookup(a, g.right_factors(b), g.lookup_table(values))
+    assert np.array_equal(got, values[grid])
+
+
 def test_conjugacy_classes_s4():
     g = SymmetricGroup(4)
     cls = conjugacy_classes(g)

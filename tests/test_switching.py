@@ -21,10 +21,22 @@ from oracle import (
 from orbit_oracle import BlockOracle
 
 import terwilliger as tw
-from terwilliger.fieldla import PRIME_HI, FieldCtx, is_prime, sample_primes
+import terwilliger.fieldla as fieldla_mod
+import terwilliger.orbitals as orbitals_mod
+import terwilliger.switching as switching_mod
+from terwilliger.fieldla import (
+    FLOAT64_EXACT,
+    PRIME_HI,
+    FieldCtx,
+    ProductBoundError,
+    is_prime,
+    modmul,
+    sample_primes,
+)
 from terwilliger.groups import ReconciliationError, load_cayley_table
 from terwilliger.orbitals import OrbitalIndex
 from terwilliger.switching import (
+    REDUCE_EVERY,
     Block,
     ClosureError,
     SwitchingClosure,
@@ -481,14 +493,19 @@ def test_block_echelon_invariants():
     _assert_residual(blk, np.vstack(batches), seen)
 
 
-@pytest.mark.parametrize("r", [1, 6, 13])
+@pytest.mark.parametrize("r", [1, 6, 13, 134])
 def test_insert_batch_matches_row_by_row_oracle(r):
     # the batched elimination against the row-by-row oracle, batch after
-    # batch into one block: the same accepted indices, rows, pivots and rank
+    # batch into one block: the same accepted indices, rows, pivots and rank.
+    # At r = 134 two batches have more than REDUCE_EVERY pivots, so the working
+    # array is reduced mid-batch as well as when dead rows reach the head, and
+    # the largest working prime puts the unreduced entries nearest the int64
+    # bound
     rng = np.random.default_rng(r)
-    for p in (7, sample_primes(41, 1)[0]):
+    most = 0
+    for p in (7, sample_primes(41, 1)[0], _largest_prime_below(PRIME_HI)):
         base = rng.integers(0, p, size=(max(1, r // 2), r))
-        mixed = rng.integers(0, p, size=(9, len(base))) @ base % p
+        mixed = modmul(rng.integers(0, p, size=(9, len(base))), base, p)
         batches = [
             np.zeros((0, r), dtype=np.int64),
             np.zeros((4, r), dtype=np.int64),
@@ -503,14 +520,41 @@ def test_insert_batch_matches_row_by_row_oracle(r):
             assert np.array_equal(res, ref.residual(cands))
             grown = blk.insert_batch(res.copy())
             assert grown == row_by_row_insert(ref, res.copy()), (r, p)
-            assert blk.rank == ref.rank == dense_rank_modp(
-                np.vstack([ref.rows[: ref.rank], cands]).tolist(), r, p
-            )
+            most = max(most, len(grown))
+            assert blk.rank == ref.rank
+            # the schoolbook rank oracle is too slow past a few dozen columns
+            if r <= 13:
+                assert blk.rank == dense_rank_modp(
+                    np.vstack([ref.rows[: ref.rank], cands]).tolist(), r, p
+                )
             assert np.array_equal(blk.pivots, ref.pivots)
             assert np.array_equal(blk.is_free, ref.is_free)
             assert np.array_equal(blk.rows, ref.rows)
         # the random batches fill the block, and a full block grows nothing
         assert blk.rank == r and grown == []
+    assert (most > REDUCE_EVERY) == (r > 2 * REDUCE_EVERY)
+
+
+def test_insert_batch_holds_the_int64_bound_on_worst_case_rows():
+    # rows whose elimination subtracts the most, (p - 1)^2, from every later
+    # entry at every pivot: with V_t = e_t + (p - 1) * (e_t+1 + ... + e_c-1),
+    # row t is V_t + (p - 1) * (V_0 + ... + V_t-1), so each pivot column of
+    # every later row holds p - 1.  The entries would wrap past 128 updates
+    # without a reduction, 129 * (p - 1)^2 > 2^63 for this p; the batch has
+    # 136 pivots in a row and leaves 4 free columns
+    p = _largest_prime_below(PRIME_HI)
+    n, c = 136, 140
+    assert REDUCE_EVERY * (p - 1) ** 2 + p < 2**63 < 129 * (p - 1) ** 2
+    upper = np.triu(np.full((n, c), p - 1, dtype=np.int64), 1) + np.eye(n, c, dtype=np.int64)
+    below = np.tril(np.full((n, n), p - 1, dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
+    rows = modmul(below, upper, p)
+    blk, ref = Block(c, p), Block(c, p)
+    res = blk.residual(rows)
+    assert blk.insert_batch(res.copy()) == row_by_row_insert(ref, res.copy()) == list(range(n))
+    assert np.array_equal(blk.pivots[:n], np.arange(n))
+    # the rows are nonzero on the free columns, where a wrapped entry would show
+    assert blk.rows[:n, n:].any()
+    assert np.array_equal(blk.rows, ref.rows)
 
 
 def _largest_prime_below(hi):
@@ -541,6 +585,49 @@ def test_chain_products_match_per_orbit_loop(stages, q8_path, c3_path, tmp_path)
                     want = per_orbit_products(oi, oracle, (i, m), nu, left, right, p)
                     assert got.shape == want.shape
                     assert np.array_equal(got, want), (s.group.name, i, nu, m, p)
+
+
+def test_generator_table_past_the_float64_bound_raises(monkeypatch, stages):
+    # chain_products is one float64 product, exact while r(i, nu) * max(K) *
+    # (PRIME_HI - 1) < 2^53: a table past that bound is refused as it is
+    # counted, and nothing falls back to another product
+    s = stages.scheme(4)
+    oi = OrbitalIndex(s)
+    assert oi.r[(0, 1)] == 1  # one orbit per block of the identity class
+    least = -(-FLOAT64_EXACT // (PRIME_HI - 1))  # the least count past the bound
+    bincount = np.bincount
+    for top, past in ((least - 1, False), (least, True)):
+
+        def inflated(x, minlength=0, top=top):
+            counts = bincount(x, minlength=minlength)
+            counts[0] = top
+            return counts
+
+        oi = OrbitalIndex(s)
+        with monkeypatch.context() as m:
+            m.setattr(np, "bincount", inflated)
+            if past:
+                with pytest.raises(ProductBoundError, match=r"block \(0,2\) through class 1"):
+                    oi.generator_table((0, 2), 1)
+            else:
+                assert oi.generator_table((0, 2), 1).max() == top
+        assert (((0, 2), 1) in oi._generator_tables) != past
+    # a closure meeting such a table stops there
+    monkeypatch.setattr(orbitals_mod, "FLOAT64_EXACT", 1)
+    with pytest.raises(ProductBoundError):
+        run_to_stationary(s, OrbitalIndex(s), seed=0)
+    monkeypatch.undo()
+    # chain_products takes no int64 path: it runs with modmul unavailable
+
+    def no_modmul(*args):
+        raise AssertionError("chain_products called modmul")
+
+    monkeypatch.setattr(switching_mod, "modmul", no_modmul)
+    monkeypatch.setattr(fieldla_mod, "modmul", no_modmul)
+    p = sample_primes(5, 1)[0]
+    left = np.ones((2, oi.r[(1, 2)]), dtype=np.int64)
+    got = chain_products(oi, (1, 3), 2, left, p)
+    assert got.shape == (2, len(oi.block_relations[(2, 3)]), oi.r[(1, 3)])
 
 
 def test_generator_products_reduce_counts_below_small_prime(stages):
