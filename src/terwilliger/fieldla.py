@@ -5,9 +5,9 @@ orbit-coordinate engine in `switching`; reported ranks are always confirmed
 under two independently sampled primes.  A product of two arrays of
 residues is `modmul`, in int64, as its dot products reach inner * (p - 1)^2,
 past what float64 holds exactly.  A product of residues by a table of
-counts, `switching.chain_products`, is one float64 matmul through BLAS:
-exact while every dot product stays below FLOAT64_EXACT, a bound the orbit
-index checks for each table as it counts it (`ProductBoundError`).
+counts, `switching.chain_products`, is float64 matmul through BLAS: exact
+while every dot product stays below FLOAT64_EXACT, a bound the orbit index
+checks for each table as it counts it (`ProductBoundError`).
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ from .partitions import Partition, class_size, partitions_of
 #: orbit, middle-class element) pairs through a key -> class table of n^(n-1)
 #: entries (2 MB at S8).  T's closure, visiting the richest middle classes
 #: first, counts 754 of the keys at S8 (121 MiB; 1,806 and 133 MiB in class
-#: order), and the seeded closures of T*e step only through the middle
-#: classes of T's accepted words, so they count no table beyond T's.
+#: order) and no target table: its 22 small targets are full after level 0.
+#: The seeded closures of T*e step only through the middle classes of T's
+#: accepted words, so they count no table beyond T's.
 MAX_SYMMETRIC_N = 8
 
 

@@ -17,6 +17,8 @@ engine.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .fieldla import FLOAT64_EXACT, PRIME_HI, ProductBoundError
@@ -92,13 +94,17 @@ class OrbitalIndex:
         #: by the stabilizers here and by the idempotents' coset sums
         self.centralizers = [centralizer_elements(g, x) for x in cls.representatives]
 
-        #: (i, k) -> orbit label of (x_i, y) for each y in C_k, by position
+        #: row i: the orbit label of (x_i, y) for each y, the classes in turn,
+        #: as target tables read it; (i, k) -> its part of row i, each y in
+        #: C_k by position
+        self._row_labels = np.empty((nc, g.order), dtype=np.int32)
         self.block_labels: dict[tuple[int, int], np.ndarray] = {}
         self.block_counts: dict[tuple[int, int], np.ndarray] = {}
         self.block_reps: dict[tuple[int, int], np.ndarray] = {}
         self.block_rel: dict[tuple[int, int], np.ndarray] = {}
         self.r: dict[tuple[int, int], int] = {}
         self._generator_tables: dict[tuple[tuple[int, int], int], np.ndarray] = {}
+        self._target_tables: dict[tuple[int, int], np.ndarray] = {}
         #: the class of each element's inverse, in the group's lookup form,
         #: and every class as right factors: read by every generator table
         inverse = np.asarray(cls.inverse_class, dtype=np.min_scalar_type(nc))
@@ -108,6 +114,7 @@ class OrbitalIndex:
 
         # rel_rows[i, y] = relation of (x_i, y) = class of x_i^-1 y
         rel_rows = cls.class_of[g.mul_outer(g.inv(cls.representatives), np.arange(g.order))]
+        ends = np.cumsum(cls.sizes)
         for i, x in enumerate(cls.representatives):
             labels = _block_orbits(_stabilizer_perms(scheme, x, self.centralizers[i]), g.order)
             rel_row = rel_rows[i]
@@ -125,7 +132,8 @@ class OrbitalIndex:
                         "orbits_refine_relations",
                         f"an orbit of block ({i},{k}) crosses relations",
                     )
-                self.block_labels[(i, k)] = local.astype(np.int32)
+                self.block_labels[(i, k)] = self._row_labels[i, ends[k] - len(elems) : ends[k]]
+                self.block_labels[(i, k)][:] = local
                 self.block_counts[(i, k)] = cls.sizes[i] * counts
                 self.block_reps[(i, k)] = py
                 self.block_rel[(i, k)] = rel
@@ -142,6 +150,12 @@ class OrbitalIndex:
         self.n_relations = np.zeros((nc, nc), dtype=np.int64)
         for (nu, m), js in self.block_relations.items():
             self.n_relations[nu, m] = len(js)
+        #: row_starts[i, nu]: where block (i, nu) starts on the row axis of the
+        #: target tables of row i, r(i, 0) + ... + r(i, nu - 1); nu = nc ends it
+        self.row_starts = np.zeros((nc, nc + 1), dtype=np.intp)
+        for (i, nu), r in self.r.items():
+            self.row_starts[i, nu + 1] = r
+        np.cumsum(self.row_starts, axis=1, out=self.row_starts)
 
     def generator_table(self, target: tuple[int, int], nu: int) -> np.ndarray:
         """Block (i, nu) contracted with the length-1 generators of block (nu, m).
@@ -164,28 +178,105 @@ class OrbitalIndex:
     def _count_generator_table(self, target: tuple[int, int], nu: int) -> np.ndarray:
         i, m = target
         js = self.block_relations[(nu, m)]
-        ra, n_rel, rt = self.r[(i, nu)], len(js), self.r[target]
-        cls, g = self.scheme.classes, self.scheme.group
-        # bin (a, c, t) = (a * n_rel + c) * rt + t, below the table's size;
         # every relation of a pair in block (nu, m) is in js
+        rel_index = np.zeros(self.n_classes, dtype=np.intp)
+        rel_index[js] = np.arange(len(js))
+        counts = self._count_pairs(
+            target,
+            self._right_factors[nu],
+            self.block_labels[(i, nu)],
+            self.r[(i, nu)],
+            rel_index,
+            len(js),
+        )
+        self._check_product_bound(counts, f"generator table of block ({i},{m}) through class {nu}")
+        return counts.astype(np.min_scalar_type(int(counts.max())))
+
+    def target_table_size(self, target: tuple[int, int]) -> int:
+        """The number of counts in `target_table(target)`."""
+        i, m = target
+        return int(self.row_starts[i, -1]) * self.n_classes * self.r[target]
+
+    def has_target_table(self, target: tuple[int, int]) -> bool:
+        """Whether `target_table(target)` is counted already."""
+        return target in self._target_tables
+
+    def target_table(self, target: tuple[int, int]) -> np.ndarray:
+        """The generator tables of target block (i, m) through every middle class, stacked.
+
+        K[starts[nu] + a, j, t] = #{z in C_nu : orbit(x_i, z) = a, rel(z, y_t)
+        = j}, starts = row_starts[i]: the row axis runs over the orbits of
+        blocks (i, 0), (i, 1), ... in turn, and the relation axis over every
+        relation j, since z^-1 y_t meets every class as z runs over G.  So
+        rows starts[nu] to starts[nu + 1], restricted to the relations of
+        block (nu, m), are `generator_table(target, nu)`, and the other
+        relations are zero there.  It is counted in one lookup pass over
+        (target orbit, group element) and one bincount, memoized, in the
+        narrowest unsigned dtype holding its maximum, and refused with
+        `ProductBoundError` as a generator table is, class by class.
+        """
+        table = self._target_tables.get(target)
+        if table is None:
+            table = self._count_target_table(target)
+            self._target_tables[target] = table
+        return table
+
+    @cached_property
+    def _all_right_factors(self) -> np.ndarray:
+        """Every element as right factors, the classes in turn: read by every target table."""
+        return np.concatenate(self._right_factors, axis=-1)
+
+    def _count_target_table(self, target: tuple[int, int]) -> np.ndarray:
+        i, m = target
+        nc, starts = self.n_classes, self.row_starts[i]
+        # each element's orbit label, moved to the rows of its class
+        labels = self._row_labels[i] + np.repeat(starts[:-1], self.scheme.classes.sizes)
+        counts = self._count_pairs(
+            target, self._all_right_factors, labels, int(starts[-1]), np.arange(nc), nc
+        )
+        # the rows of class nu hold r(i, nu) orbits: the per-class bound
+        tops = np.maximum.reduceat(counts.reshape(starts[-1], -1).max(axis=1), starts[:-1])
+        nu = int(np.argmax(np.diff(starts) * tops))
+        self._check_product_bound(
+            counts[starts[nu] : starts[nu + 1]], f"target table of block ({i},{m}) at class {nu}"
+        )
+        return counts.astype(np.min_scalar_type(int(tops.max())))
+
+    def _count_pairs(
+        self,
+        target: tuple[int, int],
+        right: np.ndarray,
+        labels: np.ndarray,
+        ra: int,
+        rel_index: np.ndarray,
+        n_rel: int,
+    ) -> np.ndarray:
+        """K[labels[z], rel_index[rel(z, y_t)], t] summed over the elements z of `right`.
+
+        The relation of (z, y_t) is the class of z^-1 y_t, the inverse of the
+        class of y_t^-1 z: one lookup per product of the grid, then one
+        bincount of bin (a, c, t) = (a * n_rel + c) * rt + t, labels below
+        `ra`.  Returns an (ra, n_rel, rt) int64 array.
+        """
+        cls, g = self.scheme.classes, self.scheme.group
+        rt = self.r[target]
         itype = np.int32 if ra * n_rel * rt < 1 << 31 else np.int64
-        rel_bins = np.zeros(self.n_classes, dtype=itype)
-        rel_bins[js] = np.arange(0, n_rel * rt, rt, dtype=itype)
-        # the relation of (z, y_t) is the class of z^-1 y_t, the inverse of
-        # the class of y_t^-1 z: one lookup per product of the grid
-        y = cls.elements[m][self.block_reps[target]]
-        classes = g.outer_lookup(g.inv(y), self._right_factors[nu], self._inverse_classes)
-        bins = rel_bins.take(classes)
-        bins += np.multiply(self.block_labels[(i, nu)], n_rel * rt, dtype=itype)
+        rel_bins = (rel_index * rt).astype(itype)
+        y = cls.elements[target[1]][self.block_reps[target]]
+        bins = rel_bins.take(g.outer_lookup(g.inv(y), right, self._inverse_classes))
+        bins += np.multiply(labels, n_rel * rt, dtype=itype)
         bins += np.arange(rt, dtype=itype)[:, None]
         counts = np.bincount(bins.ravel(), minlength=ra * n_rel * rt)
-        top = int(counts.max())
+        return counts.reshape(ra, n_rel, rt)
+
+    @staticmethod
+    def _check_product_bound(table: np.ndarray, what: str) -> None:
+        """Refuse a table whose products with residues may pass exact float64."""
+        ra, top = table.shape[0], int(table.max())
         if ra * top * (PRIME_HI - 1) >= FLOAT64_EXACT:
             raise ProductBoundError(
-                f"generator table of block ({i},{m}) through class {nu}: {ra} orbits "
-                f"times counts up to {top} exceed exact float64 products mod p"
+                f"{what}: {ra} orbits times counts up to {top} exceed exact float64 products mod p"
             )
-        return counts.astype(np.min_scalar_type(top)).reshape(ra, n_rel, rt)
 
     def transposition(self, i: int, k: int) -> np.ndarray:
         """sigma_(i,k), i <= k: orbit t of block (i, k) -> the orbit of its transposed pairs.

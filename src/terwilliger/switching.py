@@ -8,7 +8,9 @@ representative pair per orbit, and ranks are tracked mod two independent
 primes below `fieldla.PRIME_HI`.  Every product has a length-1 generator as
 its right factor, so its contraction with the middle class is an integer
 table K on the orbital index, counted once per (target block, middle class)
-and shared by both primes, every level and every closure.
+and shared by both primes, every level and every closure.  A target block
+whose tables are small also has one target table, every middle class's K
+stacked and counted at once (`OrbitalIndex.target_table`).
 
 A closure is seeded with one vector of the diagonal block (c, c) per class
 c of its support S.  Level 0 is one closure step from the seeds, each one
@@ -34,10 +36,11 @@ step takes the residuals of every candidate of a (target block, middle
 class) at once, as left @ residual(K) or as residual(left @ K), whichever
 costs fewer multiply-adds, and eliminates within the batch on the free
 columns alone.  Only the accepted candidates are then multiplied in full,
-for the block's `raw` rows, so the accepted words are those a full product
-of every candidate would give.  A product of residues by the counts K,
-left @ K, is one exact float64 matmul (`chain_products`); a product of two
-residue arrays, left @ residual(K) and each residual, is int64 `modmul`.
+each left row by its one generator, for the block's `raw` rows, so the
+accepted words are those a full product of every candidate would give.  A
+product of residues by the counts K, left @ K, is one exact float64 matmul
+(`chain_products`); a product of two residue arrays, left @ residual(K) and
+each residual, is int64 `modmul`.
 
 Within a step, a block visits its middle classes nu richest first: in
 decreasing order of the candidates nu offers, the frontier rows of (i, nu)
@@ -52,6 +55,18 @@ mod p only as often as the int64 bound in its docstring needs, and updates
 the stored rows once per batch, in one `modmul`: a delayed update, as in
 the blocked rank-profile elimination of Jeannerod, Pernet and Storjohann
 (J. Symbolic Comput. 2013).
+
+A small target, whose target table holds at most TARGET_TABLE_MAX counts,
+visits its richest class alone, which often fills it, and the rest in one
+visit: the block diagonal of their frontier rows, class after class, times
+its target table is one product, one residual and one batch.  The batch
+inserts its rows in order, and the candidates of a relation outside a
+class's block are zero rows, which never grow the rank, so it accepts the
+words, raw rows and ranks of visiting those classes one by one.  Once the
+target table is counted, the richest class joins that visit.  A closure
+that T's closure restricts batches only then, so it counts no table of its
+own.  On groups with many classes and small blocks, such as AGL(1,23) (23
+classes, 1.9 orbits per block on average), this saves a visit per class.
 
 T is closed under transposition: E_i* is symmetric and A_j^T = A_j', j'
 the class of inverses.  So is every level of e*T for a symmetric e central
@@ -94,6 +109,9 @@ Word = tuple[tuple[int, int, int], ...]
 
 #: updates of `Block.insert_batch`'s working array between its reductions mod p
 REDUCE_EVERY = 64
+#: the most counts a target table holds for its block to batch its middle
+#: classes (`SwitchingClosure.small`)
+TARGET_TABLE_MAX = 4096
 
 
 class ClosureError(RuntimeError):
@@ -257,6 +275,9 @@ class SwitchingClosure:
         support = np.array(self.support, dtype=np.intp)
         #: (i, m), every upper block -> its middle classes nu, in support order
         self.middle: dict[tuple[int, int], np.ndarray] = {key: support for key in self.blocks}
+        #: whether T's closure restricts the middle classes, so that only
+        #: the tables it counted are read
+        self.restricted = t_closure is not None
         if t_closure is not None:
             for key in self.blocks:
                 ends = t_closure.word_ends[key]
@@ -270,6 +291,13 @@ class SwitchingClosure:
         #: frontier_rows[i, k]: the number of rows of frontier[(i, k)]
         self.frontier_rows = np.zeros((nc, nc), dtype=np.int64)
         self.frontier_rows[self.support, self.support] = 1
+        #: row i -> `_row_stack(i)` of this level's frontier
+        self._row_stacks: dict[int, tuple[np.ndarray, np.ndarray, list[Word]]] = {}
+        #: the small targets: upper blocks whose target table holds at most
+        #: TARGET_TABLE_MAX counts
+        self.small = {
+            key for key in self.blocks if orbindex.target_table_size(key) <= TARGET_TABLE_MAX
+        }
         self.history: list[BlockDimTable] = []
 
     @property
@@ -311,6 +339,7 @@ class SwitchingClosure:
     def _advance(self, ranges: dict[tuple[int, int], range]) -> None:
         """Close a level: the frontier becomes the blocks' new rows, lower ones derived."""
         self.frontier = {}
+        self._row_stacks = {}
         for (i, k), rows in ranges.items():
             self.frontier_rows[i, k] = self.frontier_rows[k, i] = len(rows)
             if rows:
@@ -367,10 +396,11 @@ class SwitchingClosure:
         """One closure step: frontier rows times length-1 generators.
 
         Only the blocks (i, m) with i <= m are closed; a left factor (i, nu)
-        with i > nu is derived from block (nu, i).  The returned growth has
-        every block, a lower one mirroring its upper one.
+        with i > nu is derived from block (nu, i).  A block visits its middle
+        classes one by one and stops when full; a small target batches them
+        as the module docstring says.  The returned growth has every block, a
+        lower one mirroring its upper one.
         """
-        p = self.field.p
         labels = self.orbindex.scheme.classes.label_strings()
         start = time.monotonic()
         growth: dict[tuple[int, int], int] = {}
@@ -379,47 +409,23 @@ class SwitchingClosure:
             i, m = key
             blk = self.blocks[key]
             before = blk.rank
-            for nu in self.middle_order(key):
+            order = self.middle_order(key)
+            # the richest class alone often fills a small target, and its
+            # generator table is often counted already
+            batch = key in self.small and self.orbindex.has_target_table(key)
+            batch_rest = key in self.small and not self.restricted
+            for n, nu in enumerate(order):
                 if blk.rank == blk.r:
                     break
-                # the previous level's rows only, even if (i,nu) grew this level
-                left, words = self.frontier[(i, nu)]
-                js = self.orbindex.block_relations[(nu, m)]
-                counts = self.orbindex.generator_table(key, nu)
-                ra, n2, r = counts.shape
-                n, k, f = len(left), blk.rank, r - blk.rank
-                # candidate (a, c) is left[a] @ K[:, c, :] and the residual is
-                # linear, so the n * n2 residuals are left @ residual(K) as
-                # well as residual(left @ K): the chain is associated whichever
-                # way needs fewer multiply-adds per generator
-                if ra * f * (k + n) < n * (ra * r + k * f):
-                    prods = None
-                    res = modmul(left, blk.residual(counts).reshape(ra, n2 * f), p)
-                else:
-                    prods = chain_products(self.orbindex, key, nu, left, p)
-                    res = blk.residual(prods)
-                grown = blk.insert_batch(res.reshape(n * n2, f))
-                if not grown:
-                    continue
-                # `raw` needs the accepted candidates in full: after the kernel
-                # test only their left rows are multiplied, times every generator
-                a, c = np.divmod(grown, n2)
-                if prods is None:
-                    # a is nondecreasing: its first occurrences are its distinct values
-                    first = np.ones(a.size, dtype=bool)
-                    first[1:] = a[1:] != a[:-1]
-                    prods = chain_products(self.orbindex, key, nu, left[a[first]], p)
-                    blk.raw[k : blk.rank] = prods[first.cumsum() - 1, c]
-                else:
-                    blk.raw[k : blk.rank] = prods[a, c]
-                for ai, ci in zip(a.tolist(), c.tolist()):
-                    blk.words.append(words[ai] + ((nu, int(js[ci]), m),))
-                self.word_ends[key].add(nu)
+                if batch or (n and batch_rest):
+                    self._visit_target(key, order[n:])
+                    break
+                self._visit_class(key, nu)
             growth[key] = growth[(m, i)] = blk.rank - before
             ranges[key] = range(before, blk.rank)
             if progress is not None and growth[key]:
                 progress(
-                    p,
+                    self.field.p,
                     self.level + 1,
                     f"({labels[i]},{labels[m]})",
                     blk.rank,
@@ -427,6 +433,86 @@ class SwitchingClosure:
                 )
         self._advance(ranges)
         return growth
+
+    def _visit_class(self, key: tuple[int, int], nu: int) -> None:
+        """Insert the frontier rows of (i, nu) times the generators of (nu, m)."""
+        i, m = key
+        p, blk = self.field.p, self.blocks[key]
+        # the previous level's rows only, even if (i,nu) grew this level
+        left, words = self.frontier[(i, nu)]
+        js = self.orbindex.block_relations[(nu, m)]
+        counts = self.orbindex.generator_table(key, nu)
+        ra, n2, r = counts.shape
+        n, k, f = len(left), blk.rank, r - blk.rank
+        # candidate (a, c) is left[a] @ K[:, c, :] and the residual is linear,
+        # so the n * n2 residuals are left @ residual(K) as well as
+        # residual(left @ K): the chain is associated whichever way needs
+        # fewer multiply-adds per generator
+        if ra * f * (k + n) < n * (ra * r + k * f):
+            prods = None
+            res = modmul(left, blk.residual(counts).reshape(ra, n2 * f), p)
+        else:
+            prods = chain_products(self.orbindex, key, nu, left, p)
+            res = blk.residual(prods)
+        grown = blk.insert_batch(res.reshape(n * n2, f))
+        if not grown:
+            return
+        a, c = np.divmod(grown, n2)
+        # `raw` needs the accepted candidates in full: after the kernel test
+        # only they are multiplied, each left row by its one generator
+        if prods is None:
+            blk.raw[k : blk.rank] = chain_products(self.orbindex, key, nu, left[a], p, c)[:, 0]
+        else:
+            blk.raw[k : blk.rank] = prods[a, c]
+        for ai, ci in zip(a.tolist(), c.tolist()):
+            blk.words.append(words[ai] + ((nu, int(js[ci]), m),))
+        self.word_ends[key].add(nu)
+
+    def _visit_target(self, key: tuple[int, int], order: list[int]) -> None:
+        """Insert the frontier rows of (i, nu), nu in `order`, times every generator into (i, m).
+
+        Candidate (s, j) is frontier row s, of class nu, times relation j:
+        one product of the block diagonal of those rows by the target table,
+        zero unless j is a relation of block (nu, m).
+        """
+        i, m = key
+        nc, blk = self.orbindex.n_classes, self.blocks[key]
+        left, row_class, words = self._row_stack(i)
+        # the rows of the classes of `order`, class after class
+        place = np.full(nc, nc)
+        place[order] = np.arange(len(order))
+        rows = place[row_class].argsort(kind="stable")[: self.frontier_rows[i, order].sum()]
+        prods = chain_products(self.orbindex, key, None, left[rows], self.field.p)
+        k = blk.rank
+        grown = blk.insert_batch(blk.residual(prods).reshape(-1, blk.r - k))
+        if not grown:
+            return
+        s, j = np.divmod(grown, nc)
+        blk.raw[k : blk.rank] = prods[s, j]
+        nus = row_class[rows[s]].tolist()
+        for row, nu, jj in zip(rows[s].tolist(), nus, j.tolist()):
+            blk.words.append(words[row] + ((nu, jj, m),))
+        self.word_ends[key].update(nus)
+
+    def _row_stack(self, i: int) -> tuple[np.ndarray, np.ndarray, list[Word]]:
+        """The frontier rows of (i, 0), (i, 1), ... as a block diagonal on target-table rows.
+
+        Returns the block diagonal, each row's class and each row's word;
+        built once per level and row i, when a target of row i first needs it.
+        """
+        stack = self._row_stacks.get(i)
+        if stack is None:
+            counts = self.frontier_rows[i]
+            starts = self.orbindex.row_starts[i]
+            left = np.zeros((counts.sum(), starts[-1]), dtype=np.int64)
+            words: list[Word] = []
+            for nu in counts.nonzero()[0].tolist():
+                rows, nu_words = self.frontier[(i, nu)]
+                left[len(words) : len(words) + len(rows), starts[nu] : starts[nu + 1]] = rows
+                words += nu_words
+            row_class = np.repeat(np.arange(self.orbindex.n_classes), counts)
+            stack = self._row_stacks[i] = (left, row_class, words)
+        return stack
 
 
 def transpose_word(word: Word, inverse_class: list[int]) -> Word:
@@ -437,9 +523,10 @@ def transpose_word(word: Word, inverse_class: list[int]) -> Word:
 def chain_products(
     orbindex: OrbitalIndex,
     target: tuple[int, int],
-    nu: int,
+    nu: int | None,
     left: np.ndarray,
     p: int,
+    generators: np.ndarray | None = None,
 ) -> np.ndarray:
     """Products of orbit-constant blocks: (left in (i,nu)) x (generators of (nu,m)).
 
@@ -449,21 +536,37 @@ def chain_products(
     orbit's representative pair (x_i, y_t): `left`, reduced mod p, times the
     counts K[a, j, t] of `OrbitalIndex.generator_table`, memoized across
     primes, levels and callers, in one float64 matmul through BLAS, reduced
-    mod p after it.  It is exact: each dot product sums r(i, nu) nonnegative
-    integers to at most r(i, nu) * max(K) * (p - 1), below 2^53 as the orbit
-    index checked for every p < PRIME_HI when it counted the table, so every
-    partial sum, in any order and with or without fused multiply-adds, is an
-    integer float64 holds exactly.  The table is converted to float64 once
-    per call.  Returns an (n_left, n_generators, r_target) int64 array mod p.
+    mod p after it.  With nu None, K is `OrbitalIndex.target_table`, every
+    class's table stacked, and `left` a block diagonal of rows of blocks
+    (i, nu) on its row axis; the generators are then every relation j.  It
+    is exact: each dot product sums at most r(i, nu) nonzero nonnegative
+    integers, of one class nu, to at most r(i, nu) * max(K) * (p - 1), below
+    2^53 as the orbit index checked for every p < PRIME_HI when it counted
+    the table, so every partial sum, in any order and with or without fused
+    multiply-adds, is an integer float64 holds exactly.  The table, or each
+    generator's slice of it, is converted to float64 once per call.  Returns
+    an (n_left, n_generators, r_target) int64 array mod p; given
+    `generators`, one generator index per left row, only left[s] times
+    generator generators[s] is formed, one product per distinct generator,
+    and the array is (n_left, 1, r_target).
     """
     if p >= fieldla.PRIME_HI:
         raise ValueError(f"prime {p} is not below {fieldla.PRIME_HI}: float64 products are inexact")
-    table = orbindex.generator_table(target, nu)
+    table = orbindex.target_table(target) if nu is None else orbindex.generator_table(target, nu)
     ra, n2, rt = table.shape
-    prods = (left % p).astype(np.float64) @ table.reshape(ra, n2 * rt).astype(np.float64)
+    left = (left % p).astype(np.float64)
+    if generators is None:
+        prods = left @ table.reshape(ra, n2 * rt).astype(np.float64)
+    else:
+        # one product per generator named: gathering K[:, c, :] for every
+        # row instead takes ra * rt floats per row
+        prods = np.empty((len(left), rt))
+        for c in np.flatnonzero(np.bincount(generators)).tolist():
+            pick = generators == c
+            prods[pick] = left[pick] @ table[:, c].astype(np.float64)
     out = prods.astype(np.int64)
     out %= p
-    return out.reshape(left.shape[0], n2, rt)
+    return out.reshape(len(left), -1, rt)
 
 
 @dataclass
