@@ -21,7 +21,7 @@ from .partitions import Partition, class_size, partitions_of
 #: orbit, middle-class element) pairs through a key -> class table of n^(n-1)
 #: entries (2 MB at S8).  T's closure, visiting the richest middle classes
 #: first, counts 754 of the keys at S8 (121 MiB; 1,806 and 133 MiB in class
-#: order) and no target table: its 22 small targets are full after level 0.
+#: order) and no stacked table: its 22 small targets are full after level 0.
 #: The seeded closures of T*e step only through the middle classes of T's
 #: accepted words, so they count no table beyond T's.
 MAX_SYMMETRIC_N = 8
@@ -277,11 +277,13 @@ def load_cayley_table(path: str | Path) -> CayleyGroup:
         raise CayleyTableError(1, f"bad order {head[1]!r}") from None
     if n < 1:
         raise CayleyTableError(1, f"order must be positive, got {n}")
-    # the first n non-blank lines, numbered with blank lines counted
-    rows = [(no, raw) for no, raw in enumerate(lines[1:], start=2) if raw.strip()][:n]
-    table = _parse_rows(rows, n)  # a malformed row is named before the count
+    # the non-blank lines, numbered with blank lines counted
+    rows = [(no, raw) for no, raw in enumerate(lines[1:], start=2) if raw.strip()]
+    table = _parse_rows(rows[:n], n)  # a malformed row is named before the count
     if len(rows) != n:
-        raise CayleyTableError(len(lines), f"expected {n} rows, got {len(rows)}")
+        # a short file ends at its last line, a long one at its first extra row
+        line = rows[n][0] if len(rows) > n else len(lines)
+        raise CayleyTableError(line, f"expected {n} rows, got {len(rows)}")
     try:
         return CayleyGroup(table, name=Path(path).stem)
     except ValueError as exc:

@@ -95,7 +95,7 @@ class OrbitalIndex:
         self.centralizers = [centralizer_elements(g, x) for x in cls.representatives]
 
         #: row i: the orbit label of (x_i, y) for each y, the classes in turn,
-        #: as target tables read it; (i, k) -> its part of row i, each y in
+        #: as stacked tables read it; (i, k) -> its part of row i, each y in
         #: C_k by position
         self._row_labels = np.empty((nc, g.order), dtype=np.int32)
         self.block_labels: dict[tuple[int, int], np.ndarray] = {}
@@ -103,8 +103,9 @@ class OrbitalIndex:
         self.block_reps: dict[tuple[int, int], np.ndarray] = {}
         self.block_rel: dict[tuple[int, int], np.ndarray] = {}
         self.r: dict[tuple[int, int], int] = {}
-        self._generator_tables: dict[tuple[tuple[int, int], int], np.ndarray] = {}
-        self._target_tables: dict[tuple[int, int], np.ndarray] = {}
+        #: (target, nu) -> `generator_table(target, nu)`, nu None for the
+        #: stacked table
+        self._tables: dict[tuple[tuple[int, int], int | None], np.ndarray] = {}
         #: the class of each element's inverse, in the group's lookup form,
         #: and every class as right factors: read by every generator table
         inverse = np.asarray(cls.inverse_class, dtype=np.min_scalar_type(nc))
@@ -151,132 +152,85 @@ class OrbitalIndex:
         for (nu, m), js in self.block_relations.items():
             self.n_relations[nu, m] = len(js)
         #: row_starts[i, nu]: where block (i, nu) starts on the row axis of the
-        #: target tables of row i, r(i, 0) + ... + r(i, nu - 1); nu = nc ends it
+        #: stacked tables of row i, r(i, 0) + ... + r(i, nu - 1); nu = nc ends it
         self.row_starts = np.zeros((nc, nc + 1), dtype=np.intp)
         for (i, nu), r in self.r.items():
             self.row_starts[i, nu + 1] = r
         np.cumsum(self.row_starts, axis=1, out=self.row_starts)
 
-    def generator_table(self, target: tuple[int, int], nu: int) -> np.ndarray:
+    def generator_table(self, target: tuple[int, int], nu: int | None = None) -> np.ndarray:
         """Block (i, nu) contracted with the length-1 generators of block (nu, m).
 
         K[a, c, t] = #{z in C_nu : orbit(x_i, z) = a, rel(z, y_t) = js[c]},
         js = block_relations[(nu, m)] and y_t the representative of target
         orbit t: structure constants of the coherent configuration (Higman,
-        1975).  They depend on neither the prime nor the closure level, so the
-        table is memoized, in the narrowest unsigned dtype holding its maximum.
-        A table with r(i, nu) * max(K) * (PRIME_HI - 1) >= 2^53, past exact
-        float64 products with residues, raises `ProductBoundError`.
+        1975).  With nu None, every class's table stacked: K[starts[nu] + a,
+        j, t], starts = row_starts[i], the row axis over the orbits of blocks
+        (i, 0), (i, 1), ... in turn and the relation axis over every relation
+        j, since z^-1 y_t meets every class as z runs over G.  So its rows
+        starts[nu] to starts[nu + 1], restricted to js, are class nu's table,
+        and the other relations are zero there.  Tables depend on neither the
+        prime nor the closure level, so each is memoized, in the narrowest
+        unsigned dtype holding its maximum.  A table with r(i, nu) * max(K) *
+        (PRIME_HI - 1) >= 2^53 at some class nu, past exact float64 products
+        with residues, raises `ProductBoundError`.
         """
         key = (target, nu)
-        table = self._generator_tables.get(key)
+        table = self._tables.get(key)
         if table is None:
-            table = self._count_generator_table(target, nu)
-            self._generator_tables[key] = table
+            table = self._tables[key] = self._count_table(target, nu)
         return table
-
-    def _count_generator_table(self, target: tuple[int, int], nu: int) -> np.ndarray:
-        i, m = target
-        js = self.block_relations[(nu, m)]
-        # every relation of a pair in block (nu, m) is in js
-        rel_index = np.zeros(self.n_classes, dtype=np.intp)
-        rel_index[js] = np.arange(len(js))
-        counts = self._count_pairs(
-            target,
-            self._right_factors[nu],
-            self.block_labels[(i, nu)],
-            self.r[(i, nu)],
-            rel_index,
-            len(js),
-        )
-        self._check_product_bound(counts, f"generator table of block ({i},{m}) through class {nu}")
-        return counts.astype(np.min_scalar_type(int(counts.max())))
-
-    def target_table_size(self, target: tuple[int, int]) -> int:
-        """The number of counts in `target_table(target)`."""
-        i, m = target
-        return int(self.row_starts[i, -1]) * self.n_classes * self.r[target]
 
     def has_target_table(self, target: tuple[int, int]) -> bool:
-        """Whether `target_table(target)` is counted already."""
-        return target in self._target_tables
-
-    def target_table(self, target: tuple[int, int]) -> np.ndarray:
-        """The generator tables of target block (i, m) through every middle class, stacked.
-
-        K[starts[nu] + a, j, t] = #{z in C_nu : orbit(x_i, z) = a, rel(z, y_t)
-        = j}, starts = row_starts[i]: the row axis runs over the orbits of
-        blocks (i, 0), (i, 1), ... in turn, and the relation axis over every
-        relation j, since z^-1 y_t meets every class as z runs over G.  So
-        rows starts[nu] to starts[nu + 1], restricted to the relations of
-        block (nu, m), are `generator_table(target, nu)`, and the other
-        relations are zero there.  It is counted in one lookup pass over
-        (target orbit, group element) and one bincount, memoized, in the
-        narrowest unsigned dtype holding its maximum, and refused with
-        `ProductBoundError` as a generator table is, class by class.
-        """
-        table = self._target_tables.get(target)
-        if table is None:
-            table = self._count_target_table(target)
-            self._target_tables[target] = table
-        return table
+        """Whether `generator_table(target)`, every class's table stacked, is counted already."""
+        return (target, None) in self._tables
 
     @cached_property
     def _all_right_factors(self) -> np.ndarray:
-        """Every element as right factors, the classes in turn: read by every target table."""
+        """Every element as right factors, the classes in turn: read by every stacked table."""
         return np.concatenate(self._right_factors, axis=-1)
 
-    def _count_target_table(self, target: tuple[int, int]) -> np.ndarray:
-        i, m = target
-        nc, starts = self.n_classes, self.row_starts[i]
-        # each element's orbit label, moved to the rows of its class
-        labels = self._row_labels[i] + np.repeat(starts[:-1], self.scheme.classes.sizes)
-        counts = self._count_pairs(
-            target, self._all_right_factors, labels, int(starts[-1]), np.arange(nc), nc
-        )
-        # the rows of class nu hold r(i, nu) orbits: the per-class bound
-        tops = np.maximum.reduceat(counts.reshape(starts[-1], -1).max(axis=1), starts[:-1])
-        nu = int(np.argmax(np.diff(starts) * tops))
-        self._check_product_bound(
-            counts[starts[nu] : starts[nu + 1]], f"target table of block ({i},{m}) at class {nu}"
-        )
-        return counts.astype(np.min_scalar_type(int(tops.max())))
-
-    def _count_pairs(
-        self,
-        target: tuple[int, int],
-        right: np.ndarray,
-        labels: np.ndarray,
-        ra: int,
-        rel_index: np.ndarray,
-        n_rel: int,
-    ) -> np.ndarray:
-        """K[labels[z], rel_index[rel(z, y_t)], t] summed over the elements z of `right`.
+    def _count_table(self, target: tuple[int, int], nu: int | None) -> np.ndarray:
+        """K[a, c, t] summed over the elements z of class nu, or of G with nu None.
 
         The relation of (z, y_t) is the class of z^-1 y_t, the inverse of the
         class of y_t^-1 z: one lookup per product of the grid, then one
-        bincount of bin (a, c, t) = (a * n_rel + c) * rt + t, labels below
-        `ra`.  Returns an (ra, n_rel, rt) int64 array.
+        bincount of bin (a, c, t) = (a * n_rel + c) * rt + t.
         """
+        i, m = target
         cls, g = self.scheme.classes, self.scheme.group
-        rt = self.r[target]
+        if nu is None:
+            starts = self.row_starts[i]
+            ra, right, js = int(starts[-1]), self._all_right_factors, np.arange(self.n_classes)
+            # each element's orbit label, moved to the rows of its class
+            labels = self._row_labels[i] + np.repeat(starts[:-1], cls.sizes)
+        else:
+            ra, right = self.r[(i, nu)], self._right_factors[nu]
+            js, labels = self.block_relations[(nu, m)], self.block_labels[(i, nu)]
+        n_rel, rt = len(js), self.r[target]
         itype = np.int32 if ra * n_rel * rt < 1 << 31 else np.int64
-        rel_bins = (rel_index * rt).astype(itype)
-        y = cls.elements[target[1]][self.block_reps[target]]
+        # every relation of a pair in the table's blocks is in js
+        rel_bins = np.zeros(self.n_classes, dtype=itype)
+        rel_bins[js] = np.arange(n_rel) * rt
+        y = cls.elements[m][self.block_reps[target]]
         bins = rel_bins.take(g.outer_lookup(g.inv(y), right, self._inverse_classes))
         bins += np.multiply(labels, n_rel * rt, dtype=itype)
         bins += np.arange(rt, dtype=itype)[:, None]
-        counts = np.bincount(bins.ravel(), minlength=ra * n_rel * rt)
-        return counts.reshape(ra, n_rel, rt)
-
-    @staticmethod
-    def _check_product_bound(table: np.ndarray, what: str) -> None:
-        """Refuse a table whose products with residues may pass exact float64."""
-        ra, top = table.shape[0], int(table.max())
-        if ra * top * (PRIME_HI - 1) >= FLOAT64_EXACT:
+        counts = np.bincount(bins.ravel(), minlength=ra * n_rel * rt).reshape(ra, n_rel, rt)
+        if nu is None:
+            # the rows of class nu hold r(i, nu) orbits: check the class nearest the bound
+            tops = np.maximum.reduceat(counts.reshape(ra, -1).max(axis=1), starts[:-1])
+            nu = int(np.argmax(np.diff(starts) * tops))
+            top, most = int(tops[nu]), int(tops.max())
+        else:
+            top = most = int(counts.max())
+        orbits = self.r[(i, nu)]
+        if orbits * top * (PRIME_HI - 1) >= FLOAT64_EXACT:
             raise ProductBoundError(
-                f"{what}: {ra} orbits times counts up to {top} exceed exact float64 products mod p"
+                f"table of block ({i},{m}) at class {nu}: {orbits} orbits times counts "
+                f"up to {top} exceed exact float64 products mod p"
             )
+        return counts.astype(np.min_scalar_type(most))
 
     def transposition(self, i: int, k: int) -> np.ndarray:
         """sigma_(i,k), i <= k: orbit t of block (i, k) -> the orbit of its transposed pairs.

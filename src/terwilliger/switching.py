@@ -9,8 +9,8 @@ primes below `fieldla.PRIME_HI`.  Every product has a length-1 generator as
 its right factor, so its contraction with the middle class is an integer
 table K on the orbital index, counted once per (target block, middle class)
 and shared by both primes, every level and every closure.  A target block
-whose tables are small also has one target table, every middle class's K
-stacked and counted at once (`OrbitalIndex.target_table`).
+whose tables are small also has a stacked table, every middle class's K on
+its rows, counted at once (`OrbitalIndex.generator_table` with nu None).
 
 A closure is seeded with one vector of the diagonal block (c, c) per class
 c of its support S.  Level 0 is one closure step from the seeds, each one
@@ -56,14 +56,16 @@ the stored rows once per batch, in one `modmul`: a delayed update, as in
 the blocked rank-profile elimination of Jeannerod, Pernet and Storjohann
 (J. Symbolic Comput. 2013).
 
-A small target, whose target table holds at most TARGET_TABLE_MAX counts,
-visits its richest class alone, which often fills it, and the rest in one
-visit: the block diagonal of their frontier rows, class after class, times
-its target table is one product, one residual and one batch.  The batch
+A visit (`SwitchingClosure._visit`) takes one middle class or several.
+One class multiplies its frontier rows by its own table K.  A small target,
+whose stacked table holds at most TARGET_TABLE_MAX counts, visits its
+richest class alone, which often fills it, and the rest in one visit: the
+block diagonal of their frontier rows, class after class, times the
+stacked table is one product, one residual and one batch.  The batch
 inserts its rows in order, and the candidates of a relation outside a
 class's block are zero rows, which never grow the rank, so it accepts the
 words, raw rows and ranks of visiting those classes one by one.  Once the
-target table is counted, the richest class joins that visit.  A closure
+stacked table is counted, the richest class joins that visit.  A closure
 that T's closure restricts batches only then, so it counts no table of its
 own.  On groups with many classes and small blocks, such as AGL(1,23) (23
 classes, 1.9 orbits per block on average), this saves a visit per class.
@@ -109,8 +111,8 @@ Word = tuple[tuple[int, int, int], ...]
 
 #: updates of `Block.insert_batch`'s working array between its reductions mod p
 REDUCE_EVERY = 64
-#: the most counts a target table holds for its block to batch its middle
-#: classes (`SwitchingClosure.small`)
+#: the most counts a stacked table holds for its block, a small target, to
+#: batch its middle classes (`SwitchingClosure._step`)
 TARGET_TABLE_MAX = 4096
 
 
@@ -293,11 +295,6 @@ class SwitchingClosure:
         self.frontier_rows[self.support, self.support] = 1
         #: row i -> `_row_stack(i)` of this level's frontier
         self._row_stacks: dict[int, tuple[np.ndarray, np.ndarray, list[Word]]] = {}
-        #: the small targets: upper blocks whose target table holds at most
-        #: TARGET_TABLE_MAX counts
-        self.small = {
-            key for key in self.blocks if orbindex.target_table_size(key) <= TARGET_TABLE_MAX
-        }
         self.history: list[BlockDimTable] = []
 
     @property
@@ -397,11 +394,13 @@ class SwitchingClosure:
 
         Only the blocks (i, m) with i <= m are closed; a left factor (i, nu)
         with i > nu is derived from block (nu, i).  A block visits its middle
-        classes one by one and stops when full; a small target batches them
-        as the module docstring says.  The returned growth has every block, a
-        lower one mirroring its upper one.
+        classes in runs, `_visit` once per run, and stops when full: one class
+        per run, or, for a small target, the richest class and then the rest,
+        or every class at once when its stacked table is counted.  The
+        returned growth has every block, a lower one mirroring its upper one.
         """
         labels = self.orbindex.scheme.classes.label_strings()
+        nc, stacked_rows = self.orbindex.n_classes, self.orbindex.row_starts[:, -1].tolist()
         start = time.monotonic()
         growth: dict[tuple[int, int], int] = {}
         ranges: dict[tuple[int, int], range] = {}
@@ -410,17 +409,19 @@ class SwitchingClosure:
             blk = self.blocks[key]
             before = blk.rank
             order = self.middle_order(key)
-            # the richest class alone often fills a small target, and its
-            # generator table is often counted already
-            batch = key in self.small and self.orbindex.has_target_table(key)
-            batch_rest = key in self.small and not self.restricted
-            for n, nu in enumerate(order):
-                if blk.rank == blk.r:
+            small = stacked_rows[i] * nc * blk.r <= TARGET_TABLE_MAX
+            if small and self.orbindex.has_target_table(key):
+                runs = [order]
+            elif small and not self.restricted:
+                # the richest class alone often fills a small target, and its
+                # own table is often counted already
+                runs = [order[:1], order[1:]]
+            else:
+                runs = [[nu] for nu in order]
+            for run in runs:
+                if blk.rank == blk.r or not run:
                     break
-                if batch or (n and batch_rest):
-                    self._visit_target(key, order[n:])
-                    break
-                self._visit_class(key, nu)
+                self._visit(key, run)
             growth[key] = growth[(m, i)] = blk.rank - before
             ranges[key] = range(before, blk.rank)
             if progress is not None and growth[key]:
@@ -434,23 +435,39 @@ class SwitchingClosure:
         self._advance(ranges)
         return growth
 
-    def _visit_class(self, key: tuple[int, int], nu: int) -> None:
-        """Insert the frontier rows of (i, nu) times the generators of (nu, m)."""
+    def _visit(self, key: tuple[int, int], classes: list[int]) -> None:
+        """Insert the frontier rows of (i, nu), nu in `classes`, times the generators of (nu, m).
+
+        One class multiplies its frontier rows by its own table.  Several
+        multiply the block diagonal of their rows, class after class, by the
+        stacked table: candidate (s, j) is row s, of class nu, times relation
+        j, zero unless j is a relation of block (nu, m).
+        """
         i, m = key
-        p, blk = self.field.p, self.blocks[key]
-        # the previous level's rows only, even if (i,nu) grew this level
-        left, words = self.frontier[(i, nu)]
-        js = self.orbindex.block_relations[(nu, m)]
-        counts = self.orbindex.generator_table(key, nu)
-        ra, n2, r = counts.shape
+        p, nc, blk = self.field.p, self.orbindex.n_classes, self.blocks[key]
+        if len(classes) == 1:
+            nu = classes[0]
+            # the previous level's rows only, even if (i,nu) grew this level
+            left, words = self.frontier[(i, nu)]
+            js = self.orbindex.block_relations[(nu, m)]
+        else:
+            nu = None
+            stack, stack_class, words = self._row_stack(i)
+            place = np.full(nc, nc)
+            place[classes] = np.arange(len(classes))
+            rows = place[stack_class].argsort(kind="stable")[: self.frontier_rows[i, classes].sum()]
+            left, js = stack[rows], np.arange(nc)
+        table = self.orbindex.generator_table(key, nu)
+        ra, n2, r = table.shape
         n, k, f = len(left), blk.rank, r - blk.rank
         # candidate (a, c) is left[a] @ K[:, c, :] and the residual is linear,
         # so the n * n2 residuals are left @ residual(K) as well as
-        # residual(left @ K): the chain is associated whichever way needs
-        # fewer multiply-adds per generator
-        if ra * f * (k + n) < n * (ra * r + k * f):
+        # residual(left @ K): one class associates the chain whichever way
+        # needs fewer multiply-adds per generator; several multiply first, one
+        # product by a small table, not one per accepted relation to fill `raw`
+        if nu is not None and ra * f * (k + n) < n * (ra * r + k * f):
             prods = None
-            res = modmul(left, blk.residual(counts).reshape(ra, n2 * f), p)
+            res = modmul(left, blk.residual(table).reshape(ra, n2 * f), p)
         else:
             prods = chain_products(self.orbindex, key, nu, left, p)
             res = blk.residual(prods)
@@ -464,38 +481,15 @@ class SwitchingClosure:
             blk.raw[k : blk.rank] = chain_products(self.orbindex, key, nu, left[a], p, c)[:, 0]
         else:
             blk.raw[k : blk.rank] = prods[a, c]
-        for ai, ci in zip(a.tolist(), c.tolist()):
-            blk.words.append(words[ai] + ((nu, int(js[ci]), m),))
-        self.word_ends[key].add(nu)
-
-    def _visit_target(self, key: tuple[int, int], order: list[int]) -> None:
-        """Insert the frontier rows of (i, nu), nu in `order`, times every generator into (i, m).
-
-        Candidate (s, j) is frontier row s, of class nu, times relation j:
-        one product of the block diagonal of those rows by the target table,
-        zero unless j is a relation of block (nu, m).
-        """
-        i, m = key
-        nc, blk = self.orbindex.n_classes, self.blocks[key]
-        left, row_class, words = self._row_stack(i)
-        # the rows of the classes of `order`, class after class
-        place = np.full(nc, nc)
-        place[order] = np.arange(len(order))
-        rows = place[row_class].argsort(kind="stable")[: self.frontier_rows[i, order].sum()]
-        prods = chain_products(self.orbindex, key, None, left[rows], self.field.p)
-        k = blk.rank
-        grown = blk.insert_batch(blk.residual(prods).reshape(-1, blk.r - k))
-        if not grown:
-            return
-        s, j = np.divmod(grown, nc)
-        blk.raw[k : blk.rank] = prods[s, j]
-        nus = row_class[rows[s]].tolist()
-        for row, nu, jj in zip(rows[s].tolist(), nus, j.tolist()):
-            blk.words.append(words[row] + ((nu, jj, m),))
+        # the accepted candidates' rows in `words`, and their classes
+        at = a if nu is not None else rows[a]
+        nus = [nu] * len(a) if nu is not None else stack_class[at].tolist()
+        for s, nu, j in zip(at.tolist(), nus, js[c].tolist()):
+            blk.words.append(words[s] + ((nu, j, m),))
         self.word_ends[key].update(nus)
 
     def _row_stack(self, i: int) -> tuple[np.ndarray, np.ndarray, list[Word]]:
-        """The frontier rows of (i, 0), (i, 1), ... as a block diagonal on target-table rows.
+        """The frontier rows of (i, 0), (i, 1), ... as a block diagonal on stacked-table rows.
 
         Returns the block diagonal, each row's class and each row's word;
         built once per level and row i, when a target of row i first needs it.
@@ -536,8 +530,8 @@ def chain_products(
     orbit's representative pair (x_i, y_t): `left`, reduced mod p, times the
     counts K[a, j, t] of `OrbitalIndex.generator_table`, memoized across
     primes, levels and callers, in one float64 matmul through BLAS, reduced
-    mod p after it.  With nu None, K is `OrbitalIndex.target_table`, every
-    class's table stacked, and `left` a block diagonal of rows of blocks
+    mod p after it.  With nu None, K is every class's table stacked, the
+    same call with no class, and `left` a block diagonal of rows of blocks
     (i, nu) on its row axis; the generators are then every relation j.  It
     is exact: each dot product sums at most r(i, nu) nonzero nonnegative
     integers, of one class nu, to at most r(i, nu) * max(K) * (p - 1), below
@@ -552,7 +546,7 @@ def chain_products(
     """
     if p >= fieldla.PRIME_HI:
         raise ValueError(f"prime {p} is not below {fieldla.PRIME_HI}: float64 products are inexact")
-    table = orbindex.target_table(target) if nu is None else orbindex.generator_table(target, nu)
+    table = orbindex.generator_table(target, nu)
     ra, n2, rt = table.shape
     left = (left % p).astype(np.float64)
     if generators is None:

@@ -580,10 +580,16 @@ def test_bounds_flag_removed():
         assert exc.value.code == 2
 
 
-def test_bad_group_errors(capsys):
+def test_bad_group_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "scheme", "--group", "sym:zebra", "--quiet")
     assert code == 2
     assert "error[scheme]" in err
+    # a line past a Cayley table's N rows is rejected, named by its line number
+    path = tmp_path / "long.txt"
+    path.write_text("order 2\n0 1\n1 0\nnot a row\n")
+    code, out, err = run_cli(capsys, "scheme", "--group", f"file:{path}", "--quiet")
+    assert (code, out) == (2, "")
+    assert "error[scheme]: line 4: expected 2 rows, got 3" in err
 
 
 def test_console_script_runs():

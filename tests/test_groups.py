@@ -313,6 +313,8 @@ def test_cayley_errors(tmp_path):
         ("order 3\n0 1 2\n1 2 0\n", "line 3: expected 3 rows, got 2"),
         ("order 3\n\n0 1 2\n1 2 0\n\n", "line 5: expected 3 rows, got 2"),
         ("order 3\n0 1 2\n1 2\n", "line 3: expected 3 entries, got 2"),
+        ("order 2\n0 1\n1 0\nnot a row\n", "line 4: expected 2 rows, got 3"),
+        ("order 2\n0 1\n1 0\n\nnot a row\n", "line 5: expected 2 rows, got 3"),
         ("order x\n0\n", "line 1: bad order 'x'"),
         ("order 0\n", "line 1: order must be positive, got 0"),
         ("", "line 1: empty file"),

@@ -189,12 +189,13 @@ def test_generator_tables_match_counted_pairs(stages, q8_path, c3_path, tmp_path
             got = oi.generator_table((i, m), nu)
             assert np.array_equal(got, want), (s.group.name, i, nu, m)
             assert got.dtype == np.min_scalar_type(want.max())
-        # a target table is every class's generator table stacked on its
+        # the stacked table is every class's generator table stacked on its
         # rows, its relation axis padded with zeros to every relation
         for i, m in itertools.product(range(nc), repeat=2):
-            table = oi.target_table((i, m))
+            table = oi.generator_table((i, m))
             assert table.shape == (oi.row_starts[i, -1], nc, oi.r[(i, m)])
-            assert oi.target_table_size((i, m)) == table.size
+            # the count a closure's small targets are chosen by
+            assert oi.row_starts[i, -1] * nc * oi.r[(i, m)] == table.size
             assert table.dtype == np.min_scalar_type(table.max())
             for nu in range(nc):
                 rows = table[oi.row_starts[i, nu] : oi.row_starts[i, nu + 1]]

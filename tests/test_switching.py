@@ -589,6 +589,24 @@ def test_chain_products_match_per_orbit_loop(stages, q8_path, c3_path, tmp_path)
                     cols = rng.integers(0, len(right), len(left))
                     got = chain_products(oi, (i, m), nu, left, p, cols)
                     assert np.array_equal(got[:, 0], want[np.arange(len(left)), cols])
+            # the stacked table: a block diagonal of two random rows per
+            # class nu times every relation, each class's products at the
+            # relations of its block (nu, m) and zero elsewhere
+            for i, m in itertools.product(range(nc), repeat=2):
+                starts = oi.row_starts[i]
+                left = np.zeros((2 * nc, starts[-1]), dtype=np.int64)
+                want = np.zeros((2 * nc, nc, oi.r[(i, m)]), dtype=np.int64)
+                for nu in range(nc):
+                    rows = rng.integers(0, p, (2, oi.r[(i, nu)]))
+                    left[2 * nu : 2 * nu + 2, starts[nu] : starts[nu + 1]] = rows
+                    want[2 * nu : 2 * nu + 2, oi.block_relations[(nu, m)]] = per_orbit_products(
+                        oi, oracle, (i, m), nu, rows, generator_rows(oi, (nu, m)), p
+                    )
+                got = chain_products(oi, (i, m), None, left, p)
+                assert np.array_equal(got, want), (s.group.name, i, m, p)
+                cols = rng.integers(0, nc, len(left))
+                got = chain_products(oi, (i, m), None, left, p, cols)
+                assert np.array_equal(got[:, 0], want[np.arange(len(left)), cols])
 
 
 def test_generator_table_past_the_float64_bound_raises(monkeypatch, stages):
@@ -611,23 +629,23 @@ def test_generator_table_past_the_float64_bound_raises(monkeypatch, stages):
         with monkeypatch.context() as m:
             m.setattr(np, "bincount", inflated)
             if past:
-                with pytest.raises(ProductBoundError, match=r"block \(0,2\) through class 1"):
+                with pytest.raises(ProductBoundError, match=r"block \(0,2\) at class 1:"):
                     oi.generator_table((0, 2), 1)
             else:
                 assert oi.generator_table((0, 2), 1).max() == top
-        assert (((0, 2), 1) in oi._generator_tables) != past
+        assert (((0, 2), 1) in oi._tables) != past
         # a small target's table, every class's table stacked, is refused
         # class by class as well: bin 0 is in the rows of class 0, one orbit
         oi = OrbitalIndex(s)
         assert oi.r[(0, 0)] == 1
-        assert oi.target_table_size((0, 2)) <= switching_mod.TARGET_TABLE_MAX
+        assert oi.row_starts[0, -1] * oi.n_classes * oi.r[(0, 2)] <= switching_mod.TARGET_TABLE_MAX
         with monkeypatch.context() as m:
             m.setattr(np, "bincount", inflated)
             if past:
-                with pytest.raises(ProductBoundError, match=r"block \(0,2\) at class 0"):
-                    oi.target_table((0, 2))
+                with pytest.raises(ProductBoundError, match=r"block \(0,2\) at class 0:"):
+                    oi.generator_table((0, 2))
             else:
-                assert oi.target_table((0, 2)).max() == top
+                assert oi.generator_table((0, 2)).max() == top
         assert oi.has_target_table((0, 2)) != past
     # a closure meeting such a table stops there
     monkeypatch.setattr(orbitals_mod, "FLOAT64_EXACT", 1)
@@ -661,27 +679,21 @@ def test_generator_products_reduce_counts_below_small_prime(stages):
 
 
 def test_closure_builds_each_generator_table_once(monkeypatch, stages):
-    # generator tables and target tables alike: S5 counts generator tables
-    # alone, AGL(1,23) both kinds
+    # one class's tables and stacked tables alike: S5 counts one class's
+    # tables alone, AGL(1,23) both kinds
     events = []
-    count = OrbitalIndex._count_generator_table
-    count_target = OrbitalIndex._count_target_table
+    count = OrbitalIndex._count_table
     generate_t0 = SwitchingClosure.generate_t0
 
     def counting(self, target, nu):
-        events.append(("build", ("generator", target, nu)))
+        events.append(("build", (target, nu)))
         return count(self, target, nu)
-
-    def counting_target(self, target):
-        events.append(("build", ("target", target)))
-        return count_target(self, target)
 
     def announce(self):
         events.append(("t0", self.field.p))
         return generate_t0(self)
 
-    monkeypatch.setattr(OrbitalIndex, "_count_generator_table", counting)
-    monkeypatch.setattr(OrbitalIndex, "_count_target_table", counting_target)
+    monkeypatch.setattr(OrbitalIndex, "_count_table", counting)
     monkeypatch.setattr(SwitchingClosure, "generate_t0", announce)
     for group, target_builds in (("sym:5", 0), ("agl1_23", 210)):
         events.clear()
@@ -692,8 +704,8 @@ def test_closure_builds_each_generator_table_once(monkeypatch, stages):
         second = events.index(("t0", res.primes[1]))
         builds = [key for kind, key in events if kind == "build"]
         assert builds and len(builds) == len(set(builds))
-        targets = sum(key[0] == "target" for key in builds)
-        assert targets == len(oi._target_tables) == target_builds, group
+        targets = sum(nu is None for _, nu in builds)
+        assert targets == len(stacked_tables(oi)) == target_builds, group
         # no key is built twice over the levels, and the second prime builds none
         assert all(kind == "t0" for kind, _ in events[second:])
     res = run_to_stationary(stages.scheme(5), OrbitalIndex(stages.scheme(5)), seed=0)
@@ -744,7 +756,7 @@ class _ClassOrderClosure(SwitchingClosure):
 @pytest.mark.parametrize("group", GROUPS)
 def test_richest_first_keeps_the_level_histories(stages, group):
     # every visiting order spans the same level; richest first fills blocks
-    # sooner, so it counts no more tables, generator and target tables
+    # sooner, so it counts no more tables, one class's and stacked ones
     # together, than class order: 28 against 50 at S5, 508 against 718 at
     # AGL(1,23)
     s, _ = _scheme_and_index(stages, group)
@@ -755,21 +767,21 @@ def test_richest_first_keeps_the_level_histories(stages, group):
         closure = cls(oi, FieldCtx(p))
         closure.close()
         histories.append([t.dims for t in closure.history])
-        tables.append(len(oi._generator_tables) + len(oi._target_tables))
+        tables.append(len(oi._tables))
     assert histories[0] == histories[1], group
     assert tables[0] <= tables[1], group
 
 
 def test_s7_closure_counts_few_generator_tables(stages):
     # richest first: 277 generator tables at S7 (seed 1), 575 in class order;
-    # its 27 small targets are full after level 0, so no target table
+    # its 27 small targets are full after level 0, so no stacked table
     s = stages.scheme(7)
     oi = OrbitalIndex(s)
     res = run_to_stationary(s, oi, seed=1)
     dims = golden.DIMS[7]
     assert res.dims_per_level == [dims["t0"], dims["t1"], dims["t"], dims["t"]]
-    assert len(oi._generator_tables) <= 300
-    assert not oi._target_tables
+    assert len(oi._tables) <= 300
+    assert not stacked_tables(oi)
 
 
 def closure_state(closure):
@@ -781,23 +793,28 @@ def closure_state(closure):
     return [t.dims for t in closure.history], blocks
 
 
+def stacked_tables(oi):
+    """The targets whose stacked table `oi` has counted."""
+    return [target for target, nu in oi._tables if nu is None]
+
+
 def every_target_table(oi):
-    """Count the target table of every upper block."""
+    """Count the stacked table of every upper block."""
     for key in itertools.combinations_with_replacement(range(oi.n_classes), 2):
-        oi.target_table(key)
+        oi.generator_table(key)
 
 
-#: TARGET_TABLE_MAX past every target table of GROUPS
+#: TARGET_TABLE_MAX past every stacked table of GROUPS
 EVERY_TARGET = 1 << 62
 
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_target_visits_accept_what_class_visits_do(monkeypatch, stages, group):
-    # a visit through a target table accepts the ranks, words, raw rows and
-    # word ends that visiting the classes one by one does, block by block
-    # under both primes: with no target small, with every target small, and
-    # with every target table counted first, so that every visit is one
-    # through a target table
+    # a visit of several classes through a stacked table accepts the ranks,
+    # words, raw rows and word ends that visiting the classes one by one
+    # does, block by block under both primes: with no target small, with
+    # every target small, and with every stacked table counted first, so that
+    # every visit of several classes is one through a stacked table
     s, _ = _scheme_and_index(stages, group)
     states = []
     for most, counted in ((0, False), (EVERY_TARGET, False), (EVERY_TARGET, True)):
@@ -807,7 +824,7 @@ def test_target_visits_accept_what_class_visits_do(monkeypatch, stages, group):
             every_target_table(oi)
         res = run_to_stationary(s, oi, seed=0)
         if not most:
-            assert not oi._target_tables
+            assert not stacked_tables(oi)
         states.append([closure_state(closure) for closure in res.closures])
     assert states[0] == states[1] == states[2], group
 

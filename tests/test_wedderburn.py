@@ -353,26 +353,25 @@ def test_middle_classes_of_t_span_t_times_e(stages):
 
 def test_decompose_t_counts_no_generator_table(stages):
     # the seeded closures step only where T's closure accepted a word, and a
-    # small target by its target table only once T's closure counted it, so
-    # they read only generator and target tables that T's closure counted;
-    # S4's T closure counts one target table
+    # small target by its stacked table only once T's closure counted it, so
+    # they read only tables, one class's or stacked, that T's closure
+    # counted; S4's T closure counts one stacked table
     for n in (4, 5, 6, 7):
         s = stages.scheme(n)
         oi = OrbitalIndex(s)
         res = run_to_stationary(s, oi, seed=0)
-        counted = dict(oi._generator_tables), dict(oi._target_tables)
+        counted = set(oi._tables)
+        assert any(nu is None for _, nu in counted) == (n == 4), n
         decompose_T(res, centralizer_wedderburn(stages.mults(n)), stages.cpis(n))
-        assert (oi._generator_tables.keys(), oi._target_tables.keys()) == (
-            counted[0].keys(),
-            counted[1].keys(),
-        ), n
+        assert oi._tables.keys() == counted, n
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_decompose_t_keeps_its_dims_through_target_tables(monkeypatch, stages, n):
     # the seeded closures accept the same words whichever way their blocks
     # are visited: no target small, every target small, every target table
-    # counted first, so that every visit is one through a target table
+    # counted first, so that every visit of several classes is one through
+    # a stacked table
     s, cent = stages.scheme(n), centralizer_wedderburn(stages.mults(n))
     reports = []
     for most, counted in ((0, False), (1 << 62, False), (1 << 62, True)):
@@ -380,7 +379,7 @@ def test_decompose_t_keeps_its_dims_through_target_tables(monkeypatch, stages, n
         oi = OrbitalIndex(s)
         if counted:
             for key in itertools.combinations_with_replacement(range(oi.n_classes), 2):
-                oi.target_table(key)
+                oi.generator_table(key)
         reports.append(decompose_T(run_to_stationary(s, oi, seed=0), cent, stages.cpis(n)))
     assert reports[0] == reports[1] == reports[2], n
     assert reports[0] == stages.wedderburn(n), n
