@@ -44,6 +44,8 @@ def _filter_table(table: BlockDimTable, blocks: str | None) -> BlockDimTable:
     if not blocks:
         return table
     want = _split_blocks(blocks)
+    if not want:
+        raise UsageError(f"--blocks {blocks!r} names no block")
     missing = [w for w in want if w not in table.labels]
     if missing:
         raise UsageError(f"unknown block labels: {missing}; have {table.labels}")

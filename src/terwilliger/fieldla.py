@@ -6,8 +6,8 @@ under two independently sampled primes.  A product of two arrays of
 residues is `modmul`, in int64, as its dot products reach inner * (p - 1)^2,
 past what float64 holds exactly.  A product of residues by a table of
 counts, `switching.chain_products`, is float64 matmul through BLAS: exact
-while every dot product stays below FLOAT64_EXACT, a bound the orbit index
-checks for each table as it counts it (`ProductBoundError`).
+while every dot product stays below FLOAT64_EXACT, which the group order
+alone guarantees, as that function's docstring proves.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ def sample_primes(seed: int, count: int = 2, avoid: int = 1) -> tuple[int, ...]:
             continue
         out.append(c)
     return tuple(out)
-
-
-class ProductBoundError(ValueError):
-    """A count table whose float64 products with residues could be inexact."""
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from math import factorial
 from pathlib import Path
@@ -227,6 +228,9 @@ class CayleyTableError(ValueError):
         self.line = line
 
 
+#: a decimal integer entry, as loadtxt reads one
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
 #: table cells per step of the checks below, which bounds their temporaries
 _CHECK_CELLS = 1 << 16
 
@@ -279,7 +283,8 @@ def load_cayley_table(path: str | Path) -> CayleyGroup:
         raise CayleyTableError(1, f"order must be positive, got {n}")
     # the non-blank lines, numbered with blank lines counted
     rows = [(no, raw) for no, raw in enumerate(lines[1:], start=2) if raw.strip()]
-    table = _parse_rows(rows[:n], n)  # a malformed row is named before the count
+    # a malformed row is named before the count
+    table = _parse_rows(rows[:n], n) if rows else None
     if len(rows) != n:
         # a short file ends at its last line, a long one at its first extra row
         line = rows[n][0] if len(rows) > n else len(lines)
@@ -291,14 +296,13 @@ def load_cayley_table(path: str | Path) -> CayleyGroup:
 
 
 def _parse_rows(rows: list[tuple[int, str]], n: int) -> np.ndarray:
-    """The (line number, text) rows as one int array of entries in 0..n-1.
+    """The (line number, text) rows, at least one, as one int array of entries in 0..n-1.
 
     One loadtxt pass reads every row; only when it fails, or its result has
     the wrong width or range, are the rows reread one by one to name the
-    first bad line.
+    first bad line.  An integer entry past int64 is out of range like any
+    other.
     """
-    if not rows:
-        return np.zeros((0, n), dtype=np.int64)
     try:
         table = _read_ints([raw for _, raw in rows])
     except ValueError:
@@ -306,13 +310,16 @@ def _parse_rows(rows: list[tuple[int, str]], n: int) -> np.ndarray:
     if table is not None and table.shape[1] == n and ((table >= 0) & (table < n)).all():
         return table
     for lineno, raw in rows:
+        entries = raw.split()
         try:
             row = _read_ints([raw])[0]
         except ValueError:
-            raise CayleyTableError(lineno, "non-integer entry") from None
-        if len(row) != n:
-            raise CayleyTableError(lineno, f"expected {n} entries, got {len(row)}")
-        if ((row < 0) | (row >= n)).any():
+            if not all(_INTEGER.fullmatch(e) for e in entries):
+                raise CayleyTableError(lineno, "non-integer entry") from None
+            row = None  # an integer past int64
+        if len(entries) != n:
+            raise CayleyTableError(lineno, f"expected {n} entries, got {len(entries)}")
+        if row is None or ((row < 0) | (row >= n)).any():
             raise CayleyTableError(lineno, "entry out of range")
     raise AssertionError("no malformed row found")
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fieldla import FLOAT64_EXACT, PRIME_HI, ProductBoundError
+from .fieldla import FLOAT64_EXACT, PRIME_HI
 from .groups import (
     ReconciliationError,
     centralizer_elements,
@@ -85,8 +85,14 @@ class OrbitalIndex:
     # `seed` is unused; bench/workloads.py still passes it, so it goes with
     # the next change there
     def __init__(self, scheme: ClassScheme, seed: int = 0):
-        self.scheme = scheme
         g = scheme.group
+        # the premise of exact float64 products (`switching.chain_products`)
+        if g.order * (PRIME_HI - 1) >= FLOAT64_EXACT:
+            raise ValueError(
+                f"group order {g.order} is too large for exact float64 products: "
+                "order * (PRIME_HI - 1) must stay below 2^53"
+            )
+        self.scheme = scheme
         cls = scheme.classes
         nc = cls.n_classes
         self.n_classes = nc
@@ -171,9 +177,9 @@ class OrbitalIndex:
         starts[nu] to starts[nu + 1], restricted to js, are class nu's table,
         and the other relations are zero there.  Tables depend on neither the
         prime nor the closure level, so each is memoized, in the narrowest
-        unsigned dtype holding its maximum.  A table with r(i, nu) * max(K) *
-        (PRIME_HI - 1) >= 2^53 at some class nu, past exact float64 products
-        with residues, raises `ProductBoundError`.
+        unsigned dtype holding its maximum.  Its products with residues are
+        exact in float64 for every group the index accepts, as
+        `switching.chain_products` proves.
         """
         key = (target, nu)
         table = self._tables.get(key)
@@ -217,20 +223,7 @@ class OrbitalIndex:
         bins += np.multiply(labels, n_rel * rt, dtype=itype)
         bins += np.arange(rt, dtype=itype)[:, None]
         counts = np.bincount(bins.ravel(), minlength=ra * n_rel * rt).reshape(ra, n_rel, rt)
-        if nu is None:
-            # the rows of class nu hold r(i, nu) orbits: check the class nearest the bound
-            tops = np.maximum.reduceat(counts.reshape(ra, -1).max(axis=1), starts[:-1])
-            nu = int(np.argmax(np.diff(starts) * tops))
-            top, most = int(tops[nu]), int(tops.max())
-        else:
-            top = most = int(counts.max())
-        orbits = self.r[(i, nu)]
-        if orbits * top * (PRIME_HI - 1) >= FLOAT64_EXACT:
-            raise ProductBoundError(
-                f"table of block ({i},{m}) at class {nu}: {orbits} orbits times counts "
-                f"up to {top} exceed exact float64 products mod p"
-            )
-        return counts.astype(np.min_scalar_type(most))
+        return counts.astype(np.min_scalar_type(counts.max()))
 
     def transposition(self, i: int, k: int) -> np.ndarray:
         """sigma_(i,k), i <= k: orbit t of block (i, k) -> the orbit of its transposed pairs.

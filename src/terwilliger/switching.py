@@ -533,16 +533,18 @@ def chain_products(
     mod p after it.  With nu None, K is every class's table stacked, the
     same call with no class, and `left` a block diagonal of rows of blocks
     (i, nu) on its row axis; the generators are then every relation j.  It
-    is exact: each dot product sums at most r(i, nu) nonzero nonnegative
-    integers, of one class nu, to at most r(i, nu) * max(K) * (p - 1), below
-    2^53 as the orbit index checked for every p < PRIME_HI when it counted
-    the table, so every partial sum, in any order and with or without fused
-    multiply-adds, is an integer float64 holds exactly.  The table, or each
-    generator's slice of it, is converted to float64 once per call.  Returns
-    an (n_left, n_generators, r_target) int64 array mod p; given
-    `generators`, one generator index per left row, only left[s] times
-    generator generators[s] is formed, one product per distinct generator,
-    and the array is (n_left, 1, r_target).
+    is exact for every `left`: for a fixed generator j and target orbit t,
+    each z in G is counted in one row a of K[:, j, t] at most, so that
+    column sums to at most |G|, and a dot product sums nonnegative integers
+    to at most |G| * (p - 1) < |G| * (PRIME_HI - 1), which `OrbitalIndex`
+    checks is below 2^53 when it is built.  So every partial sum, in any
+    order and with or without fused multiply-adds, is an integer float64
+    holds exactly, and every count is below PRIME_HI, as `modmul` needs of a
+    table's residual.  The table, or each generator's slice of it, is
+    converted to float64 once per call.  Returns an (n_left, n_generators,
+    r_target) int64 array mod p; given `generators`, one generator index per
+    left row, only left[s] times generator generators[s] is formed, one
+    product per distinct generator, and the array is (n_left, 1, r_target).
     """
     if p >= fieldla.PRIME_HI:
         raise ValueError(f"prime {p} is not below {fieldla.PRIME_HI}: float64 products are inexact")
@@ -604,25 +606,6 @@ class ClosureResult:
         return first
 
 
-def generate_T0(orbindex: OrbitalIndex, fieldctx: FieldCtx) -> SwitchingClosure:
-    """Level 0 of T, checked: one independent generator per relation, p_ij^k's count."""
-    closure = SwitchingClosure(orbindex, fieldctx)
-    closure.generate_t0()
-    for key, blk in closure.blocks.items():
-        if blk.rank != len(orbindex.block_relations[key]):
-            raise ReconciliationError(
-                "t0_generators_independent",
-                f"length-1 generators of block {key} are not independent",
-            )
-    tensor_dim = dim_T0(intersection_numbers(orbindex.scheme))
-    if closure.total_dim != tensor_dim:
-        raise ReconciliationError(
-            "t0_dimension_matches_tensor",
-            f"level-0 dimension {closure.total_dim} != {tensor_dim} nonzero p_ij^k",
-        )
-    return closure
-
-
 def run_to_stationary(
     scheme: ClassScheme,
     orbindex: OrbitalIndex | None = None,
@@ -638,10 +621,12 @@ def run_to_stationary(
     before the next prime's level 0.  The two primes must agree on every
     level's table (`ClosureResult.agree`); sampled primes that disagree are
     replaced once by a fresh pair, and a second disagreement, or any under
-    explicit primes, is raised.  `bounds`, if given, is only checked, after
-    the primes agree: a final block dimension above its bound raises
-    `ClosureError` naming the block.  The closures read the scheme off the
-    orbit index, so a given `orbindex` must be built from `scheme`.
+    explicit primes, is raised.  The agreed level 0 is checked once: one
+    independent length-1 generator per relation of each block, a total of
+    `dim_T0` nonzero p_ij^k.  `bounds`, if given, is only checked last: a
+    final block dimension above its bound raises `ClosureError` naming the
+    block.  The closures read the scheme off the orbit index, so a given
+    `orbindex` must be built from `scheme`.
     """
     if orbindex is None:
         orbindex = OrbitalIndex(scheme)
@@ -659,7 +644,7 @@ def run_to_stationary(
                 raise ValueError(f"prime {p} divides twice the group order")
         closures = []
         for fieldctx in fields:
-            closures.append(generate_T0(orbindex, fieldctx))
+            closures.append(SwitchingClosure(orbindex, fieldctx))
             # equal histories, checked below, make equal widths
             width = closures[-1].close(progress)
         result = ClosureResult(
@@ -676,6 +661,19 @@ def run_to_stationary(
                 ) from err
         else:
             break
+    level0 = result.tables[0]
+    for (i, k), js in orbindex.block_relations.items():
+        if level0.dims[i][k] != len(js):
+            raise ReconciliationError(
+                "t0_generators_independent",
+                f"length-1 generators of block {(i, k)} are not independent",
+            )
+    tensor_dim = dim_T0(intersection_numbers(scheme))
+    if result.dim_t0 != tensor_dim:
+        raise ReconciliationError(
+            "t0_dimension_matches_tensor",
+            f"level-0 dimension {result.dim_t0} != {tensor_dim} nonzero p_ij^k",
+        )
     if bounds is not None:
         final = result.final_table
         for (a, la), (b, lb) in itertools.product(enumerate(final.labels), repeat=2):

@@ -209,6 +209,19 @@ def test_blocks_filter_unknown_label(capsys):
         assert "unknown block labels" in err
 
 
+def test_blocks_filter_naming_no_block(capsys):
+    # a filter of separators alone is a usage error; an empty one means no filter
+    for spec in (",", " , ,"):
+        code, out, err = run_cli(
+            capsys, "terwilliger", "--group", "sym:3", "--blocks", spec, "--quiet"
+        )
+        assert (code, out) == (2, ""), spec
+        assert "names no block" in err, spec
+    code, out, _ = run_cli(capsys, "terwilliger", "--group", "sym:3", "--blocks", "", "--quiet")
+    assert code == 0
+    assert out == run_cli(capsys, "terwilliger", "--group", "sym:3", "--quiet")[1]
+
+
 def test_cayley_group_report(capsys, q8_path):
     code, out, _ = run_cli(capsys, "report", "--group", f"file:{q8_path}", "--quiet")
     assert code == 0
@@ -590,6 +603,15 @@ def test_bad_group_errors(capsys, tmp_path):
     code, out, err = run_cli(capsys, "scheme", "--group", f"file:{path}", "--quiet")
     assert (code, out) == (2, "")
     assert "error[scheme]: line 4: expected 2 rows, got 3" in err
+    # an entry past int64 and an order past any array are named by their lines too
+    for text, message in (
+        (f"order 2\n0 1\n1 {2**63}\n", "line 3: entry out of range"),
+        ("order 99999999999999999999\n", "line 1: expected 99999999999999999999 rows, got 0"),
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "scheme", "--group", f"file:{path}", "--quiet")
+        assert (code, out) == (2, ""), text
+        assert f"error[scheme]: {message}" in err, text
 
 
 def test_console_script_runs():

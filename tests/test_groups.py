@@ -306,6 +306,10 @@ def test_cayley_errors(tmp_path):
         ("order 2\n0 1\n1 x\n", "line 3: non-integer entry"),
         ("order 2\n0 1\n1 0.0\n", "line 3: non-integer entry"),
         ("order 2\n0 1\n-1 0\n", "line 3: entry out of range"),
+        # an entry past int64 is out of range as well, not a non-integer
+        (f"order 2\n0 1\n1 {2**63 - 1}\n", "line 3: entry out of range"),
+        (f"order 2\n0 1\n1 {2**63}\n", "line 3: entry out of range"),
+        (f"order 2\n0 1\n1 -{2**63 + 1}\n", "line 3: entry out of range"),
         ("order 2\n0 2\n1 0\n", "line 2: entry out of range"),
         ("order 2\n0 1\n\n1 0 0\n", "line 4: expected 2 entries, got 3"),
         ("order 2\n0 1 x\n1 9\n", "line 2: non-integer entry"),
@@ -315,6 +319,9 @@ def test_cayley_errors(tmp_path):
         ("order 3\n0 1 2\n1 2\n", "line 3: expected 3 entries, got 2"),
         ("order 2\n0 1\n1 0\nnot a row\n", "line 4: expected 2 rows, got 3"),
         ("order 2\n0 1\n1 0\n\nnot a row\n", "line 5: expected 2 rows, got 3"),
+        # an order no array could hold, with no rows, is short of rows like any other
+        ("order 3\n", "line 1: expected 3 rows, got 0"),
+        ("order 99999999999999999999\n", "line 1: expected 99999999999999999999 rows, got 0"),
         ("order x\n0\n", "line 1: bad order 'x'"),
         ("order 0\n", "line 1: order must be positive, got 0"),
         ("", "line 1: empty file"),

@@ -24,11 +24,11 @@ import terwilliger as tw
 import terwilliger.fieldla as fieldla_mod
 import terwilliger.orbitals as orbitals_mod
 import terwilliger.switching as switching_mod
+from terwilliger.cli import main
 from terwilliger.fieldla import (
     FLOAT64_EXACT,
     PRIME_HI,
     FieldCtx,
-    ProductBoundError,
     is_prime,
     modmul,
     sample_primes,
@@ -41,7 +41,6 @@ from terwilliger.switching import (
     ClosureError,
     SwitchingClosure,
     chain_products,
-    generate_T0,
     run_to_stationary,
     triple_regularity,
 )
@@ -53,14 +52,16 @@ GROUPS = ["sym:3", "sym:4", "sym:5", "sym:6", "sym:7", "psl2_11", "psl2_13", "ag
 
 def test_generate_t0_totals(stages):
     for n, want in ((3, 11), (6, 447), (7, 1232)):
-        closure = generate_T0(stages.orbindex(n), FieldCtx(sample_primes(1, 1)[0]))
+        closure = SwitchingClosure(stages.orbindex(n), FieldCtx(sample_primes(1, 1)[0]))
+        closure.generate_t0()
         assert closure.total_dim == want
 
 
 def test_t0_block_dims_are_relation_counts(stages):
     s = stages.scheme(5)
     t = stages.tensor(5)
-    closure = generate_T0(stages.orbindex(5), FieldCtx(sample_primes(2, 1)[0]))
+    closure = SwitchingClosure(stages.orbindex(5), FieldCtx(sample_primes(2, 1)[0]))
+    closure.generate_t0()
     table = closure.block_dims()
     assert table.dims == golden.S5_T0_TABLE
     for i in range(s.n_classes):
@@ -296,8 +297,6 @@ def test_explicit_primes_and_determinism(stages):
     for pair in ((2**31 - 1, 2**61 - 1), (primes[0], 2**31 - 1)):
         with pytest.raises(ValueError, match="not below"):
             run_to_stationary(s, oi, primes=pair)
-    with pytest.raises(ValueError, match="not below"):
-        generate_T0(oi, FieldCtx(2**31 - 1))
     # the closures read the scheme off the orbit index
     with pytest.raises(ValueError, match="another scheme"):
         run_to_stationary(stages.scheme(5), oi, primes=primes)
@@ -609,49 +608,22 @@ def test_chain_products_match_per_orbit_loop(stages, q8_path, c3_path, tmp_path)
                 assert np.array_equal(got[:, 0], want[np.arange(len(left)), cols])
 
 
-def test_generator_table_past_the_float64_bound_raises(monkeypatch, stages):
-    # chain_products is one float64 product, exact while r(i, nu) * max(K) *
-    # (PRIME_HI - 1) < 2^53: a table past that bound is refused as it is
-    # counted, and nothing falls back to another product
+def test_group_past_the_float64_premise_is_refused(monkeypatch, capsys, stages):
+    # chain_products is one float64 product, exact while |G| * (PRIME_HI - 1)
+    # < 2^53: the orbit index refuses a group past that premise, the report
+    # exits 2, and nothing falls back to another product; S8 is well inside
+    assert 40320 * (PRIME_HI - 1) < FLOAT64_EXACT
     s = stages.scheme(4)
-    oi = OrbitalIndex(s)
-    assert oi.r[(0, 1)] == 1  # one orbit per block of the identity class
-    least = -(-FLOAT64_EXACT // (PRIME_HI - 1))  # the least count past the bound
-    bincount = np.bincount
-    for top, past in ((least - 1, False), (least, True)):
-
-        def inflated(x, minlength=0, top=top):
-            counts = bincount(x, minlength=minlength)
-            counts[0] = top
-            return counts
-
-        oi = OrbitalIndex(s)
-        with monkeypatch.context() as m:
-            m.setattr(np, "bincount", inflated)
-            if past:
-                with pytest.raises(ProductBoundError, match=r"block \(0,2\) at class 1:"):
-                    oi.generator_table((0, 2), 1)
-            else:
-                assert oi.generator_table((0, 2), 1).max() == top
-        assert (((0, 2), 1) in oi._tables) != past
-        # a small target's table, every class's table stacked, is refused
-        # class by class as well: bin 0 is in the rows of class 0, one orbit
-        oi = OrbitalIndex(s)
-        assert oi.r[(0, 0)] == 1
-        assert oi.row_starts[0, -1] * oi.n_classes * oi.r[(0, 2)] <= switching_mod.TARGET_TABLE_MAX
-        with monkeypatch.context() as m:
-            m.setattr(np, "bincount", inflated)
-            if past:
-                with pytest.raises(ProductBoundError, match=r"block \(0,2\) at class 0:"):
-                    oi.generator_table((0, 2))
-            else:
-                assert oi.generator_table((0, 2)).max() == top
-        assert oi.has_target_table((0, 2)) != past
-    # a closure meeting such a table stops there
-    monkeypatch.setattr(orbitals_mod, "FLOAT64_EXACT", 1)
-    with pytest.raises(ProductBoundError):
-        run_to_stationary(s, OrbitalIndex(s), seed=0)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(orbitals_mod, "FLOAT64_EXACT", s.group.order * (PRIME_HI - 1))
+        with pytest.raises(ValueError, match="group order 24 is too large"):
+            OrbitalIndex(s)
+        assert main(["report", "--group", "sym:4", "--quiet"]) == 2
+        assert "too large for exact float64 products" in capsys.readouterr().err
+        # the least bound S4 meets
+        m.setattr(orbitals_mod, "FLOAT64_EXACT", s.group.order * (PRIME_HI - 1) + 1)
+        assert OrbitalIndex(s).total == stages.orbindex(4).total
+    oi = stages.orbindex(4)
     # chain_products takes no int64 path: it runs with modmul unavailable
 
     def no_modmul(*args):
@@ -663,6 +635,28 @@ def test_generator_table_past_the_float64_bound_raises(monkeypatch, stages):
     left = np.ones((2, oi.r[(1, 2)]), dtype=np.int64)
     got = chain_products(oi, (1, 3), 2, left, p)
     assert got.shape == (2, len(oi.block_relations[(2, 3)]), oi.r[(1, 3)])
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_generator_tables_sum_to_class_sizes(stages, group):
+    # the premise of exact float64 products (chain_products): for a target
+    # orbit t, each z of class nu falls in exactly one bin (a, j) of a table,
+    # so class nu's rows sum to |C_nu| over every orbit and relation; checked
+    # on every table a closure counts, one class's tables and stacked ones
+    s, oi = _scheme_and_index(stages, group)
+    if group.startswith("sym:"):
+        stages.closure(int(group[4:]))
+    else:
+        run_to_stationary(s, oi, seed=0)
+    sizes = np.asarray(s.classes.sizes)
+    assert oi._tables, group
+    for (target, nu), table in oi._tables.items():
+        per_orbit = table.sum(axis=1, dtype=np.int64)
+        if nu is None:
+            got, want = np.add.reduceat(per_orbit, oi.row_starts[target[0]][:-1]), sizes
+        else:
+            got, want = per_orbit.sum(axis=0, keepdims=True), sizes[[nu]]
+        assert np.array_equal(got, np.broadcast_to(want[:, None], got.shape)), (target, nu)
 
 
 def test_generator_products_reduce_counts_below_small_prime(stages):
