@@ -49,6 +49,8 @@ def _filter_table(table: BlockDimTable, blocks: str | None) -> BlockDimTable:
     missing = [w for w in want if w not in table.labels]
     if missing:
         raise UsageError(f"unknown block labels: {missing}; have {table.labels}")
+    if len(set(want)) < len(want):
+        raise UsageError(f"--blocks names {next(w for w in want if want.count(w) > 1)} twice")
     idx = [table.labels.index(w) for w in want]
     dims = [[table.dims[a][b] for b in idx] for a in idx]
     return BlockDimTable(labels=want, dims=dims)
@@ -64,8 +66,6 @@ class Pipeline:
         self.progress = progress
         self.group = build_group(args.group)
         self.checks: dict[str, bool] = {}
-        #: orbit-counting-lemma total, computed with the orbit index
-        self.burnside: int | None = None
 
     # -- stages ------------------------------------------------------------
 
@@ -73,17 +73,17 @@ class Pipeline:
     def scheme(self):
         return scheme_mod.build_scheme(self.group)
 
-    @property
-    def tensor(self):
-        return scheme_mod.intersection_numbers(self.scheme)
-
     @cached_property
     def orbindex(self):
         oi = orb_mod.OrbitalIndex(self.scheme)
-        oi.validate_against_tensor(self.tensor)
-        self.burnside = orb_mod.burnside_orbital_count(self.scheme)
+        oi.validate_against_tensor(scheme_mod.intersection_numbers(self.scheme))
         self.checks["burnside_equals_orbit_total"] = self.burnside == oi.total
         return oi
+
+    @cached_property
+    def burnside(self) -> int:
+        """The orbit-counting-lemma total, which `orbindex` checks its own against."""
+        return orb_mod.burnside_orbital_count(self.scheme)
 
     @cached_property
     def closure(self) -> sw_mod.ClosureResult:
@@ -137,8 +137,6 @@ class Pipeline:
         return wed_mod.thinness(self.cpis, self.orbindex)
 
     def conjecture(self) -> dict:
-        if not self.is_symmetric_group:
-            raise UsageError("the conjecture check needs a symmetric group of degree >= 3")
         n = self.group.n
         label = Partition(tuple([n - 1, 1])).label()
         t_block = self.closure.final_table.get(label, label)
@@ -191,7 +189,7 @@ def cmd_scheme(pipe: Pipeline) -> tuple[dict, str]:
         "class_labels": s.classes.label_strings(),
         "class_sizes": s.classes.sizes,
         "inversion_closed": inversion_closed(s.classes),
-        "dim_t0": scheme_mod.dim_T0(pipe.tensor),
+        "dim_t0": scheme_mod.dim_T0(scheme_mod.intersection_numbers(s)),
         "conj_centralizer_dim": scheme_mod.conj_centralizer_dim(s),
         "axioms": {"ok": axioms.ok, "violations": axioms.violations},
     }
@@ -201,8 +199,6 @@ def cmd_scheme(pipe: Pipeline) -> tuple[dict, str]:
 
 
 def cmd_characters(pipe: Pipeline) -> tuple[dict, str]:
-    if not pipe.is_symmetric_group:
-        raise UsageError("character tables are available for symmetric groups only")
     table = chars_mod.char_table(pipe.group.n)
     sums = chars_mod.row_sums(table)
     eig = chars_mod.scheme_eigenmatrix(pipe.group.n)
@@ -284,8 +280,6 @@ def cmd_terwilliger(pipe: Pipeline) -> tuple[dict, str]:
 
 
 def cmd_wedderburn(pipe: Pipeline) -> tuple[dict, str]:
-    if not pipe.is_symmetric_group:
-        raise UsageError("the Wedderburn pipeline needs a symmetric group (>= 3)")
     rep = pipe.wedderburn
     payload = {
         "dim_t": rep.dim_t,
@@ -304,8 +298,6 @@ def cmd_wedderburn(pipe: Pipeline) -> tuple[dict, str]:
 
 
 def cmd_thinness(pipe: Pipeline) -> tuple[list, str]:
-    if not pipe.is_symmetric_group:
-        raise UsageError("thinness reports need a symmetric group (>= 3)")
     payload = [
         {"label": e.label.label(), "dim": e.dim, "block_dims": e.block_dims, "thin": e.thin}
         for e in pipe.thinness.entries
@@ -353,6 +345,7 @@ COMMANDS = {
     "conjecture": cmd_conjecture,
     "report": cmd_report,
 }
+SYMMETRIC_ONLY = ("characters", "wedderburn", "thinness", "conjecture")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -393,6 +386,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         pipe = Pipeline(args, progress=None if args.quiet else progress)
+        if args.command in SYMMETRIC_ONLY and not pipe.is_symmetric_group:
+            raise UsageError(f"{args.command} needs a symmetric group of degree >= 3")
         payload, text = COMMANDS[args.command](pipe)
     except ReconciliationError as exc:
         print(f"error[{args.command}]: check {exc.check} failed: {exc}", file=sys.stderr)

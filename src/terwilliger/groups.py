@@ -333,7 +333,11 @@ def build_group(spec: str) -> GroupTable:
     """Build a group from a descriptor: 'sym:N' or 'file:PATH'."""
     kind, _, arg = spec.partition(":")
     if kind == "sym":
-        return SymmetricGroup(int(arg))
+        try:
+            n = int(arg)
+        except ValueError:
+            raise ValueError(f"bad group spec {spec!r}: the degree must be an integer") from None
+        return SymmetricGroup(n)
     if kind == "file":
         return load_cayley_table(arg)
     raise ValueError(f"unknown group spec {spec!r} (want sym:N or file:PATH)")

@@ -26,9 +26,8 @@ closure under the same prime, block (i, m) of e*T steps only through the
 classes nu of S that end an accepted word of T's block (i, m): each such
 word is a word of block (i, nu) times a generator of (nu, m), and the
 accepted words span T mod that prime, so e*T's block (i, m) is spanned by
-its blocks (i, nu) times those generators.  The seeded closure thus reads
-only generator tables that T's closure counted; T's closure records those
-classes per block as it accepts words (`SwitchingClosure.word_ends`).
+its blocks (i, nu) times those generators.  The seeded closure reads those
+classes off T's accepted words and counts no generator table of its own.
 
 A span has one test, `Block.residual`: a vector's residual on the block's
 free columns, zero exactly when the vector lies in the span.  A closure
@@ -96,7 +95,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,8 +238,7 @@ class SwitchingClosure:
 
     `t_closure`, T's stationary closure under the same prime, restricts the
     middle classes of block (i, m) to those ending an accepted word of T's
-    block (i, m), as the module docstring proves; every closure records
-    those classes in `word_ends` as it accepts words.
+    block (i, m), as the module docstring proves, read off T's words.
     """
 
     def __init__(
@@ -261,7 +259,6 @@ class SwitchingClosure:
                 raise ClosureError("the T closure restricting the middle classes is not stationary")
         self.orbindex = orbindex
         self.field = fieldctx
-        self.level = -1
         nc = orbindex.n_classes
         if seed is None:
             seed = {c: np.eye(1, orbindex.r[(c, c)], dtype=np.int64)[0] for c in range(nc)}
@@ -272,8 +269,6 @@ class SwitchingClosure:
             for k in self.support
             if i <= k
         }
-        #: (i, m), every upper block -> the classes nu ending its accepted words
-        self.word_ends: dict[tuple[int, int], set[int]] = {key: set() for key in self.blocks}
         support = np.array(self.support, dtype=np.intp)
         #: (i, m), every upper block -> its middle classes nu, in support order
         self.middle: dict[tuple[int, int], np.ndarray] = {key: support for key in self.blocks}
@@ -282,7 +277,7 @@ class SwitchingClosure:
         self.restricted = t_closure is not None
         if t_closure is not None:
             for key in self.blocks:
-                ends = t_closure.word_ends[key]
+                ends = {word[-1][0] for word in t_closure.blocks[key].words}
                 self.middle[key] = support[[nu in ends for nu in self.support]]
         #: (i, k), every block that gained rows on the last level -> those raw
         #: rows and their words; before level 0, the seeds, each with the
@@ -301,6 +296,11 @@ class SwitchingClosure:
     def stationary(self) -> bool:
         """The last level added nothing, so no further level adds anything."""
         return len(self.history) >= 2 and self.history[-1] == self.history[-2]
+
+    @property
+    def level(self) -> int:
+        """The last level generated, -1 before level 0."""
+        return len(self.history) - 1
 
     @property
     def total_dim(self) -> int:
@@ -343,7 +343,6 @@ class SwitchingClosure:
                 self.frontier[(i, k)] = self.block_rows((i, k), rows)
                 if i < k:
                     self.frontier[(k, i)] = self.block_rows((k, i), rows)
-        self.level += 1
         self.history.append(self.block_dims())
 
     def generate_t0(self) -> dict[tuple[int, int], int]:
@@ -351,10 +350,6 @@ class SwitchingClosure:
         if self.level >= 0:
             raise ClosureError("level 0 already generated")
         return self._step()
-
-    def _block_order(self, key: tuple[int, int]):
-        sizes = self.orbindex.scheme.classes.sizes
-        return (sizes[key[0]] * sizes[key[1]], key)
 
     def middle_order(self, key: tuple[int, int]) -> list[int]:
         """The middle classes nu that offer block (i, m) candidates this step, most first.
@@ -392,7 +387,9 @@ class SwitchingClosure:
     def _step(self, progress=None) -> dict[tuple[int, int], int]:
         """One closure step: frontier rows times length-1 generators.
 
-        Only the blocks (i, m) with i <= m are closed; a left factor (i, nu)
+        Only the blocks (i, m) with i <= m are closed, in key order; any order
+        accepts the same rows, as a block reads the last level's frontier and
+        the table memo and writes only its own `Block`.  A left factor (i, nu)
         with i > nu is derived from block (nu, i).  A block visits its middle
         classes in runs, `_visit` once per run, and stops when full: one class
         per run, or, for a small target, the richest class and then the rest,
@@ -404,9 +401,8 @@ class SwitchingClosure:
         start = time.monotonic()
         growth: dict[tuple[int, int], int] = {}
         ranges: dict[tuple[int, int], range] = {}
-        for key in sorted(self.blocks, key=self._block_order):
+        for key, blk in self.blocks.items():
             i, m = key
-            blk = self.blocks[key]
             before = blk.rank
             order = self.middle_order(key)
             small = stacked_rows[i] * nc * blk.r <= TARGET_TABLE_MAX
@@ -484,9 +480,7 @@ class SwitchingClosure:
         # the accepted candidates' rows in `words`, and their classes
         at = a if nu is not None else rows[a]
         nus = [nu] * len(a) if nu is not None else stack_class[at].tolist()
-        for s, nu, j in zip(at.tolist(), nus, js[c].tolist()):
-            blk.words.append(words[s] + ((nu, j, m),))
-        self.word_ends[key].update(nus)
+        blk.words += [words[s] + ((nu, j, m),) for s, nu, j in zip(at, nus, js[c].tolist())]
 
     def _row_stack(self, i: int) -> tuple[np.ndarray, np.ndarray, list[Word]]:
         """The frontier rows of (i, 0), (i, 1), ... as a block diagonal on stacked-table rows.
@@ -567,13 +561,23 @@ def chain_products(
 
 @dataclass
 class ClosureResult:
-    """Two-prime stationary closure with its full level history."""
+    """Two-prime stationary closure and the level history both primes agreed on."""
 
-    orbindex: OrbitalIndex
-    primes: tuple[int, int]
     closures: tuple[SwitchingClosure, SwitchingClosure]
-    width: int
-    tables: list[BlockDimTable] = field(default_factory=list)
+    tables: list[BlockDimTable]
+
+    @property
+    def orbindex(self) -> OrbitalIndex:
+        return self.closures[0].orbindex
+
+    @property
+    def primes(self) -> tuple[int, int]:
+        return tuple(closure.field.p for closure in self.closures)
+
+    @property
+    def width(self) -> int:
+        """The number of levels after level 0 that grew: all but the last, which adds nothing."""
+        return len(self.tables) - 2
 
     @property
     def dim_t0(self) -> int:
@@ -645,11 +649,8 @@ def run_to_stationary(
         closures = []
         for fieldctx in fields:
             closures.append(SwitchingClosure(orbindex, fieldctx))
-            # equal histories, checked below, make equal widths
-            width = closures[-1].close(progress)
-        result = ClosureResult(
-            orbindex, tuple(pair), tuple(closures), width, list(closures[0].history)
-        )
+            closures[-1].close(progress)
+        result = ClosureResult(tuple(closures), list(closures[0].history))
         try:
             result.agree("dimension tables", lambda closure: closure.history)
         except ReconciliationError as err:

@@ -17,8 +17,10 @@ from terwilliger import (
 # a closure runs to stationarity in `SwitchingClosure.close` alone, a
 # partition is read through its parts, the references only the tests read
 # live in tests/oracle.py, an atom is sized from its own idempotents, level 0
-# is checked once on the two primes' agreed table, and float64 products are
-# exact by the group order, which the orbit index checks once
+# is checked once on the two primes' agreed table, float64 products are
+# exact by the group order, which the orbit index checks once, a closure
+# step's block order changes nothing it accepts, and the scheme memoizes its
+# own intersection numbers
 REMOVED = (
     (groups, "Permutation"),
     (orbitals, "orbital_table"),
@@ -50,14 +52,20 @@ REMOVED = (
     (wedderburn, "add_idempotents"),
     (switching, "generate_T0"),
     (fieldla, "ProductBoundError"),
+    (switching.SwitchingClosure, "_block_order"),
+    (cli.Pipeline, "tensor"),
 )
 
 # dataclass fields removed: `hasattr` on the class misses a field without a
 # plain default, so these are checked against `dataclasses.fields`.  A
-# closure result's scheme is its orbit index's, and an idempotent's residues
+# closure result's scheme is its orbit index's, its orbit index, primes and
+# width are read off its closures and tables, and an idempotent's residues
 # are computed where they are read
 REMOVED_FIELDS = (
     (switching.ClosureResult, "scheme"),
+    (switching.ClosureResult, "orbindex"),
+    (switching.ClosureResult, "primes"),
+    (switching.ClosureResult, "width"),
     (wedderburn.CPIdem, "_residues"),
 )
 

@@ -67,19 +67,19 @@ def test_characters_rejects_cayley(capsys, q8_path):
     assert "symmetric" in err
 
 
-@pytest.mark.parametrize(
-    "command, message",
-    [
-        ("wedderburn", "the Wedderburn pipeline needs a symmetric group (>= 3)"),
-        ("thinness", "thinness reports need a symmetric group (>= 3)"),
-        ("conjecture", "the conjecture check needs a symmetric group of degree >= 3"),
-    ],
-)
-def test_symmetric_group_commands_reject_cayley(capsys, c3_path, command, message):
+@pytest.mark.parametrize("command", ["characters", "wedderburn", "thinness", "conjecture"])
+def test_symmetric_group_commands_reject_cayley(capsys, c3_path, command):
+    # one guard, one message naming the command
+    message = f"{command} needs a symmetric group of degree >= 3"
     code, out, err = run_cli(capsys, command, "--group", f"file:{c3_path}", "--quiet")
     assert code == 2
     assert out == ""
     assert message in err
+    # S2 and S1 are symmetric groups, but below degree 3
+    for group in ("sym:2", "sym:1"):
+        code, out, err = run_cli(capsys, command, "--group", group, "--quiet")
+        assert (code, out) == (2, ""), group
+        assert f"error[{command}]: {message}" in err, group
 
 
 def test_centralizer_command(capsys):
@@ -220,6 +220,16 @@ def test_blocks_filter_naming_no_block(capsys):
     code, out, _ = run_cli(capsys, "terwilliger", "--group", "sym:3", "--blocks", "", "--quiet")
     assert code == 0
     assert out == run_cli(capsys, "terwilliger", "--group", "sym:3", "--quiet")[1]
+
+
+def test_blocks_filter_naming_a_block_twice(capsys):
+    # a repeated label would print one block as two rows and two columns
+    for spec, label in (("[3,1],[3,1]", "[3,1]"), ("[4],[2^2],[4],[2^2]", "[4]")):
+        code, out, err = run_cli(
+            capsys, "terwilliger", "--group", "sym:4", "--blocks", spec, "--quiet"
+        )
+        assert (code, out) == (2, ""), spec
+        assert f"--blocks names {label} twice" in err, spec
 
 
 def test_cayley_group_report(capsys, q8_path):
@@ -594,9 +604,11 @@ def test_bounds_flag_removed():
 
 
 def test_bad_group_errors(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "scheme", "--group", "sym:zebra", "--quiet")
-    assert code == 2
-    assert "error[scheme]" in err
+    # a degree that is not an integer is named with its spec
+    for spec in ("sym:zebra", "sym:abc", "sym:", "sym:3.0"):
+        code, out, err = run_cli(capsys, "scheme", "--group", spec, "--quiet")
+        assert (code, out) == (2, ""), spec
+        assert f"error[scheme]: bad group spec {spec!r}: the degree must be an integer" in err
     # a line past a Cayley table's N rows is rejected, named by its line number
     path = tmp_path / "long.txt"
     path.write_text("order 2\n0 1\n1 0\nnot a row\n")

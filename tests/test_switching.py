@@ -718,9 +718,8 @@ class _FullProductClosure(SwitchingClosure):
 
     def extend_level(self, progress=None):
         growth, ranges = {}, {}
-        for key in sorted(self.blocks, key=self._block_order):
+        for key, blk in self.blocks.items():
             i, m = key
-            blk = self.blocks[key]
             before = blk.rank
             for nu in self.middle_order(key):
                 left, words = self.frontier[(i, nu)]
@@ -779,12 +778,17 @@ def test_s7_closure_counts_few_generator_tables(stages):
 
 
 def closure_state(closure):
-    """What a closure accepted: its history, and per block rank, words, raw rows, word ends."""
+    """What a closure accepted: its history, and per block rank, words and raw rows."""
     blocks = {
-        key: (blk.rank, blk.words, blk.raw[: blk.rank].tolist(), closure.word_ends[key])
+        key: (blk.rank, blk.words, blk.raw[: blk.rank].tolist())
         for key, blk in closure.blocks.items()
     }
     return [t.dims for t in closure.history], blocks
+
+
+def counted_tables(oi):
+    """Every generator table `oi` counted: key, dtype and counts."""
+    return {key: (str(t.dtype), t.tobytes()) for key, t in oi._tables.items()}
 
 
 def stacked_tables(oi):
@@ -805,10 +809,10 @@ EVERY_TARGET = 1 << 62
 @pytest.mark.parametrize("group", GROUPS)
 def test_target_visits_accept_what_class_visits_do(monkeypatch, stages, group):
     # a visit of several classes through a stacked table accepts the ranks,
-    # words, raw rows and word ends that visiting the classes one by one
-    # does, block by block under both primes: with no target small, with
-    # every target small, and with every stacked table counted first, so that
-    # every visit of several classes is one through a stacked table
+    # words and raw rows that visiting the classes one by one does, block by
+    # block under both primes: with no target small, with every target
+    # small, and with every stacked table counted first, so that every visit
+    # of several classes is one through a stacked table
     s, _ = _scheme_and_index(stages, group)
     states = []
     for most, counted in ((0, False), (EVERY_TARGET, False), (EVERY_TARGET, True)):
@@ -823,13 +827,28 @@ def test_target_visits_accept_what_class_visits_do(monkeypatch, stages, group):
     assert states[0] == states[1] == states[2], group
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_word_ends_record_the_last_middle_classes(stages, n):
-    # the classes a closure records as it accepts words, which restrict the
-    # seeded closures, are those its words end in
-    for closure in stages.closure(n).closures:
-        for key, blk in closure.blocks.items():
-            assert closure.word_ends[key] == {w[-1][0] for w in blk.words}, (n, key)
+class _ReverseBlockClosure(SwitchingClosure):
+    """The closure stepping through its blocks in reverse key order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.blocks = dict(reversed(self.blocks.items()))
+
+
+@pytest.mark.parametrize("group", ["sym:5", "sym:6", "sym:7", "psl2_11", "psl2_13", "agl1_23"])
+def test_block_order_keeps_what_a_closure_accepts(monkeypatch, stages, group):
+    # within a step a block reads only the previous level's frontier, its row
+    # stacks and the table memo, and writes only its own Block, so the order
+    # of the blocks changes nothing the closure accepts or counts
+    s, _ = _scheme_and_index(stages, group)
+    states = []
+    for cls in (SwitchingClosure, _ReverseBlockClosure):
+        monkeypatch.setattr(switching_mod, "SwitchingClosure", cls)
+        oi = OrbitalIndex(s)
+        res = run_to_stationary(s, oi, seed=0)
+        assert all(type(closure) is cls for closure in res.closures)
+        states.append(([closure_state(c) for c in res.closures], counted_tables(oi)))
+    assert states[0] == states[1], group
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
